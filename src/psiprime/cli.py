@@ -3,8 +3,9 @@
 Every subcommand prints a human table by default, machine JSON with
 ``--json`` (compact, deterministic key order, every unbounded integer as a
 decimal string), or CSV with ``--csv``.  Exit codes: 0 success, 1 usage
-error, 2 size/cap error, 3 theorem violation detected, 4 conjecture
-counterexample found.
+error, 2 size/cap error, 3 theorem violation detected or an internal
+exactness check failed (``ConsistencyError``), 4 conjecture counterexample
+found.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from typing import Sequence
 
-from .errors import DomainError, NotationError, SizeLimitError
+from .errors import ConsistencyError, DomainError, NotationError, SizeLimitError
 from .groups import (
     BRUTE_FORCE_CAP,
     AbelianGroup,
@@ -440,6 +441,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 the package.
 
 A partition of n is stored as its weakly decreasing positive parts with no
-trailing zeros; the zero-padded length-n tuple exists only transiently
-inside :func:`lex_compare`.  ``partitions_of`` yields partitions directly
-in ascending lexicographic order of those padded tuples, so (1,...,1) comes
-first and (n) last.
+trailing zeros.  ``partitions_of`` yields partitions directly in ascending
+lexicographic order of those tuples, so (1,...,1) comes first and (n)
+last.  (Padding with zeros to length n would not change that order: of two
+different partitions of the same n, neither is a prefix of the other.)
 """
 
 from __future__ import annotations
@@ -80,15 +80,23 @@ def parse_partition(text: str) -> Partition:
         raise NotationError(str(exc), 1) from exc
 
 
-def _ascending(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # Descending-part tuples of partitions of n with parts <= max_part,
-    # emitted in ascending lex order of the padded tuples.
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, min(n, max_part) + 1):
-        for tail in _ascending(n - head, head):
-            yield (head,) + tail
+def _ascending(n: int) -> Iterator[tuple[int, ...]]:
+    # Descending-part tuples of the partitions of n in ascending lex
+    # order.  Successor step: take the rightmost i < len-1 where x[i] can
+    # grow without breaking the descent (i = 0 or x[i] < x[i-1]), add 1 to
+    # it, and spend what is left of the tail as 1s.
+    x = [1] * n
+    while True:
+        yield tuple(x)
+        i = len(x) - 2
+        if i < 0:
+            return
+        while i > 0 and x[i] == x[i - 1]:
+            i -= 1
+        rest = sum(x[i + 1 :]) - 1
+        x[i] += 1
+        del x[i + 1 :]
+        x += [1] * rest
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
@@ -97,7 +105,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
         raise DomainError(f"cannot partition {n}")
     if n > PARTITION_CAP:
         raise SizeLimitError(f"n = {n} exceeds the partition cap {PARTITION_CAP}")
-    for parts in _ascending(n, n if n else 1):
+    for parts in _ascending(n):
         yield Partition(parts)
 
 
@@ -116,17 +124,10 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def lex_compare(a: Partition, b: Partition) -> int:
-    """Three-way comparison (-1, 0, 1) of the zero-padded length-n tuples.
+    """Three-way comparison (-1, 0, 1) of the descending parts.
 
     Only partitions of the same integer are comparable.
     """
     if a.n != b.n:
         raise DomainError(f"cannot lex-compare partitions of {a.n} and {b.n}")
-    n = a.n
-    ta = a.parts + (0,) * (n - len(a.parts))
-    tb = b.parts + (0,) * (n - len(b.parts))
-    if ta < tb:
-        return -1
-    if ta > tb:
-        return 1
-    return 0
+    return (a.parts > b.parts) - (a.parts < b.parts)

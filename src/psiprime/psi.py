@@ -14,6 +14,16 @@ n = a_1 + ... + a_k, the exponent of psi' is
 
 where f(i) = p^((k-j-1)*i + a_1+...+a_j) with j the number of exponents
 <= i, clamped at k-1.  (f(i) equals |{x : o(x) divides p^i}| / p^i.)
+On each run a_j <= i < a_{j+1} (a_0 = 0) the count j is constant, so
+p^i * f(i) = p^(S_j) * q^i with q = p^(k-j) and S_j = a_1+...+a_j, and the
+run sums to a geometric series:
+
+    E = a_k * p^n - sum_{j=0}^{k-1} p^(S_j) * (q^(a_{j+1}) - q^(a_j)) / (q - 1)
+
+That is what :func:`psi_prime_exponent` computes, in O(k) big-integer
+operations per group instead of O(a_k * k).  The literal loop over i is
+kept as a test oracle in ``tests/oracles.py``.
+
 Products over groups of pairwise coprime order combine as
 psi'(G_1 x ... x G_k) = prod_i psi'(G_i)^(n_i) with n_i the product of the
 other orders.
@@ -123,30 +133,29 @@ class FactoredInteger:
 ONE = FactoredInteger(())
 
 
-def f_eval(alphas: Sequence[int], p: int, i: int) -> int:
-    """Piecewise step factor in the p-group exponent formula.
-
-    With j = #{alphas <= i} clamped at k-1, returns
-    p^((k-j-1)*i + alphas[0]+...+alphas[j-1]).  For k = 1 the exponent sum
-    is empty and the value is 1 for every i.
-    """
-    alphas = tuple(alphas)
-    if not alphas or any(alphas[j] > alphas[j + 1] for j in range(len(alphas) - 1)):
-        raise DomainError(f"exponents {alphas} must be non-empty and ascending")
-    if i < 0:
-        raise DomainError(f"i = {i} must be non-negative")
-    k = len(alphas)
-    j = sum(1 for a in alphas if a <= i)
-    j = min(j, k - 1)
-    return p ** ((k - j - 1) * i + sum(alphas[:j]))
-
-
 @cache
 def psi_prime_exponent(p: int, alphas: tuple[int, ...]) -> int:
-    """E with psi'(p-group) = p^E: a_k * p^n - sum_{i<a_k} p^i * f(i)."""
-    n = sum(alphas)
-    a_k = alphas[-1]
-    return a_k * p**n - sum(p**i * f_eval(alphas, p, i) for i in range(a_k))
+    """E with psi'(p-group) = p^E, summed run by run (module docstring).
+
+    alphas must be non-empty, positive and ascending, and p >= 2.
+    """
+    if p < 2:
+        raise DomainError(f"p = {p} must be >= 2")
+    if not alphas or alphas[0] < 1 or any(
+        alphas[j] > alphas[j + 1] for j in range(len(alphas) - 1)
+    ):
+        raise DomainError(f"exponents {alphas} must be non-empty, positive and ascending")
+    k = len(alphas)
+    total = 0
+    lo = prefix = 0
+    for j, hi in enumerate(alphas):
+        if hi > lo:
+            q = p ** (k - j)
+            run = exact_div(q**hi - q**lo, q - 1, "psi' exponent run")
+            total += p**prefix * run
+        prefix += hi
+        lo = hi
+    return alphas[-1] * p**prefix - total
 
 
 def psi_prime_pgroup(t: PGroupType) -> FactoredInteger:

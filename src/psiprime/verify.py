@@ -14,13 +14,9 @@ import concurrent.futures
 import itertools
 from dataclasses import dataclass
 
+from .arith import require_prime
 from .errors import DomainError
-from .groups import (
-    AbelianGroup,
-    enumerate_abelian_groups,
-    iter_abelian_groups_up_to,
-    partition_to_group_type,
-)
+from .groups import AbelianGroup, enumerate_abelian_groups, iter_abelian_groups_up_to
 from .partitions import Partition, partitions_of
 from .psi import FactoredInteger, psi_prime, psi_prime_exponent
 from .symmetric import SYMMETRIC_CAP, psi_all
@@ -91,10 +87,8 @@ def check_theorem_c(p: int, n: int) -> MonotonicityReport:
     """
     if n < 1:
         raise DomainError(f"n = {n} must be >= 1")
-    rows = []
-    for q in partitions_of(n):
-        t = partition_to_group_type(q, p)
-        rows.append((q, psi_prime_exponent(t.p, t.alphas)))
+    require_prime(p)
+    rows = [(q, psi_prime_exponent(p, q.parts[::-1])) for q in partitions_of(n)]
     violations = tuple(
         (i, i + 1) for i in range(len(rows) - 1) if rows[i][1] >= rows[i + 1][1]
     )

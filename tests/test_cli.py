@@ -165,6 +165,27 @@ def test_theorem_violation_exit_code(monkeypatch, capsys):
     assert "violations: 1" in out
 
 
+def test_consistency_error_exit_3_with_message(monkeypatch, capsys):
+    # a division that leaves a remainder inside the exponent kernel must
+    # surface as exit 3 and one error line, not as a traceback
+    from psiprime import psi as psi_module
+    from psiprime.arith import exact_div
+
+    def off_by_one(numerator, denominator, what="division"):
+        return exact_div(numerator + 1, denominator, what)
+
+    monkeypatch.setattr(psi_module, "exact_div", off_by_one)
+    psi_module.psi_prime_exponent.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "theorem-c", "--prime", "3", "--n", "4")
+    finally:
+        psi_module.psi_prime_exponent.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "not divisible" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_conjecture_counterexample_exit_code(monkeypatch, capsys):
     from psiprime import cli as cli_module
     from psiprime.verify import ConjectureFReport, ConjectureFSweep

@@ -11,7 +11,8 @@ from psiprime import (
     parse_partition,
     partitions_of,
 )
-from oracles import partition_count
+from psiprime.partitions import _ascending
+from oracles import ascending_partitions, partition_count
 
 
 def test_partitions_of_3_exhaustive():
@@ -38,6 +39,13 @@ def test_partitions_strictly_ascending_no_duplicates(n):
     assert len(set(qs)) == len(qs)
     for a, b in zip(qs, qs[1:]):
         assert lex_compare(a, b) == -1
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_generator_matches_recursive_oracle(n):
+    got = list(_ascending(n))
+    assert got == list(ascending_partitions(n))
+    assert all(Partition(parts).n == n for parts in got)
 
 
 def test_partition_cap():

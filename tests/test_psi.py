@@ -16,7 +16,6 @@ from psiprime import (
     canonicalize,
     combine_coprime,
     enumerate_abelian_groups,
-    f_eval,
     factored_compare,
     order_spectrum,
     partition_to_group_type,
@@ -30,6 +29,7 @@ from psiprime import (
     psi_sum,
 )
 from psiprime.arith import exact_div
+from oracles import f_eval, psi_prime_exponent_loop
 
 
 def fi(d):
@@ -69,7 +69,7 @@ def test_factored_integer_json_round_trip():
     assert FactoredInteger.from_json_dict(blob) == value
 
 
-# ---------------------------------------------------------------- f_eval
+# ---------------------------------------------------------------- f_eval (oracle)
 
 def test_f_eval_z2xz4():
     # alphas (1,2), p=2: the exponent identity sum_{i<a_k} p^i f(i)
@@ -121,6 +121,33 @@ def test_f_eval_branch_boundaries_agree(p, raw):
     for j in range(1, k):
         i = alphas[j - 1]
         assert branch(j - 1, i) == branch(j, i) == f_eval(alphas, p, i)
+
+
+# ---------------------------------------------------------------- segment-sum exponent
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 2**31 - 1]),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
+)
+@settings(max_examples=300)
+def test_psi_prime_exponent_matches_loop_oracle(p, raw):
+    alphas = tuple(sorted(raw))
+    assert psi_prime_exponent(p, alphas) == psi_prime_exponent_loop(p, alphas)
+
+
+def test_psi_prime_exponent_matches_loop_oracle_on_all_partitions_of_14():
+    for p in (2, 3, 5):
+        for q in partitions_of(14):
+            alphas = q.parts[::-1]
+            assert psi_prime_exponent(p, alphas) == psi_prime_exponent_loop(p, alphas)
+
+
+@pytest.mark.parametrize(
+    "p, alphas", [(2, ()), (2, (2, 1)), (2, (0, 1)), (1, (1, 2)), (0, (1,)), (-3, (1,))]
+)
+def test_psi_prime_exponent_validation(p, alphas):
+    with pytest.raises(DomainError):
+        psi_prime_exponent(p, alphas)
 
 
 # ---------------------------------------------------------------- psi' for p-groups

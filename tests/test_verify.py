@@ -145,3 +145,11 @@ def test_theorem_c_rejects_bad_n(bad_n):
 
     with pytest.raises(DomainError):
         check_theorem_c(2, bad_n)
+
+
+@pytest.mark.parametrize("bad_p", [1, 4, 6, 2**31 + 11])
+def test_theorem_c_rejects_non_prime_p(bad_p):
+    from psiprime import DomainError
+
+    with pytest.raises(DomainError):
+        check_theorem_c(bad_p, 3)
