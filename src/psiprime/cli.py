@@ -6,6 +6,13 @@ decimal string), or CSV with ``--csv``.  Exit codes: 0 success, 1 usage
 error, 2 size/cap error, 3 theorem violation detected or an internal
 exactness check failed (``ConsistencyError``), 4 conjecture counterexample
 found.
+
+All output goes through one renderer, ``_render(args, headers, rows, obj,
+text=..., notes=...)``.  ``--json`` prints ``obj()`` and nothing else.
+``--csv`` prints ``headers`` and ``rows``, then the ``notes`` lines.  The
+default format prints ``text`` if one is given (a bare scalar, a factored
+psi', a polynomial), else ``headers`` and ``rows`` as an aligned table;
+then the ``notes`` lines.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import csv
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError, NotationError, SizeLimitError
 from .groups import (
@@ -49,31 +56,44 @@ EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
-
-
 def _styled(text: str) -> str:
     if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
     return f"\x1b[1m{text}\x1b[0m"
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    rows = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    print(_styled("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()))
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _render(
+    args,
+    headers: Sequence[str],
+    rows: Iterable[Sequence],
+    obj: Callable[[], object],
+    *,
+    text: str | None = None,
+    notes: Iterable[str] = (),
+) -> None:
+    """Print one result in the format chosen by ``args.fmt``.
 
-
-def _csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(headers)
-    writer.writerows(rows)
+    Only the chosen format is built: ``obj()`` is called for ``--json``
+    alone, and ``rows`` (any iterable, cells passed through ``str``) is
+    consumed only for the table or CSV.
+    """
+    if args.fmt == "json":
+        print(json.dumps(obj(), separators=(",", ":")))
+        return
+    if args.fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(headers)
+        writer.writerows(rows)
+    elif text is not None:
+        print(text)
+    else:
+        cells = [[str(c) for c in row] for row in rows]
+        widths = [max([len(h)] + [len(row[i]) for row in cells]) for i, h in enumerate(headers)]
+        print(_styled("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()))
+        for row in cells:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    for line in notes:
+        print(line)
 
 
 def _jobs_arg(value: str) -> int | None:
@@ -96,10 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format_flags(p: argparse.ArgumentParser) -> None:
+    def finish_command(p: argparse.ArgumentParser, run) -> None:
+        # every command takes the format flags and names its handler
+        p.set_defaults(run=run)
         fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="machine JSON output")
-        fmt.add_argument("--csv", action="store_true", help="CSV output")
+        fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
+                         help="machine JSON output")
+        fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
+                         help="CSV output")
 
     p = sub.add_parser("compute", help="compute invariants of one group")
     p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
@@ -114,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expand psi' to a decimal integer (requires --digit-limit)")
     p.add_argument("--digit-limit", type=int, metavar="D",
                    help="refuse to materialize beyond D decimal digits")
-    add_format_flags(p)
+    finish_command(p, _cmd_compute)
 
     p = sub.add_parser("enumerate", help="list all abelian groups of one order")
     p.add_argument("m", type=int, help="group order")
-    add_format_flags(p)
+    finish_command(p, _cmd_enumerate)
 
     v = sub.add_parser("verify", help="run an empirical verification sweep")
     vsub = v.add_subparsers(dest="check", required=True)
@@ -126,25 +150,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("theorem-c", help="psi' strictly increases along the partition order")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_format_flags(p)
+    finish_command(p, _cmd_theorem_c)
 
     p = vsub.add_parser("injectivity", help="no two groups of one order share psi'")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes or 'auto'")
-    add_format_flags(p)
+    finish_command(p, _cmd_injectivity)
 
     p = vsub.add_parser("collisions", help="census of cross-order psi' coincidences")
     p.add_argument("--max-order", type=int, required=True)
-    add_format_flags(p)
+    finish_command(p, _cmd_collisions)
 
     p = vsub.add_parser("conjecture-f", help="each single psi_k separates groups of one order")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes or 'auto'")
-    add_format_flags(p)
+    finish_command(p, _cmd_conjecture_f)
 
     p = sub.add_parser("oracle", help="cross-check formulas against brute enumeration")
     p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
-    add_format_flags(p)
+    finish_command(p, _cmd_oracle)
 
     return parser
 
@@ -158,191 +182,155 @@ def _cmd_compute(args) -> int:
         print("error: --materialize only applies to --psi-prime", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.psi:
-        value = psi_sum(G)
-        _emit_scalar(args, "psi", value)
-    elif args.psi_prime:
+    if args.psi_prime and not args.materialize:
         fi = psi_prime(G)
-        if args.materialize:
-            _emit_scalar(args, "psi_prime", fi.materialize(args.digit_limit))
-        elif args.json:
-            _emit_json(fi.to_json_dict())
-        elif args.csv:
-            _csv(["prime", "exponent"], [[str(p), str(e)] for p, e in fi.factors])
-        else:
-            print(fi)
-    elif args.psi_k is not None:
-        values = psi_all(G)
-        if not 1 <= args.psi_k <= len(values):
-            raise DomainError(f"k = {args.psi_k} out of range 1..{len(values)}")
-        _emit_scalar(args, f"psi_{args.psi_k}", values[args.psi_k - 1])
+        _render(args, ["prime", "exponent"], fi.factors, fi.to_json_dict, text=str(fi))
     elif args.psi_all:
         values = psi_all(G)
-        if args.json:
-            _emit_json({"psi_k": [str(v) for v in values]})
-        elif args.csv:
-            _csv(["k", "psi_k"], [[str(k + 1), str(v)] for k, v in enumerate(values)])
-        else:
-            _table(["k", "psi_k"], [[str(k + 1), str(v)] for k, v in enumerate(values)])
+        _render(args, ["k", "psi_k"], enumerate(values, 1),
+                lambda: {"psi_k": [str(v) for v in values]})
     elif args.spectrum:
         spectrum = order_spectrum(G)
-        if args.json:
-            _emit_json(spectrum_to_json_dict(spectrum))
-        else:
-            rows = [[str(d), str(m)] for d, m in spectrum.entries]
-            (_csv if args.csv else _table)(["order", "multiplicity"], rows)
+        _render(args, ["order", "multiplicity"], spectrum.entries,
+                lambda: spectrum_to_json_dict(spectrum))
     elif args.poly:
         poly = order_polynomial(G)
-        if args.json:
-            _emit_json({"coeffs": [str(c) for c in poly.coeffs]})
-        elif args.csv:
-            _csv(["power", "coefficient"], [[str(j), str(c)] for j, c in enumerate(poly.coeffs)])
+        _render(args, ["power", "coefficient"], enumerate(poly.coeffs),
+                lambda: {"coeffs": [str(c) for c in poly.coeffs]}, text=str(poly))
+    else:
+        if args.psi:
+            name, value = "psi", psi_sum(G)
+        elif args.psi_prime:
+            name, value = "psi_prime", psi_prime(G).materialize(args.digit_limit)
         else:
-            print(poly)
+            values = psi_all(G)
+            if not 1 <= args.psi_k <= len(values):
+                raise DomainError(f"k = {args.psi_k} out of range 1..{len(values)}")
+            name, value = f"psi_{args.psi_k}", values[args.psi_k - 1]
+        _render(args, [name], [[value]], lambda: str(value), text=str(value))
     return EXIT_OK
 
 
-def _emit_scalar(args, name: str, value: int) -> None:
-    if args.json:
-        _emit_json(str(value))
-    elif args.csv:
-        _csv([name], [[str(value)]])
-    else:
-        print(value)
-
-
 def _cmd_enumerate(args) -> int:
-    groups = enumerate_abelian_groups(args.m)
-    entries = [(G, psi_prime(G)) for G in groups]
-    if args.json:
-        _emit_json(
-            {
-                "order": str(args.m),
-                "count": str(len(entries)),
-                "groups": [
-                    {
-                        "group": group_to_json_dict(G),
-                        "notation": format_group(G),
-                        "psi_prime": fi.to_json_dict(),
-                    }
-                    for G, fi in entries
-                ],
-            }
-        )
-    else:
-        rows = [[str(i), format_group(G), str(fi)] for i, (G, fi) in enumerate(entries)]
-        (_csv if args.csv else _table)(["#", "group", "psi_prime"], rows)
+    entries = [(G, psi_prime(G)) for G in enumerate_abelian_groups(args.m)]
+    _render(
+        args,
+        ["#", "group", "psi_prime"],
+        ((i, format_group(G), fi) for i, (G, fi) in enumerate(entries)),
+        lambda: {
+            "order": str(args.m),
+            "count": str(len(entries)),
+            "groups": [
+                {
+                    "group": group_to_json_dict(G),
+                    "notation": format_group(G),
+                    "psi_prime": fi.to_json_dict(),
+                }
+                for G, fi in entries
+            ],
+        },
+    )
     return EXIT_OK
 
 
 def _cmd_theorem_c(args) -> int:
     report = check_theorem_c(args.prime, args.n)
-    if args.json:
-        _emit_json(
-            {
-                "p": str(report.p),
-                "n": str(report.n),
-                "rows": [
-                    {"partition": list(q.parts), "exponent": str(e)} for q, e in report.rows
-                ],
-                "violations": [list(v) for v in report.violations],
-            }
-        )
-    else:
-        rows = [[str(q), str(e)] for q, e in report.rows]
-        (_csv if args.csv else _table)(["partition", "psi_prime_exponent"], rows)
-        if not args.csv:
-            print(f"violations: {len(report.violations)}")
+    _render(
+        args,
+        ["partition", "psi_prime_exponent"],
+        report.rows,
+        lambda: {
+            "p": str(report.p),
+            "n": str(report.n),
+            "rows": [{"partition": list(q.parts), "exponent": str(e)} for q, e in report.rows],
+            "violations": [list(v) for v in report.violations],
+        },
+        notes=() if args.fmt == "csv" else [f"violations: {len(report.violations)}"],
+    )
     return EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def _cmd_injectivity(args) -> int:
     sweep = sweep_injectivity(args.max_order, jobs=args.jobs)
-    if args.json:
-        _emit_json(
-            {
-                "max_order": str(sweep.max_order),
-                "groups_checked": str(sweep.groups_checked),
-                "duplicates": [
-                    {
-                        "m": str(r.m),
-                        "groups": [group_to_json_dict(G) for dup in r.duplicates for G in dup],
-                    }
-                    for r in sweep.failures
-                ],
-            }
-        )
-    else:
-        rows = [[str(sweep.max_order), str(sweep.groups_checked), str(len(sweep.failures))]]
-        (_csv if args.csv else _table)(["max_order", "groups_checked", "orders_with_duplicates"], rows)
-        for r in sweep.failures:
-            for dup in r.duplicates:
-                print(f"DUPLICATE at order {r.m}: " + ", ".join(format_group(G) for G in dup))
+    _render(
+        args,
+        ["max_order", "groups_checked", "orders_with_duplicates"],
+        [[sweep.max_order, sweep.groups_checked, len(sweep.failures)]],
+        lambda: {
+            "max_order": str(sweep.max_order),
+            "groups_checked": str(sweep.groups_checked),
+            "duplicates": [
+                {
+                    "m": str(r.m),
+                    "groups": [group_to_json_dict(G) for dup in r.duplicates for G in dup],
+                }
+                for r in sweep.failures
+            ],
+        },
+        notes=(
+            f"DUPLICATE at order {r.m}: " + ", ".join(format_group(G) for G in dup)
+            for r in sweep.failures
+            for dup in r.duplicates
+        ),
+    )
     return EXIT_OK if sweep.holds else EXIT_VIOLATION
 
 
 def _cmd_collisions(args) -> int:
     report = find_cross_order_collisions(args.max_order)
-    if args.json:
-        _emit_json(
-            {
-                "scope": str(report.scope),
-                "pairs": [
-                    {
-                        "order_a": str(a.order),
-                        "group_a": group_to_json_dict(a),
-                        "order_b": str(b.order),
-                        "group_b": group_to_json_dict(b),
-                        "psi_prime": fi.to_json_dict(),
-                    }
-                    for a, b, fi in report.pairs
-                ],
-            }
-        )
-    else:
-        rows = [
-            [str(a.order), format_group(a), str(b.order), format_group(b), str(fi)]
-            for a, b, fi in report.pairs
-        ]
-        (_csv if args.csv else _table)(
-            ["order_a", "group_a", "order_b", "group_b", "shared_psi_prime"], rows
-        )
+    _render(
+        args,
+        ["order_a", "group_a", "order_b", "group_b", "shared_psi_prime"],
+        ((a.order, format_group(a), b.order, format_group(b), fi) for a, b, fi in report.pairs),
+        lambda: {
+            "scope": str(report.scope),
+            "pairs": [
+                {
+                    "order_a": str(a.order),
+                    "group_a": group_to_json_dict(a),
+                    "order_b": str(b.order),
+                    "group_b": group_to_json_dict(b),
+                    "psi_prime": fi.to_json_dict(),
+                }
+                for a, b, fi in report.pairs
+            ],
+        },
+    )
     return EXIT_OK
 
 
 def _cmd_conjecture_f(args) -> int:
     sweep = sweep_conjecture_f(args.max_order, jobs=args.jobs)
-    if args.json:
-        _emit_json(
-            {
-                "max_order": str(sweep.max_order),
-                "pairs_checked": str(sweep.pairs_checked),
-                "coincidences": [
-                    {
-                        "m": str(r.m),
-                        "group_a": group_to_json_dict(a),
-                        "group_b": group_to_json_dict(b),
-                        "k": k,
-                        "value": str(v),
-                    }
-                    for r in sweep.failures
-                    for a, b, k, v in r.coincidences
-                ],
-            }
-        )
-    else:
-        rows = [[str(sweep.max_order), str(sweep.pairs_checked), str(len(sweep.failures))]]
-        (_csv if args.csv else _table)(["max_order", "pairs_checked", "orders_with_coincidences"], rows)
-        if not sweep.holds:
-            print("!" * 72)
-            print("PSI_K COINCIDENCE FOUND — potential conjecture counterexample:")
-            for r in sweep.failures:
-                for a, b, k, v in r.coincidences:
-                    print(
-                        f"  order {r.m}: psi_{k}({format_group(a)}) = "
-                        f"psi_{k}({format_group(b)}) = {v}"
-                    )
-            print("!" * 72)
+    found = [(r.m, a, b, k, v) for r in sweep.failures for a, b, k, v in r.coincidences]
+    banner = "!" * 72
+    _render(
+        args,
+        ["max_order", "pairs_checked", "orders_with_coincidences"],
+        [[sweep.max_order, sweep.pairs_checked, len(sweep.failures)]],
+        lambda: {
+            "max_order": str(sweep.max_order),
+            "pairs_checked": str(sweep.pairs_checked),
+            "coincidences": [
+                {
+                    "m": str(m),
+                    "group_a": group_to_json_dict(a),
+                    "group_b": group_to_json_dict(b),
+                    "k": k,
+                    "value": str(v),
+                }
+                for m, a, b, k, v in found
+            ],
+        },
+        notes=() if sweep.holds else [
+            banner,
+            "PSI_K COINCIDENCE FOUND — potential conjecture counterexample:",
+            *(
+                f"  order {m}: psi_{k}({format_group(a)}) = psi_{k}({format_group(b)}) = {v}"
+                for m, a, b, k, v in found
+            ),
+            banner,
+        ],
+    )
     return EXIT_OK if sweep.holds else EXIT_COUNTEREXAMPLE
 
 
@@ -391,19 +379,16 @@ def _oracle_checks(G: AbelianGroup) -> list[tuple[str, str, str]]:
 def _cmd_oracle(args) -> int:
     G = parse_group(args.group)
     checks = _oracle_checks(G)
-    if args.json:
-        _emit_json(
-            {
-                "group": group_to_json_dict(G),
-                "order": str(G.order),
-                "checks": [
-                    {"name": n, "status": s, "detail": d} for n, s, d in checks
-                ],
-            }
-        )
-    else:
-        rows = [[s.upper(), n, d] for n, s, d in checks]
-        (_csv if args.csv else _table)(["status", "check", "detail"], rows)
+    _render(
+        args,
+        ["status", "check", "detail"],
+        ((s.upper(), n, d) for n, s, d in checks),
+        lambda: {
+            "group": group_to_json_dict(G),
+            "order": str(G.order),
+            "checks": [{"name": n, "status": s, "detail": d} for n, s, d in checks],
+        },
+    )
     return EXIT_OK if all(s != "fail" for _, s, _ in checks) else EXIT_VIOLATION
 
 
@@ -416,22 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            if args.check == "theorem-c":
-                return _cmd_theorem_c(args)
-            if args.check == "injectivity":
-                return _cmd_injectivity(args)
-            if args.check == "collisions":
-                return _cmd_collisions(args)
-            if args.check == "conjecture-f":
-                return _cmd_conjecture_f(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except NotationError as exc:
         print(f"error: unparseable group notation: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .arith import factorize, require_prime
+from .arith import PRIMALITY_TEST_LIMIT, factorize, require_prime
 from .errors import DomainError, SizeLimitError
 from .partitions import Partition, partitions_of
 
@@ -40,8 +40,9 @@ class PGroupType:
 
     def __init__(self, p: int, alphas: Sequence[int]):
         alphas = tuple(alphas)
-        if p < 2:
-            raise DomainError(f"invalid prime {p}")
+        # p past the primality-testing limit is trusted, as in
+        # FactoredInteger; partition_to_group_type(assume_prime=True) needs it
+        require_prime(p, assume_prime=p >= PRIMALITY_TEST_LIMIT)
         if not alphas:
             raise DomainError("a p-group type needs at least one cyclic factor")
         for i, a in enumerate(alphas):
@@ -76,8 +77,7 @@ class AbelianGroup:
     def __init__(self, components: Iterable[tuple[int, Partition]] = ()):
         components = tuple((p, q) for p, q in components)
         for i, (p, q) in enumerate(components):
-            if p < 2:
-                raise DomainError(f"invalid prime {p}")
+            require_prime(p, assume_prime=p >= PRIMALITY_TEST_LIMIT)
             if not isinstance(q, Partition) or not q.parts:
                 raise DomainError(f"component for prime {p} needs a non-empty partition")
             if i > 0 and components[i - 1][0] >= p:

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from mpmath import iv
-
 from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, is_prime
 from .errors import ConsistencyError, DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, PGroupType, order_spectrum
@@ -241,20 +239,28 @@ def _bit_bound(factors: Mapping[int, int]) -> int:
 
 def _interval_log_sign(da: Mapping[int, int], db: Mapping[int, int]) -> int:
     # certified sign of sum(e*log p, da) - sum(e*log p, db), widening the
-    # working precision until the enclosing interval excludes zero
-    prec = _IV_PREC_START
-    while prec <= _IV_PREC_LIMIT:
-        iv.prec = prec
-        delta = iv.mpf(0)
-        for p, e in da.items():
-            delta += iv.log(iv.mpf(p)) * e
-        for p, e in db.items():
-            delta -= iv.log(iv.mpf(p)) * e
-        if delta.a > 0:
-            return 1
-        if delta.b < 0:
-            return -1
-        prec *= 2
+    # working precision until the enclosing interval excludes zero.  mpmath
+    # is imported here, not at module load: no other path needs it.  Its
+    # interval precision is process-global, so it is restored on the way out.
+    from mpmath import iv
+
+    saved = iv.prec
+    try:
+        prec = _IV_PREC_START
+        while prec <= _IV_PREC_LIMIT:
+            iv.prec = prec
+            delta = iv.mpf(0)
+            for p, e in da.items():
+                delta += iv.log(iv.mpf(p)) * e
+            for p, e in db.items():
+                delta -= iv.log(iv.mpf(p)) * e
+            if delta.a > 0:
+                return 1
+            if delta.b < 0:
+                return -1
+            prec *= 2
+    finally:
+        iv.prec = saved
     raise ConsistencyError("interval comparison failed to converge")  # pragma: no cover
 
 

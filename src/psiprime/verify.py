@@ -15,11 +15,17 @@ import itertools
 from dataclasses import dataclass
 
 from .arith import require_prime
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, enumerate_abelian_groups, iter_abelian_groups_up_to
 from .partitions import Partition, partitions_of
 from .psi import FactoredInteger, psi_prime, psi_prime_exponent
 from .symmetric import SYMMETRIC_CAP, psi_all
+
+
+def _require_max_order(max_order: int) -> None:
+    # an empty sweep would report success having checked nothing
+    if max_order < 1:
+        raise DomainError(f"max_order = {max_order} must be >= 1")
 
 
 def _group_sort_key(G: AbelianGroup):
@@ -116,6 +122,7 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     These exist: with max_order >= 48 the scan contains the order-36 /
     order-48 pair Z4 x Z3^2 and Z2^4 x Z3 with shared value 2^45 * 3^32.
     """
+    _require_max_order(max_order)
     by_value: dict[FactoredInteger, list[AbelianGroup]] = {}
     for _, G in iter_abelian_groups_up_to(max_order):
         by_value.setdefault(psi_prime(G), []).append(G)
@@ -193,6 +200,7 @@ def _fan_out(fn, args, jobs):
 def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySweep:
     """Run check_injectivity for every m <= max_order (optionally across a
     process pool; the merged result does not depend on the worker count)."""
+    _require_max_order(max_order)
     reports = _fan_out(check_injectivity, range(1, max_order + 1), _resolve_jobs(jobs))
     checked = sum(len(r.entries) for r in reports)
     failures = tuple(r for r in reports if not r.holds)
@@ -200,7 +208,15 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
 
 
 def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSweep:
-    """Run check_conjecture_f for every m <= max_order."""
+    """Run check_conjecture_f for every m <= max_order.
+
+    Every group of order m > SYMMETRIC_CAP is past the psi_k cap, so a
+    larger bound is refused before any order is computed."""
+    _require_max_order(max_order)
+    if max_order > SYMMETRIC_CAP:
+        raise SizeLimitError(
+            f"max_order = {max_order} exceeds the symmetric-function cap {SYMMETRIC_CAP}"
+        )
     reports = _fan_out(check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs))
     pairs = sum(r.pair_count for r in reports)
     failures = tuple(r for r in reports if not r.holds)

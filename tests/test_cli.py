@@ -228,3 +228,23 @@ def test_help_exits_zero(capsys):
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("check", ["injectivity", "collisions", "conjecture-f"])
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_sweep_bound_below_one_exit_1(check, bound, capsys):
+    code, out, err = run(capsys, "verify", check, "--max-order", bound)
+    assert (code, out) == (1, "")
+    assert err == f"error: max_order = {bound} must be >= 1\n"
+
+
+def test_conjecture_f_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys):
+    from psiprime import verify
+
+    def never(m):
+        raise AssertionError(f"check_conjecture_f({m}) ran before the cap check")
+
+    monkeypatch.setattr(verify, "check_conjecture_f", never)
+    code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "513")
+    assert (code, out) == (2, "")
+    assert err == "error: max_order = 513 exceeds the symmetric-function cap 512\n"

@@ -156,6 +156,30 @@ def test_pgroup_type_validation():
         PGroupType(2, (2, 1))  # descending
 
 
+@pytest.mark.parametrize("bad_p", [-3, 0, 1, 4, 6, 9, 2**31 - 2])
+def test_composite_prime_rejected_at_construction(bad_p):
+    with pytest.raises(DomainError, match="not a prime"):
+        PGroupType(bad_p, (1,))
+    with pytest.raises(DomainError, match="not a prime"):
+        AbelianGroup(((bad_p, Partition((1,))),))
+
+
+def test_composite_prime_group_never_reaches_the_spectrum():
+    # Z4 spelled as a "4-group" of rank 1 used to give the spectrum
+    # {1: 1, 4: 3}; the real Z4 has {1: 1, 2: 1, 4: 2}
+    with pytest.raises(DomainError):
+        order_spectrum(AbelianGroup(((4, Partition((1,))),)))
+    z4 = AbelianGroup(((2, Partition((2,))),))
+    assert order_spectrum(z4).as_dict() == {1: 1, 2: 1, 4: 2}
+
+
+def test_primes_past_the_testing_limit_are_trusted_at_construction():
+    big = 2**31 + 11
+    assert PGroupType(big, (1,)).order == big
+    assert AbelianGroup(((big, Partition((1,))),)).order == big
+    assert PGroupType(2**31 - 1, (1,)).order == 2**31 - 1  # a Mersenne prime
+
+
 # ---------------------------------------------------------------- spectra
 
 def spectrum_dict(G):

@@ -320,3 +320,33 @@ def test_factored_compare_agrees_with_materialization(da, db):
     va = math.prod(p**e for p, e in da.items())
     vb = math.prod(p**e for p, e in db.items())
     assert factored_compare(a, b) == (va > vb) - (va < vb)
+
+
+def test_factored_compare_interval_path_restores_mpmath_precision(monkeypatch):
+    from mpmath import iv
+
+    # a value the interval search never uses, so a leaked setting shows
+    monkeypatch.setattr(iv, "prec", 40)
+    assert factored_compare(fi({2: 10**6}), fi({3: 630930})) == -1  # 3^630930 is larger
+    assert iv.prec == 40
+
+
+def test_importing_the_cli_does_not_import_mpmath():
+    # mpmath serves only the interval branch of factored_compare, so it is
+    # imported there; every CLI start would otherwise pay for it
+    import os
+    import subprocess
+    import sys
+
+    import psiprime
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psiprime.__file__)))
+    code = "import sys, psiprime.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"

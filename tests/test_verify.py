@@ -153,3 +153,30 @@ def test_theorem_c_rejects_non_prime_p(bad_p):
 
     with pytest.raises(DomainError):
         check_theorem_c(bad_p, 3)
+
+
+@pytest.mark.parametrize("bad_max", [0, -5])
+@pytest.mark.parametrize(
+    "sweep", [sweep_injectivity, find_cross_order_collisions, sweep_conjecture_f]
+)
+def test_sweeps_reject_empty_bound(sweep, bad_max):
+    from psiprime import DomainError
+
+    with pytest.raises(DomainError, match="must be >= 1"):
+        sweep(bad_max)
+
+
+def test_sweep_conjecture_f_refuses_bound_past_cap_before_any_order(monkeypatch):
+    from psiprime import SizeLimitError, verify
+    from psiprime.symmetric import SYMMETRIC_CAP
+
+    def never(m):
+        raise AssertionError(f"check_conjecture_f({m}) ran before the cap check")
+
+    monkeypatch.setattr(verify, "check_conjecture_f", never)
+    with pytest.raises(SizeLimitError, match="cap"):
+        sweep_conjecture_f(SYMMETRIC_CAP + 1)
+    with pytest.raises(SizeLimitError, match="cap"):
+        sweep_conjecture_f(SYMMETRIC_CAP + 1, jobs=2)
+    with pytest.raises(AssertionError, match="ran before"):
+        sweep_conjecture_f(SYMMETRIC_CAP)
