@@ -242,7 +242,7 @@ def test_conjecture_f_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys
     from psiprime import verify
 
     def never(m):
-        raise AssertionError(f"check_conjecture_f({m}) ran before the cap check")
+        raise AssertionError(f"check_conjecture_f({m}) ran")
 
     monkeypatch.setattr(verify, "check_conjecture_f", never)
     code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "513")
