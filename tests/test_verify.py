@@ -180,3 +180,59 @@ def test_sweep_conjecture_f_refuses_bound_past_cap_before_any_order(monkeypatch)
         sweep_conjecture_f(SYMMETRIC_CAP + 1, jobs=2)
     with pytest.raises(AssertionError, match="ran"):
         sweep_conjecture_f(SYMMETRIC_CAP)
+
+
+def _reference_injectivity_sweep(max_order):
+    # the full pipeline: every group of every order, psi' of each, grouped
+    from psiprime import InjectivitySweep
+
+    reports = [check_injectivity(m) for m in range(1, max_order + 1)]
+    return InjectivitySweep(
+        max_order=max_order,
+        groups_checked=sum(len(r.entries) for r in reports),
+        failures=tuple(r for r in reports if not r.holds),
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("max_order", [1, 2, 12, 120, 2000])
+def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
+    assert sweep_injectivity(max_order, jobs=jobs) == _reference_injectivity_sweep(max_order)
+
+
+def _collide_two_partitions_of_4(monkeypatch):
+    # alphas (2, 2) and (1, 1, 2) (partitions 2+2 and 2+1+1) share the
+    # exponent at p = 2, in every module that binds the kernel
+    from psiprime import psi, verify
+
+    real = psi.psi_prime_exponent
+
+    def fake(p, alphas):
+        if p == 2 and tuple(alphas) == (2, 2):
+            alphas = (1, 1, 2)
+        return real(p, alphas)
+
+    monkeypatch.setattr(psi, "psi_prime_exponent", fake)
+    monkeypatch.setattr(verify, "psi_prime_exponent", fake)
+
+
+def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
+    _collide_two_partitions_of_4(monkeypatch)
+    sweep = sweep_injectivity(200)
+    reference = _reference_injectivity_sweep(200)
+    assert [r.m for r in sweep.failures] == [16, 48, 80, 112, 144, 176]
+    assert sweep == reference
+
+
+def test_cli_injectivity_reports_a_planted_collision(monkeypatch, capsys):
+    from psiprime import cli
+
+    _collide_two_partitions_of_4(monkeypatch)
+    code = cli.main(["verify", "injectivity", "--max-order", "200"])
+    out, err = capsys.readouterr()
+    monkeypatch.setattr(cli, "sweep_injectivity", lambda m, jobs: _reference_injectivity_sweep(m))
+    assert cli.main(["verify", "injectivity", "--max-order", "200"]) == code == 3
+    assert capsys.readouterr() == (out, err)
+    # order 144 = 2^4 * 3^2 carries one duplicate pair per Sylow 3-type
+    assert out.count("DUPLICATE at order ") == 7
+    assert "DUPLICATE at order 16: Z4xZ2^2, Z4^2\n" in out
