@@ -9,11 +9,21 @@ from __future__ import annotations
 import re
 
 from .arith import require_prime
-from .errors import DomainError, NotationError
+from .errors import DomainError, NotationError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
 from .partitions import Partition
 
 _INT = re.compile(r"\d+")
+
+# Largest number of cyclic factors one notation may spell.  A repeat count
+# expands into one factor per repeat, so ``Z2^N`` is refused above this
+# before any list is built; groups below the enumeration cap have rank < 20.
+RANK_CAP = 4096
+
+
+def _require_rank(rank: int) -> None:
+    if rank > RANK_CAP:
+        raise SizeLimitError(f"rank {rank} exceeds the rank cap {RANK_CAP}")
 
 
 def parse_group(text: str) -> AbelianGroup:
@@ -51,6 +61,7 @@ def _parse_list_form(s: str) -> AbelianGroup:
             raise NotationError(f"cyclic order {q} must be >= 2", at)
         orders.append(q)
         pos += len(token) + 1
+    _require_rank(len(orders))
     return canonicalize(orders)
 
 
@@ -78,6 +89,7 @@ def _parse_multiplicative_form(s: str) -> AbelianGroup:
             if count < 1:
                 raise NotationError("exponent must be >= 1", pos)
             pos = m.end()
+        _require_rank(len(orders) + count)
         orders.extend([q] * count)
         if pos == len(s):
             break

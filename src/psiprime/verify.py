@@ -13,10 +13,16 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 
-from .arith import require_prime
+from .arith import is_prime, require_prime
 from .errors import DomainError, SizeLimitError
-from .groups import AbelianGroup, enumerate_abelian_groups, iter_abelian_groups_up_to
+from .groups import (
+    ENUMERATION_CAP,
+    AbelianGroup,
+    enumerate_abelian_groups,
+    iter_abelian_groups_up_to,
+)
 from .partitions import Partition, partitions_of
 from .psi import FactoredInteger, psi_prime, psi_prime_exponent
 from .symmetric import SYMMETRIC_CAP, psi_all
@@ -191,20 +197,51 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 def _fan_out(fn, args, jobs):
     # deterministic: results returned in argument order regardless of jobs
-    if jobs == 1:
+    if jobs == 1 or not args:
         return [fn(a) for a in args]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args, chunksize=64))
 
 
 def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySweep:
-    """Run check_injectivity for every m <= max_order (optionally across a
-    process pool; the merged result does not depend on the worker count)."""
+    """Injectivity of psi' at every order m <= max_order, checked through
+    prime powers instead of by building every group.
+
+    For |G| = m, psi'(G) = prod_p p^(E_p * m / p^(n_p)) with n_p = v_p(m)
+    and E_p the exponent of the Sylow p-subgroup, so two groups of order m
+    share psi' exactly when their Sylow exponents agree at every prime.
+    psi' is thus injective at m iff each E_p is injective on the partitions
+    of n_p, which takes sum_{p^n <= max_order} p(n) exponent evaluations.
+    Only the orders exactly divisible by a p^n on which E_p collides run
+    the full check_injectivity (across a process pool when jobs > 1), so
+    the result equals check_injectivity run at every order.
+    """
     _require_max_order(max_order)
-    reports = _fan_out(check_injectivity, range(1, max_order + 1), _resolve_jobs(jobs))
-    checked = sum(len(r.entries) for r in reports)
+    if max_order > ENUMERATION_CAP:
+        raise SizeLimitError(
+            f"max_order = {max_order} exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
+    jobs = _resolve_jobs(jobs)
+    # counts[m] becomes prod_p p(v_p(m)), the number of groups of order m;
+    # slot 0 stays 1 and is subtracted from the total
+    counts = [1] * (max_order + 1)
+    suspect: set[int] = set()
+    for p in filter(is_prime, range(2, isqrt(max_order) + 1)):
+        n, pn = 2, p * p
+        while pn <= max_order:
+            types = partitions_of(n)
+            exponents = {psi_prime_exponent(p, q.parts[::-1]) for q in types}
+            exact = [m for m in range(pn, max_order + 1, pn) if m % (pn * p)]
+            for m in exact:
+                counts[m] *= len(types)
+            if len(exponents) < len(types):
+                suspect.update(exact)
+            n, pn = n + 1, pn * p
+    reports = _fan_out(check_injectivity, sorted(suspect), jobs)
     failures = tuple(r for r in reports if not r.holds)
-    return InjectivitySweep(max_order=max_order, groups_checked=checked, failures=failures)
+    return InjectivitySweep(
+        max_order=max_order, groups_checked=sum(counts) - 1, failures=failures
+    )
 
 
 def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSweep:

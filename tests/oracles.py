@@ -1,9 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive (recursion, literal enumeration,
-subset sums) and shares no code with the package internals it checks; only
-the package's ``DomainError`` is borrowed, so validation tests can expect
-the same exception from oracle and fast path.
+subset sums, plain trial division) and shares no code with the package
+internals it checks; only the package's ``DomainError`` is borrowed, so
+validation tests can expect the same exception from oracle and fast path.
 """
 
 from __future__ import annotations
@@ -26,6 +26,20 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     if max_part == 0:
         return 0
     return partition_count(n, max_part - 1) + partition_count(n - max_part, max_part)
+
+
+def trial_division(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by dividing out every d with d*d <= n."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def subset_esp(values: list[int], k: int) -> int:

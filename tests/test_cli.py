@@ -248,3 +248,23 @@ def test_conjecture_f_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys
     code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "513")
     assert (code, out) == (2, "")
     assert err == "error: max_order = 513 exceeds the symmetric-function cap 512\n"
+
+
+def test_injectivity_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys):
+    from psiprime import verify
+
+    def never(m):
+        raise AssertionError(f"check_injectivity({m}) ran")
+
+    monkeypatch.setattr(verify, "check_injectivity", never)
+    code, out, err = run(capsys, "verify", "injectivity", "--max-order", "1000001")
+    assert (code, out) == (2, "")
+    assert err == "error: max_order = 1000001 exceeds the enumeration cap 1000000\n"
+
+
+def test_repeat_count_past_rank_cap_exit_2(capsys):
+    from psiprime.notation import RANK_CAP
+
+    code, out, err = run(capsys, "compute", "Z2^10000000000", "--psi")
+    assert (code, out) == (2, "")
+    assert err == f"error: rank 10000000000 exceeds the rank cap {RANK_CAP}\n"

@@ -98,3 +98,16 @@ def test_multiplicative_form_round_trips(factors):
 
     G = canonicalize(factors)
     assert parse_group(format_group(G)) == G
+
+
+def test_rank_cap_is_checked_before_repeats_expand():
+    from psiprime import SizeLimitError
+    from psiprime.notation import RANK_CAP
+
+    assert parse_group(f"Z2^{RANK_CAP}").components[0][1].parts == (1,) * RANK_CAP
+    with pytest.raises(SizeLimitError, match=f"rank 10000000000 exceeds the rank cap {RANK_CAP}"):
+        parse_group("Z2^10000000000")
+    with pytest.raises(SizeLimitError, match=f"rank {RANK_CAP + 1} exceeds"):
+        parse_group(f"Z3xZ2^{RANK_CAP}")
+    with pytest.raises(SizeLimitError, match=f"rank {RANK_CAP + 1} exceeds"):
+        parse_group("[" + ",".join(["2"] * (RANK_CAP + 1)) + "]")

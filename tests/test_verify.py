@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -236,3 +237,47 @@ def test_cli_injectivity_reports_a_planted_collision(monkeypatch, capsys):
     # order 144 = 2^4 * 3^2 carries one duplicate pair per Sylow 3-type
     assert out.count("DUPLICATE at order ") == 7
     assert "DUPLICATE at order 16: Z4xZ2^2, Z4^2\n" in out
+
+
+def _forbid_full_check(monkeypatch):
+    from psiprime import verify
+
+    def never(m):
+        raise AssertionError(f"check_injectivity({m}) ran")
+
+    monkeypatch.setattr(verify, "check_injectivity", never)
+
+
+def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
+    from psiprime import SizeLimitError
+    from psiprime.groups import ENUMERATION_CAP
+
+    _forbid_full_check(monkeypatch)
+    for jobs in (1, 2):
+        with pytest.raises(SizeLimitError, match="enumeration cap"):
+            sweep_injectivity(ENUMERATION_CAP + 1, jobs=jobs)
+
+
+def test_sweep_injectivity_at_cap_needs_no_group(monkeypatch):
+    import concurrent.futures
+
+    from psiprime.groups import ENUMERATION_CAP
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    _forbid_full_check(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    sweep = sweep_injectivity(ENUMERATION_CAP, jobs=2)
+    assert sweep.holds
+    assert sweep.groups_checked == 2_284_717
+
+
+def test_sweep_injectivity_count_matches_independent_factorization():
+    from oracles import partition_count, trial_division
+
+    expected = sum(
+        math.prod(partition_count(e) for e in trial_division(m).values())
+        for m in range(1, 10**5 + 1)
+    )
+    assert sweep_injectivity(10**5).groups_checked == 226_610 == expected
