@@ -6,14 +6,11 @@ from .errors import ConsistencyError, DomainError, NotationError, SizeLimitError
 from .groups import (
     AbelianGroup,
     OrderSpectrum,
-    PGroupType,
     brute_force_spectrum,
     canonicalize,
     enumerate_abelian_groups,
-    group_type_to_partition,
     iter_abelian_groups_up_to,
     order_spectrum,
-    partition_to_group_type,
 )
 from .notation import (
     format_group,
@@ -32,7 +29,6 @@ from .psi import (
     psi_prime_cyclic_closed_form,
     psi_prime_exponent,
     psi_prime_from_spectrum,
-    psi_prime_pgroup,
     psi_prime_rank2_closed_form,
     psi_sum,
 )
@@ -70,7 +66,6 @@ __all__ = [
     "OrderPolynomial",
     "OrderSpectrum",
     "Partition",
-    "PGroupType",
     "SizeLimitError",
     "brute_force_spectrum",
     "canonicalize",
@@ -84,7 +79,6 @@ __all__ = [
     "format_group",
     "group_from_json_dict",
     "group_to_json_dict",
-    "group_type_to_partition",
     "iter_abelian_groups_up_to",
     "iter_partitions",
     "lex_compare",
@@ -92,7 +86,6 @@ __all__ = [
     "order_spectrum",
     "parse_group",
     "parse_partition",
-    "partition_to_group_type",
     "partitions_of",
     "psi_all",
     "psi_k",
@@ -100,7 +93,6 @@ __all__ = [
     "psi_prime_cyclic_closed_form",
     "psi_prime_exponent",
     "psi_prime_from_spectrum",
-    "psi_prime_pgroup",
     "psi_prime_rank2_closed_form",
     "psi_sum",
     "spectrum_to_json_dict",

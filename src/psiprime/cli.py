@@ -355,13 +355,12 @@ def _oracle_checks(G: AbelianGroup) -> list[tuple[str, str, str]]:
         "psi' formula vs spectrum product",
         psi_prime(G) == psi_prime_from_spectrum(spectrum),
     )
-    types = G.sylow_types()
-    if len(types) == 1 and types[0].rank <= 2:
-        t = types[0]
+    if len(G.components) == 1 and len(G.components[0][1]) <= 2:
+        p, q = G.components[0]
         closed = (
-            psi_prime_cyclic_closed_form(t.p, t.alphas[0])
-            if t.rank == 1
-            else psi_prime_rank2_closed_form(t.p, t.alphas[0], t.alphas[1])
+            psi_prime_cyclic_closed_form(p, *q.parts)
+            if len(q) == 1
+            else psi_prime_rank2_closed_form(p, q.parts[1], q.parts[0])
         )
         record("closed form vs exponent formula", closed == psi_prime(G))
     else:

@@ -1,8 +1,14 @@
 """Finite abelian groups in primary decomposition, their enumeration by
 order, and two independent element-order-spectrum oracles.
 
+An abelian p-group of order p^n is one component ``(p, Partition)`` of an
+:class:`AbelianGroup`: the partition of n lists the cyclic-factor exponents
+with parts descending, Z_{p^(a_1)} x ... x Z_{p^(a_k)}.  That component is
+its only representation; the psi' exponent kernel reads the same parts
+ascending, ``q.parts[::-1]``, as the paper indexes them.
+
 The counting oracle (:func:`order_spectrum`) uses the structure of abelian
-p-groups: with ascending exponents a_1 <= ... <= a_k, the number of
+p-groups: with exponents a_1, ..., a_k, the number of
 solutions of x^(p^i) = e is p^(sum_j min(a_j, i)), so exact-order counts
 fall out by successive differences, and multiplicities of coprime orders
 multiply across primes.  The literal oracle (:func:`brute_force_spectrum`)
@@ -28,43 +34,6 @@ ENUMERATION_CAP = 10**6
 
 # Largest group the literal element-enumeration oracle will walk.
 BRUTE_FORCE_CAP = 10**5
-
-
-@dataclass(frozen=True)
-class PGroupType:
-    """Isomorphism type of an abelian p-group: prime p and ascending
-    cyclic-factor exponents a_1 <= a_2 <= ... <= a_k."""
-
-    p: int
-    alphas: tuple[int, ...]
-
-    def __init__(self, p: int, alphas: Sequence[int]):
-        alphas = tuple(alphas)
-        # p past the primality-testing limit is trusted, as in
-        # FactoredInteger; partition_to_group_type(assume_prime=True) needs it
-        require_prime(p, assume_prime=p >= PRIMALITY_TEST_LIMIT)
-        if not alphas:
-            raise DomainError("a p-group type needs at least one cyclic factor")
-        for i, a in enumerate(alphas):
-            if not isinstance(a, int) or a < 1:
-                raise DomainError(f"exponent {a!r} is not a positive integer")
-            if i > 0 and alphas[i - 1] > a:
-                raise DomainError(f"exponents {alphas} are not ascending")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "alphas", alphas)
-
-    @property
-    def rank(self) -> int:
-        return len(self.alphas)
-
-    @cached_property
-    def n(self) -> int:
-        """Exponent of p in the group order."""
-        return sum(self.alphas)
-
-    @cached_property
-    def order(self) -> int:
-        return self.p**self.n
 
 
 @dataclass(frozen=True)
@@ -94,10 +63,6 @@ class AbelianGroup:
         This is exactly the bracketed list notation, e.g. Z4 x Z3^2 -> [4, 3, 3].
         """
         return [p**a for p, q in self.components for a in q.parts]
-
-    def sylow_types(self) -> list[PGroupType]:
-        """Per-prime types with ascending exponents (partition reversed)."""
-        return [PGroupType(p, tuple(reversed(q.parts))) for p, q in self.components]
 
 
 @dataclass(frozen=True)
@@ -132,23 +97,6 @@ class OrderSpectrum:
 
     def multiplicity(self, d: int) -> int:
         return self.as_dict().get(d, 0)
-
-
-def partition_to_group_type(q: Partition, p: int, *, assume_prime: bool = False) -> PGroupType:
-    """Turn an exponent partition into the abelian p-group type it indexes.
-
-    The partition stores parts descending; the type stores them ascending.
-    p is primality-tested below 2**31; larger p requires ``assume_prime``.
-    """
-    require_prime(p, assume_prime=assume_prime)
-    if not q.parts:
-        raise DomainError("the empty partition does not index a p-group type")
-    return PGroupType(p, tuple(reversed(q.parts)))
-
-
-def group_type_to_partition(t: PGroupType) -> Partition:
-    """Inverse of :func:`partition_to_group_type`."""
-    return Partition(tuple(reversed(t.alphas)))
 
 
 def canonicalize(cyclic_orders: Sequence[int], *, cap: int = 10**12) -> AbelianGroup:
@@ -191,13 +139,13 @@ def enumerate_abelian_groups(m: int, *, cap: int = ENUMERATION_CAP) -> list[Abel
 
 
 @cache
-def _pgroup_spectrum(p: int, alphas: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _pgroup_spectrum(p: int, parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     # Spectrum of the abelian p-group with the given exponent multiset:
     # |{x : o(x) | p^i}| = p^(sum_j min(a_j, i)); exact counts by differences.
     out = [(1, 1)]
     prev = 1
-    for i in range(1, max(alphas) + 1):
-        cur = p ** sum(min(a, i) for a in alphas)
+    for i in range(1, max(parts) + 1):
+        cur = p ** sum(min(a, i) for a in parts)
         out.append((p**i, cur - prev))
         prev = cur
     return tuple(out)

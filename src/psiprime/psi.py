@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, is_prime
 from .errors import ConsistencyError, DomainError, SizeLimitError
-from .groups import AbelianGroup, OrderSpectrum, PGroupType, order_spectrum
+from .groups import AbelianGroup, OrderSpectrum, order_spectrum
 
 # factored_compare materializes both sides when they fit in this many bits;
 # beyond it, certified interval logarithms take over.
@@ -156,11 +156,6 @@ def psi_prime_exponent(p: int, alphas: tuple[int, ...]) -> int:
     return alphas[-1] * p**prefix - total
 
 
-def psi_prime_pgroup(t: PGroupType) -> FactoredInteger:
-    """Product of element orders of an abelian p-group, as {p: E}."""
-    return FactoredInteger({t.p: psi_prime_exponent(t.p, t.alphas)})
-
-
 def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:
     """Closed form for cyclic p-groups:
     psi'(Z_{p^a}) = p^((a*p^(a+1) - (a+1)*p^a + 1) / (p - 1)).
@@ -214,8 +209,10 @@ def combine_coprime(parts: Sequence[tuple[FactoredInteger, int]]) -> FactoredInt
 def psi_prime(G: AbelianGroup) -> FactoredInteger:
     """Product of element orders: per-Sylow exponent formula combined over
     the coprime primary components.  The trivial group gives 1."""
-    parts = [(psi_prime_pgroup(t), t.order) for t in G.sylow_types()]
-    return combine_coprime(parts)
+    return combine_coprime([
+        (FactoredInteger({p: psi_prime_exponent(p, q.parts[::-1])}), p**q.n)
+        for p, q in G.components
+    ])
 
 
 def psi_sum(G: AbelianGroup) -> int:

@@ -10,6 +10,7 @@ import time
 from psiprime import (
     AbelianGroup,
     FactoredInteger,
+    Partition,
     brute_force_spectrum,
     canonicalize,
     check_theorem_c,
@@ -18,20 +19,17 @@ from psiprime import (
     lex_compare,
     order_polynomial,
     order_spectrum,
-    partition_to_group_type,
     partitions_of,
     psi_all,
     psi_prime,
     psi_prime_cyclic_closed_form,
     psi_prime_exponent,
     psi_prime_from_spectrum,
-    psi_prime_pgroup,
     psi_prime_rank2_closed_form,
     psi_sum,
     sweep_conjecture_f,
     sweep_injectivity,
 )
-from psiprime import PGroupType
 from oracles import spectrum_orders, subset_esp
 
 
@@ -73,13 +71,13 @@ def test_criterion_2_pgroup_formula_vs_spectrum_oracle():
             n = 1
             while p**n <= 4096:
                 for q in partitions_of(n):
-                    t = partition_to_group_type(q, p)
+                    alphas = q.parts[::-1]
                     G = AbelianGroup(((p, q),))
-                    exponent_of = {p**i: i for i in range(t.alphas[-1] + 1)}
+                    exponent_of = {p**i: i for i in range(alphas[-1] + 1)}
                     oracle = sum(
                         exponent_of[d] * m for d, m in order_spectrum(G).entries
                     )
-                    assert psi_prime_exponent(p, t.alphas) == oracle, (p, q.parts)
+                    assert psi_prime_exponent(p, alphas) == oracle, (p, q.parts)
                 n += 1
 
     _criterion(2, "p-group exponent formula = spectrum oracle (p^n <= 4096)", 10.0, body)
@@ -90,13 +88,14 @@ def test_criterion_3_closed_forms():
         for p in (2, 3, 5):
             for alpha in range(1, 9):
                 got = psi_prime_cyclic_closed_form(p, alpha)
-                assert got == psi_prime_pgroup(PGroupType(p, (alpha,))), (p, alpha)
+                assert got == psi_prime(AbelianGroup(((p, Partition((alpha,))),))), (
+                    p, alpha,
+                )
             for alpha in range(1, 7):
                 for beta in range(alpha, 7):
                     got = psi_prime_rank2_closed_form(p, alpha, beta)
-                    assert got == psi_prime_pgroup(PGroupType(p, (alpha, beta))), (
-                        p, alpha, beta,
-                    )
+                    G = AbelianGroup(((p, Partition((beta, alpha))),))
+                    assert got == psi_prime(G), (p, alpha, beta)
 
     _criterion(3, "cyclic and rank-two closed forms, exact divisions", 1.0, body)
 

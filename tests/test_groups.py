@@ -8,15 +8,11 @@ from psiprime import (
     AbelianGroup,
     DomainError,
     Partition,
-    PGroupType,
     SizeLimitError,
     brute_force_spectrum,
     canonicalize,
     enumerate_abelian_groups,
-    group_type_to_partition,
     order_spectrum,
-    partition_to_group_type,
-    partitions_of,
 )
 from oracles import partition_count
 
@@ -121,45 +117,8 @@ def test_enumerate_cap():
     assert len(enumerate_abelian_groups(10**6)) > 1
 
 
-# ---------------------------------------------------------------- bijection
-
-def test_partition_to_group_type_examples():
-    t = partition_to_group_type(Partition((2, 1)), 2)
-    assert (t.p, t.alphas) == (2, (1, 2))
-    t = partition_to_group_type(Partition((1, 1, 1)), 3)
-    assert (t.p, t.alphas) == (3, (1, 1, 1))
-    assert t.order == 27 and t.rank == 3
-
-
-def test_group_type_bijection_round_trip():
-    for p in (2, 3, 5):
-        for n in range(1, 11):
-            for q in partitions_of(n):
-                t = partition_to_group_type(q, p)
-                assert group_type_to_partition(t) == q
-
-
-def test_partition_to_group_type_rejects_nonprime():
-    with pytest.raises(DomainError):
-        partition_to_group_type(Partition((1,)), 4)
-    big = 2**31 + 11
-    with pytest.raises(DomainError):
-        partition_to_group_type(Partition((1,)), big)
-    t = partition_to_group_type(Partition((1,)), big, assume_prime=True)
-    assert t.order == big
-
-
-def test_pgroup_type_validation():
-    with pytest.raises(DomainError):
-        PGroupType(2, ())
-    with pytest.raises(DomainError):
-        PGroupType(2, (2, 1))  # descending
-
-
 @pytest.mark.parametrize("bad_p", [-3, 0, 1, 4, 6, 9, 2**31 - 2])
 def test_composite_prime_rejected_at_construction(bad_p):
-    with pytest.raises(DomainError, match="not a prime"):
-        PGroupType(bad_p, (1,))
     with pytest.raises(DomainError, match="not a prime"):
         AbelianGroup(((bad_p, Partition((1,))),))
 
@@ -175,9 +134,9 @@ def test_composite_prime_group_never_reaches_the_spectrum():
 
 def test_primes_past_the_testing_limit_are_trusted_at_construction():
     big = 2**31 + 11
-    assert PGroupType(big, (1,)).order == big
     assert AbelianGroup(((big, Partition((1,))),)).order == big
-    assert PGroupType(2**31 - 1, (1,)).order == 2**31 - 1  # a Mersenne prime
+    # a Mersenne prime, just below the limit, is tested and accepted
+    assert AbelianGroup(((2**31 - 1, Partition((1,))),)).order == 2**31 - 1
 
 
 # ---------------------------------------------------------------- spectra

@@ -10,7 +10,7 @@ from psiprime import (
     ConsistencyError,
     DomainError,
     FactoredInteger,
-    PGroupType,
+    Partition,
     SizeLimitError,
     brute_force_spectrum,
     canonicalize,
@@ -18,13 +18,11 @@ from psiprime import (
     enumerate_abelian_groups,
     factored_compare,
     order_spectrum,
-    partition_to_group_type,
     partitions_of,
     psi_prime,
     psi_prime_cyclic_closed_form,
     psi_prime_exponent,
     psi_prime_from_spectrum,
-    psi_prime_pgroup,
     psi_prime_rank2_closed_form,
     psi_sum,
 )
@@ -162,8 +160,9 @@ def test_psi_prime_exponent_validation(p, alphas):
 )
 def test_psi_prime_pgroup_examples(orders, expected):
     G = canonicalize(orders)
-    (t,) = G.sylow_types()
-    assert psi_prime_pgroup(t).as_dict() == expected
+    ((p, q),) = G.components
+    assert psi_prime(G).as_dict() == expected
+    assert {p: psi_prime_exponent(p, q.parts[::-1])} == expected
     assert brute_psi_prime(G).as_dict() == expected
 
 
@@ -172,9 +171,8 @@ def test_psi_prime_pgroup_matches_spectrum_oracle_up_to_4096():
         n = 1
         while p**n <= 4096:
             for q in partitions_of(n):
-                t = partition_to_group_type(q, p)
                 G = AbelianGroup(((p, q),))
-                assert psi_prime_pgroup(t) == psi_prime_from_spectrum(order_spectrum(G))
+                assert psi_prime(G) == psi_prime_from_spectrum(order_spectrum(G))
             n += 1
 
 
@@ -198,13 +196,13 @@ def test_rank2_closed_form_examples():
 def test_closed_forms_match_exponent_formula():
     for p in (2, 3, 5):
         for alpha in range(1, 9):
-            assert psi_prime_cyclic_closed_form(p, alpha) == psi_prime_pgroup(
-                PGroupType(p, (alpha,))
+            assert psi_prime_cyclic_closed_form(p, alpha) == psi_prime(
+                AbelianGroup(((p, Partition((alpha,))),))
             )
         for alpha in range(1, 7):
             for beta in range(alpha, 7):
-                assert psi_prime_rank2_closed_form(p, alpha, beta) == psi_prime_pgroup(
-                    PGroupType(p, (alpha, beta))
+                assert psi_prime_rank2_closed_form(p, alpha, beta) == psi_prime(
+                    AbelianGroup(((p, Partition((beta, alpha))),))
                 )
 
 
