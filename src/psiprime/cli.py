@@ -399,6 +399,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
+    # psi values, spectra and materialized psi' run past Python's default
+    # 4300-digit limit on int -> str; lift it for this call only (the
+    # notation parser bounds every digit run it converts).  Python 3.10
+    # releases before 3.10.7 have no limit and no setter.
+    saved_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except NotationError as exc:
@@ -413,6 +420,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    finally:
+        if saved_digits is not None:
+            sys.set_int_max_str_digits(saved_digits)
 
 
 if __name__ == "__main__":

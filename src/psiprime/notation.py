@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .arith import require_prime
+from .arith import FACTORIZATION_CAP, require_prime
 from .errors import DomainError, NotationError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
 from .partitions import Partition
@@ -24,6 +24,23 @@ RANK_CAP = 4096
 def _require_rank(rank: int) -> None:
     if rank > RANK_CAP:
         raise SizeLimitError(f"rank {rank} exceeds the rank cap {RANK_CAP}")
+
+
+# Longest digit run converted with int(); anything longer is over every
+# cap here.  Refusing it first keeps int() off runs that are slow to convert
+# or past Python's 4300-digit conversion limit.
+_MAX_DIGITS = len(str(FACTORIZATION_CAP))
+
+
+def _bounded_int(digits: str, what: str, cap_name: str, cap: int) -> int:
+    significant = len(digits.lstrip("0"))
+    if significant > _MAX_DIGITS:
+        raise SizeLimitError(f"a {significant}-digit {what} exceeds the {cap_name} {cap}")
+    return int(digits)
+
+
+def _order(digits: str) -> int:
+    return _bounded_int(digits, "cyclic order", "factorization cap", FACTORIZATION_CAP)
 
 
 def parse_group(text: str) -> AbelianGroup:
@@ -54,9 +71,9 @@ def _parse_list_form(s: str) -> AbelianGroup:
     for token in body.split(","):
         stripped = token.strip()
         at = pos + token.index(stripped) if stripped else pos
-        if not stripped.isdigit():
+        if not stripped.isdecimal():
             raise NotationError(f"expected a cyclic order, got {stripped!r}", at)
-        q = int(stripped)
+        q = _order(stripped)
         if q < 2:
             raise NotationError(f"cyclic order {q} must be >= 2", at)
         orders.append(q)
@@ -75,7 +92,7 @@ def _parse_multiplicative_form(s: str) -> AbelianGroup:
         m = _INT.match(s, pos)
         if m is None:
             raise NotationError("expected digits after 'Z'", pos)
-        q = int(m.group())
+        q = _order(m.group())
         if q < 2:
             raise NotationError(f"cyclic order {q} must be >= 2", pos)
         pos = m.end()
@@ -85,7 +102,7 @@ def _parse_multiplicative_form(s: str) -> AbelianGroup:
             m = _INT.match(s, pos)
             if m is None:
                 raise NotationError("expected exponent digits after '^'", pos)
-            count = int(m.group())
+            count = _bounded_int(m.group(), "repeat count", "rank cap", RANK_CAP)
             if count < 1:
                 raise NotationError("exponent must be >= 1", pos)
             pos = m.end()

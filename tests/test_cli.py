@@ -1,8 +1,17 @@
+import contextlib
 import json
+import sys
 
 import pytest
 
-from psiprime import FactoredInteger, group_from_json_dict, psi_prime
+from psiprime import (
+    FactoredInteger,
+    group_from_json_dict,
+    order_spectrum,
+    parse_group,
+    psi_prime,
+    psi_sum,
+)
 from psiprime.cli import main
 
 
@@ -268,3 +277,85 @@ def test_repeat_count_past_rank_cap_exit_2(capsys):
     code, out, err = run(capsys, "compute", "Z2^10000000000", "--psi")
     assert (code, out) == (2, "")
     assert err == f"error: rank 10000000000 exceeds the rank cap {RANK_CAP}\n"
+
+
+LONG_RUN = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        (f"Z{LONG_RUN}", "a 5000-digit cyclic order exceeds the factorization cap 1000000000000"),
+        (f"[{LONG_RUN}]", "a 5000-digit cyclic order exceeds the factorization cap 1000000000000"),
+        (f"Z2^{LONG_RUN}", "a 5000-digit repeat count exceeds the rank cap 4096"),
+    ],
+    ids=["cyclic-order", "list-entry", "repeat-count"],
+)
+def test_long_digit_run_exit_2_with_one_line(group, message, capsys):
+    code, out, err = run(capsys, "compute", group, "--psi")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_leading_zeros_still_parse(capsys):
+    assert run(capsys, "compute", "Z000000000000000000002^0003", "--psi") == (0, "15\n", "")
+
+
+@contextlib.contextmanager
+def long_int_strings():
+    # the expected values below are themselves past Python's default
+    # 4300-digit int <-> str limit; main() itself runs with the default
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_big_psi_prints_in_full(capsys):
+    code, out, _ = run(capsys, "compute", "Z30^4096", "--psi")
+    assert code == 0
+    with long_int_strings():
+        assert out == f"{psi_sum(parse_group('Z30^4096'))}\n"
+    assert len(out) > 5000
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+def test_big_spectrum_renders_in_every_format(fmt, capsys):
+    code, out, _ = run(capsys, "compute", "Z30^4096", "--spectrum", *fmt)
+    assert code == 0
+    entries = order_spectrum(parse_group("Z30^4096")).entries
+    with long_int_strings():
+        assert all(str(m) in out for _, m in entries)
+        assert max(len(str(m)) for _, m in entries) > 5000
+
+
+def test_big_materialized_psi_prime_prints_in_full(capsys):
+    # psi'(Z2^16) = 2^(2^16 - 1): 19,729 digits
+    code, out, _ = run(
+        capsys, "compute", "Z2^16", "--psi-prime", "--materialize", "--digit-limit", "100000"
+    )
+    assert code == 0
+    with long_int_strings():
+        assert out == f"{2**65535}\n"
+    assert len(out) == 19_729 + 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit in this Python"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "Z30^4096", "--psi"], ["compute", "Z4xQ8", "--psi"], ["enumerate", "2000000"]],
+)
+def test_int_digit_limit_is_restored(argv, capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(saved)

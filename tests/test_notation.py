@@ -111,3 +111,47 @@ def test_rank_cap_is_checked_before_repeats_expand():
         parse_group(f"Z3xZ2^{RANK_CAP}")
     with pytest.raises(SizeLimitError, match=f"rank {RANK_CAP + 1} exceeds"):
         parse_group("[" + ",".join(["2"] * (RANK_CAP + 1)) + "]")
+
+
+LONG_RUN = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"Z{LONG_RUN}", "a 5000-digit cyclic order exceeds the factorization cap"),
+        (f"[{LONG_RUN}]", "a 5000-digit cyclic order exceeds the factorization cap"),
+        (f"[2,{LONG_RUN}]", "a 5000-digit cyclic order exceeds the factorization cap"),
+        (f"Z2^{LONG_RUN}", "a 5000-digit repeat count exceeds the rank cap 4096"),
+        ("Z" + "1" * 14, "a 14-digit cyclic order exceeds the factorization cap"),
+    ],
+    ids=["cyclic-order", "list-entry", "second-list-entry", "repeat-count", "14-digits"],
+)
+def test_long_digit_runs_are_refused_before_conversion(text, message):
+    from psiprime import SizeLimitError
+
+    with pytest.raises(SizeLimitError, match=message):
+        parse_group(text)
+
+
+def test_digit_runs_at_the_cap_width_still_convert():
+    from psiprime import SizeLimitError
+
+    # 13 digits is as wide as the factorization cap: converted, then refused
+    # by factorize with the number itself in the message
+    with pytest.raises(SizeLimitError, match="9999999999999 exceeds the factorization cap"):
+        parse_group("Z9999999999999")
+    with pytest.raises(SizeLimitError, match="rank 9999999999999 exceeds the rank cap"):
+        parse_group("Z2^9999999999999")
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    zeros = "0" * 20
+    assert parse_group(f"Z{zeros}2^{zeros}3") == parse_group("Z2^3")
+    assert parse_group(f"[{zeros}4, {zeros}3]") == parse_group("Z4xZ3")
+
+
+def test_non_ascii_digit_characters_are_notation_errors():
+    # "²".isdigit() is True but int("²") raises a bare ValueError
+    with pytest.raises(NotationError, match="position 1"):
+        parse_group("[²]")
