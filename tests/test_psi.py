@@ -176,6 +176,38 @@ def test_psi_prime_pgroup_matches_spectrum_oracle_up_to_4096():
             n += 1
 
 
+@st.composite
+def groups_up_to_10_12(draw):
+    # 1-3 distinct small primes, each with a random partition, |G| <= 10^12
+    # so that the spectrum oracle can factorize every element order
+    primes = sorted(draw(st.sets(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1,
+                                 max_size=3)))
+    budget = 10**12
+    components = []
+    for i, p in enumerate(primes):
+        # leave room for one factor of each prime still to come
+        room = budget // math.prod(primes[i + 1:])
+        n_max = 0
+        while p ** (n_max + 1) <= room:
+            n_max += 1
+        n = draw(st.integers(min_value=1, max_value=n_max))
+        # a small largest part forces a high rank (all ones at 1)
+        largest = draw(st.integers(min_value=1, max_value=n))
+        parts = []
+        while sum(parts) < n:
+            parts.append(draw(st.integers(min_value=1, max_value=min(largest, n - sum(parts)))))
+        components.append((p, Partition(sorted(parts, reverse=True))))
+        budget //= p**n
+    return AbelianGroup(components)
+
+
+@given(groups_up_to_10_12())
+@settings(max_examples=200, deadline=None)
+def test_psi_prime_matches_spectrum_oracle_across_primes(G):
+    assert G.order <= 10**12
+    assert psi_prime(G) == psi_prime_from_spectrum(order_spectrum(G))
+
+
 # ---------------------------------------------------------------- closed forms
 
 def test_cyclic_closed_form_examples():

@@ -1,0 +1,41 @@
+"""Smoke tests for the scripts in ``scripts/``: each runs in a subprocess
+against the package under ``src``, so a name the scripts import cannot
+leave the package without a test failing."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_run_verification_small_bounds_all_pass():
+    result = run_script(
+        "run_verification.py", "--max-n", "6", "--injectivity-order", "500",
+        "--collision-order", "60", "--conjecture-order", "24", "--brute-order", "60",
+    )
+    assert result.returncode == 0, result.stderr
+    verdicts = [line for line in result.stdout.splitlines() if line.startswith("[")]
+    # four primes, then injectivity, collisions, brute oracle, conjecture F
+    assert len(verdicts) == 8
+    assert all(line.startswith("[PASS] ") for line in verdicts)
+    assert "FAIL" not in result.stdout
+
+
+def test_collision_census_finds_the_order_36_48_pair():
+    result = run_script("collision_census.py", "60")
+    assert result.returncode == 0, result.stderr
+    assert "colliding pairs: 1\n" in result.stdout
+    assert "smallest pair: Z4xZ3^2 / Z2^4xZ3" in result.stdout
