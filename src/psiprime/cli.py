@@ -358,7 +358,7 @@ def _oracle_checks(G: AbelianGroup) -> list[tuple[str, str, str]]:
     if len(G.components) == 1 and len(G.components[0][1]) <= 2:
         p, q = G.components[0]
         closed = (
-            psi_prime_cyclic_closed_form(p, *q.parts)
+            psi_prime_cyclic_closed_form(p, q.parts[0])
             if len(q) == 1
             else psi_prime_rank2_closed_form(p, q.parts[1], q.parts[0])
         )
