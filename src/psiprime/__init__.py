@@ -9,7 +9,6 @@ from .groups import (
     brute_force_spectrum,
     canonicalize,
     enumerate_abelian_groups,
-    iter_abelian_groups_up_to,
     order_spectrum,
 )
 from .notation import (
@@ -24,7 +23,6 @@ from .psi import (
     ONE,
     FactoredInteger,
     combine_coprime,
-    factored_compare,
     psi_prime,
     psi_prime_cyclic_closed_form,
     psi_prime_exponent,
@@ -74,12 +72,10 @@ __all__ = [
     "check_theorem_c",
     "combine_coprime",
     "enumerate_abelian_groups",
-    "factored_compare",
     "find_cross_order_collisions",
     "format_group",
     "group_from_json_dict",
     "group_to_json_dict",
-    "iter_abelian_groups_up_to",
     "iter_partitions",
     "lex_compare",
     "order_polynomial",

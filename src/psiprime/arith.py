@@ -18,6 +18,11 @@ PRIMALITY_TEST_LIMIT = 2**31
 # Default ceiling for trial-division factorization of a single integer.
 FACTORIZATION_CAP = 10**12
 
+# Longest digit run the parsers convert with int(); anything longer is over
+# every cap in the package.  Refusing it first keeps int() off runs that are
+# slow to convert or past Python's 4300-digit conversion limit.
+_MAX_DIGITS = len(str(FACTORIZATION_CAP))
+
 
 @lru_cache(maxsize=65536)
 def is_prime(n: int) -> bool:
@@ -54,6 +59,15 @@ def require_prime(p: int, *, assume_prime: bool = False) -> None:
         )
     if not is_prime(p):
         raise DomainError(f"{p} is not a prime")
+
+
+def bounded_int(digits: str, what: str, cap_name: str, cap: int) -> int:
+    """int() of a decimal digit run, refused with SizeLimitError when it has
+    more significant digits than FACTORIZATION_CAP (leading zeros are free)."""
+    significant = len(digits.lstrip("0"))
+    if significant > _MAX_DIGITS:
+        raise SizeLimitError(f"a {significant}-digit {what} exceeds the {cap_name} {cap}")
+    return int(digits)
 
 
 def factorize(n: int, cap: int = FACTORIZATION_CAP) -> dict[int, int]:

@@ -41,7 +41,7 @@ from .psi import (
     psi_prime_rank2_closed_form,
     psi_sum,
 )
-from .symmetric import order_polynomial, psi_all
+from .symmetric import order_polynomial, psi_all, psi_k
 from .verify import (
     check_theorem_c,
     find_cross_order_collisions,
@@ -203,10 +203,7 @@ def _cmd_compute(args) -> int:
         elif args.psi_prime:
             name, value = "psi_prime", psi_prime(G).materialize(args.digit_limit)
         else:
-            values = psi_all(G)
-            if not 1 <= args.psi_k <= len(values):
-                raise DomainError(f"k = {args.psi_k} out of range 1..{len(values)}")
-            name, value = f"psi_{args.psi_k}", values[args.psi_k - 1]
+            name, value = f"psi_{args.psi_k}", psi_k(G, args.psi_k)
         _render(args, [name], [[value]], lambda: str(value), text=str(value))
     return EXIT_OK
 

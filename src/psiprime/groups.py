@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .arith import PRIMALITY_TEST_LIMIT, factorize, require_prime
 from .errors import DomainError, SizeLimitError
@@ -94,9 +94,6 @@ class OrderSpectrum:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def multiplicity(self, d: int) -> int:
-        return self.as_dict().get(d, 0)
 
 
 def canonicalize(cyclic_orders: Sequence[int], *, cap: int = 10**12) -> AbelianGroup:
@@ -177,9 +174,3 @@ def brute_force_spectrum(G: AbelianGroup, *, cap: int = BRUTE_FORCE_CAP) -> Orde
     tally = Counter(itertools.starmap(lcm, itertools.product(*order_lists)))
     return OrderSpectrum(tally.items())
 
-
-def iter_abelian_groups_up_to(max_order: int) -> Iterator[tuple[int, AbelianGroup]]:
-    """(order, group) for every abelian group of order 1..max_order."""
-    for m in range(1, max_order + 1):
-        for G in enumerate_abelian_groups(m):
-            yield m, G

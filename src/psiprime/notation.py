@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .arith import FACTORIZATION_CAP, require_prime
+from .arith import FACTORIZATION_CAP, PRIMALITY_TEST_LIMIT, bounded_int, require_prime
 from .errors import DomainError, NotationError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
 from .partitions import Partition
@@ -26,21 +26,8 @@ def _require_rank(rank: int) -> None:
         raise SizeLimitError(f"rank {rank} exceeds the rank cap {RANK_CAP}")
 
 
-# Longest digit run converted with int(); anything longer is over every
-# cap here.  Refusing it first keeps int() off runs that are slow to convert
-# or past Python's 4300-digit conversion limit.
-_MAX_DIGITS = len(str(FACTORIZATION_CAP))
-
-
-def _bounded_int(digits: str, what: str, cap_name: str, cap: int) -> int:
-    significant = len(digits.lstrip("0"))
-    if significant > _MAX_DIGITS:
-        raise SizeLimitError(f"a {significant}-digit {what} exceeds the {cap_name} {cap}")
-    return int(digits)
-
-
 def _order(digits: str) -> int:
-    return _bounded_int(digits, "cyclic order", "factorization cap", FACTORIZATION_CAP)
+    return bounded_int(digits, "cyclic order", "factorization cap", FACTORIZATION_CAP)
 
 
 def parse_group(text: str) -> AbelianGroup:
@@ -102,7 +89,7 @@ def _parse_multiplicative_form(s: str) -> AbelianGroup:
             m = _INT.match(s, pos)
             if m is None:
                 raise NotationError("expected exponent digits after '^'", pos)
-            count = _bounded_int(m.group(), "repeat count", "rank cap", RANK_CAP)
+            count = bounded_int(m.group(), "repeat count", "rank cap", RANK_CAP)
             if count < 1:
                 raise NotationError("exponent must be >= 1", pos)
             pos = m.end()
@@ -153,12 +140,16 @@ def group_from_json_dict(d: dict) -> AbelianGroup:
     """Parse the canonical JSON form (keys may arrive in any order)."""
     components = []
     for key, parts in d.items():
-        if not str(key).isdigit():
+        digits = str(key)
+        if not digits.isdecimal():
             raise DomainError(f"group JSON key {key!r} is not a prime")
-        p = int(key)
+        p = bounded_int(digits, "prime", "primality-testing limit", PRIMALITY_TEST_LIMIT)
         require_prime(p)
         if not isinstance(parts, (list, tuple)):
             raise DomainError(f"group JSON value for {p} must be a list of parts")
-        components.append((p, Partition(tuple(int(x) for x in parts))))
+        for x in parts:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise DomainError(f"group JSON part {x!r} for {p} is not an integer")
+        components.append((p, Partition(parts)))
     components.sort(key=lambda pq: pq[0])
     return AbelianGroup(tuple(components))

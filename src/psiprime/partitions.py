@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from .arith import bounded_int
 from .errors import DomainError, NotationError, SizeLimitError
 
 # Hard ceiling on the size of partitions we generate.  p(64) = 1,741,630,
@@ -70,9 +71,10 @@ def parse_partition(text: str) -> Partition:
     parts = []
     pos = 1
     for token in inner.split(","):
-        if not token.strip().isdigit():
-            raise NotationError(f"expected a positive integer, got {token.strip()!r}", pos)
-        parts.append(int(token))
+        digits = token.strip()
+        if not digits.isdecimal():
+            raise NotationError(f"expected a positive integer, got {digits!r}", pos)
+        parts.append(bounded_int(digits, "partition part", "partition cap", PARTITION_CAP))
         pos += len(token) + 1
     try:
         return Partition(parts)

@@ -36,17 +36,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, is_prime
-from .errors import ConsistencyError, DomainError, SizeLimitError
+from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, require_prime
+from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
-
-# factored_compare materializes both sides when they fit in this many bits;
-# beyond it, certified interval logarithms take over.
-_MATERIALIZE_BITS = 1 << 14
-
-# Interval-log precision ladder bounds (bits).
-_IV_PREC_START = 64
-_IV_PREC_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -64,10 +56,9 @@ class FactoredInteger:
             factors = factors.items()
         normalized = tuple(sorted((int(p), int(e)) for p, e in factors if e != 0))
         for i, (p, e) in enumerate(normalized):
-            # keys past the primality-testing limit are trusted, mirroring
-            # the assume_prime doctrine for group construction
-            if p < 2 or (p < PRIMALITY_TEST_LIMIT and not is_prime(p)):
-                raise DomainError(f"{p} is not a prime")
+            # keys past the primality-testing limit are trusted, as in
+            # group construction
+            require_prime(p, assume_prime=p >= PRIMALITY_TEST_LIMIT)
             if e < 0:
                 raise DomainError(f"negative exponent {e} for prime {p}")
             if i > 0 and normalized[i - 1][0] == p:
@@ -228,66 +219,3 @@ def psi_prime_from_spectrum(s: OrderSpectrum) -> FactoredInteger:
             acc[p] = acc.get(p, 0) + m * e
     return FactoredInteger(acc)
 
-
-def _bit_bound(factors: Mapping[int, int]) -> int:
-    # overestimate of log2 of the materialized value
-    return sum(e * p.bit_length() for p, e in factors.items())
-
-
-def _interval_log_sign(da: Mapping[int, int], db: Mapping[int, int]) -> int:
-    # certified sign of sum(e*log p, da) - sum(e*log p, db), widening the
-    # working precision until the enclosing interval excludes zero.  mpmath
-    # is imported here, not at module load: no other path needs it.  Its
-    # interval precision is process-global, so it is restored on the way out.
-    from mpmath import iv
-
-    saved = iv.prec
-    try:
-        prec = _IV_PREC_START
-        while prec <= _IV_PREC_LIMIT:
-            iv.prec = prec
-            delta = iv.mpf(0)
-            for p, e in da.items():
-                delta += iv.log(iv.mpf(p)) * e
-            for p, e in db.items():
-                delta -= iv.log(iv.mpf(p)) * e
-            if delta.a > 0:
-                return 1
-            if delta.b < 0:
-                return -1
-            prec *= 2
-    finally:
-        iv.prec = saved
-    raise ConsistencyError("interval comparison failed to converge")  # pragma: no cover
-
-
-def factored_compare(a: FactoredInteger, b: FactoredInteger) -> int:
-    """Three-way comparison (-1, 0, 1) of factored integers, always exact.
-
-    Structural short-circuits first: identical maps are equal, and common
-    prime powers are divided out, which settles any pair sharing a single
-    prime by exponent comparison.  What remains has disjoint support; small
-    remainders are materialized and compared as plain integers, large ones
-    by certified interval logarithms at increasing precision (two distinct
-    integers always separate eventually).
-    """
-    if a.factors == b.factors:
-        return 0
-    da, db = a.as_dict(), b.as_dict()
-    for p in set(da) & set(db):
-        m = min(da[p], db[p])
-        da[p] -= m
-        db[p] -= m
-        if da[p] == 0:
-            del da[p]
-        if db[p] == 0:
-            del db[p]
-    if not da:
-        return -1  # a divides b strictly
-    if not db:
-        return 1
-    if max(_bit_bound(da), _bit_bound(db)) <= _MATERIALIZE_BITS:
-        va = math.prod(p**e for p, e in da.items())
-        vb = math.prod(p**e for p, e in db.items())
-        return (va > vb) - (va < vb)
-    return _interval_log_sign(da, db)

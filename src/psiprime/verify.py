@@ -17,21 +17,19 @@ from math import isqrt
 
 from .arith import is_prime, require_prime
 from .errors import DomainError, SizeLimitError
-from .groups import (
-    ENUMERATION_CAP,
-    AbelianGroup,
-    enumerate_abelian_groups,
-    iter_abelian_groups_up_to,
-)
+from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import Partition, partitions_of
 from .psi import FactoredInteger, psi_prime, psi_prime_exponent
 from .symmetric import SYMMETRIC_CAP, psi_all
 
 
-def _require_max_order(max_order: int) -> None:
-    # an empty sweep would report success having checked nothing
+def _require_max_order(max_order: int, cap: int, cap_name: str) -> None:
+    # an empty sweep would report success having checked nothing, and a
+    # bound past the cap would fail only after every order below it ran
     if max_order < 1:
         raise DomainError(f"max_order = {max_order} must be >= 1")
+    if max_order > cap:
+        raise SizeLimitError(f"max_order = {max_order} exceeds the {cap_name} {cap}")
 
 
 def _group_sort_key(G: AbelianGroup):
@@ -128,10 +126,11 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     These exist: with max_order >= 48 the scan contains the order-36 /
     order-48 pair Z4 x Z3^2 and Z2^4 x Z3 with shared value 2^45 * 3^32.
     """
-    _require_max_order(max_order)
+    _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
     by_value: dict[FactoredInteger, list[AbelianGroup]] = {}
-    for _, G in iter_abelian_groups_up_to(max_order):
-        by_value.setdefault(psi_prime(G), []).append(G)
+    for m in range(1, max_order + 1):
+        for G in enumerate_abelian_groups(m):
+            by_value.setdefault(psi_prime(G), []).append(G)
     pairs = []
     for value, gs in by_value.items():
         if len(gs) < 2:
@@ -216,11 +215,7 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
     the full check_injectivity (across a process pool when jobs > 1), so
     the result equals check_injectivity run at every order.
     """
-    _require_max_order(max_order)
-    if max_order > ENUMERATION_CAP:
-        raise SizeLimitError(
-            f"max_order = {max_order} exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
+    _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
     jobs = _resolve_jobs(jobs)
     # counts[m] becomes prod_p p(v_p(m)), the number of groups of order m;
     # slot 0 stays 1 and is subtracted from the total
@@ -249,11 +244,7 @@ def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSw
 
     Every group of order m > SYMMETRIC_CAP is past the psi_k cap, so a
     larger bound is refused before any order is computed."""
-    _require_max_order(max_order)
-    if max_order > SYMMETRIC_CAP:
-        raise SizeLimitError(
-            f"max_order = {max_order} exceeds the symmetric-function cap {SYMMETRIC_CAP}"
-        )
+    _require_max_order(max_order, SYMMETRIC_CAP, "symmetric-function cap")
     reports = _fan_out(check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs))
     pairs = sum(r.pair_count for r in reports)
     failures = tuple(r for r in reports if not r.holds)

@@ -271,6 +271,19 @@ def test_injectivity_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys)
     assert err == "error: max_order = 1000001 exceeds the enumeration cap 1000000\n"
 
 
+def test_collisions_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys):
+    from psiprime import groups, verify
+
+    def never(m, **kwargs):
+        raise AssertionError(f"enumerate_abelian_groups({m}) ran")
+
+    monkeypatch.setattr(groups, "enumerate_abelian_groups", never)
+    monkeypatch.setattr(verify, "enumerate_abelian_groups", never)
+    code, out, err = run(capsys, "verify", "collisions", "--max-order", "1000001")
+    assert (code, out) == (2, "")
+    assert err == "error: max_order = 1000001 exceeds the enumeration cap 1000000\n"
+
+
 def test_repeat_count_past_rank_cap_exit_2(capsys):
     from psiprime.notation import RANK_CAP
 

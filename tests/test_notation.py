@@ -155,3 +155,27 @@ def test_non_ascii_digit_characters_are_notation_errors():
     # "²".isdigit() is True but int("²") raises a bare ValueError
     with pytest.raises(NotationError, match="position 1"):
         parse_group("[²]")
+
+
+def test_group_json_non_ascii_digit_key_is_a_domain_error():
+    from psiprime import DomainError
+
+    with pytest.raises(DomainError, match="not a prime"):
+        group_from_json_dict({"²": [1]})
+
+
+def test_group_json_refuses_a_long_key_before_conversion():
+    from psiprime import SizeLimitError
+
+    with pytest.raises(SizeLimitError, match="5000-digit prime exceeds"):
+        group_from_json_dict({"1" * 5000: [1]})
+
+
+@pytest.mark.parametrize("part", ["x", "2", 1.5, True])
+def test_group_json_parts_must_be_integers(part):
+    from psiprime import DomainError
+
+    # strings, floats and bools used to go through int(): "x" raised a bare
+    # ValueError, 1.5 became 1, True became 1
+    with pytest.raises(DomainError, match="is not an integer"):
+        group_from_json_dict({"2": [part]})

@@ -116,3 +116,17 @@ def test_parse_partition_examples():
         parse_partition("[3,1,")
     with pytest.raises(NotationError):
         parse_partition("[1,3]")  # not weakly decreasing
+
+
+def test_parse_partition_non_ascii_digit_is_a_notation_error():
+    # "²".isdigit() is True but int("²") raises a bare ValueError
+    with pytest.raises(NotationError, match="position 1"):
+        parse_partition("[²]")
+
+
+def test_parse_partition_refuses_a_long_part_before_conversion():
+    from psiprime import SizeLimitError
+
+    # past Python's 4300-digit int() limit
+    with pytest.raises(SizeLimitError, match="5000-digit partition part exceeds"):
+        parse_partition("[" + "1" * 5000 + "]")

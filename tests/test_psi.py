@@ -16,7 +16,6 @@ from psiprime import (
     canonicalize,
     combine_coprime,
     enumerate_abelian_groups,
-    factored_compare,
     order_spectrum,
     partitions_of,
     psi_prime,
@@ -310,60 +309,11 @@ def test_psi_prime_matches_spectrum_oracle_up_to_500():
             assert psi_prime(G) == psi_prime_from_spectrum(order_spectrum(G))
 
 
-# ---------------------------------------------------------------- comparison
-
-def test_factored_compare_examples():
-    assert factored_compare(fi({2: 5}), fi({2: 3})) == 1
-    assert factored_compare(fi({2: 45, 3: 32}), fi({2: 45, 3: 32})) == 0
-    assert factored_compare(fi({3: 2}), fi({2: 3})) == 1  # 9 > 8
-    assert factored_compare(ONE, fi({2: 1})) == -1
-    assert factored_compare(fi({2: 1}), ONE) == 1
-
-
-def test_factored_compare_huge_same_prime():
-    a, b = fi({2: 10**30}), fi({2: 10**30 + 1})
-    assert factored_compare(a, b) == -1
-    assert factored_compare(b, a) == 1
-
-
-def test_factored_compare_huge_disjoint_supports():
-    # around the threshold 2^e2 vs 3^e3 with e3 ~ e2 / log2(3); both sides
-    # have ~2e6 bits, far past materialization, so this exercises the
-    # certified interval path
-    a = fi({2: 2_000_000})
-    assert factored_compare(a, fi({3: 1_261_859})) == 1
-    assert factored_compare(a, fi({3: 1_261_860})) == -1
-
-
-def test_factored_compare_shared_prime_mixed_support():
-    # stripping the common 2-part reduces to 3^2 vs 5^1
-    assert factored_compare(fi({2: 7, 3: 2}), fi({2: 7, 5: 1})) == 1
-
-
-@given(
-    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 40), max_size=4),
-    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 40), max_size=4),
-)
-@settings(max_examples=200)
-def test_factored_compare_agrees_with_materialization(da, db):
-    a, b = fi(da), fi(db)
-    va = math.prod(p**e for p, e in da.items())
-    vb = math.prod(p**e for p, e in db.items())
-    assert factored_compare(a, b) == (va > vb) - (va < vb)
-
-
-def test_factored_compare_interval_path_restores_mpmath_precision(monkeypatch):
-    from mpmath import iv
-
-    # a value the interval search never uses, so a leaked setting shows
-    monkeypatch.setattr(iv, "prec", 40)
-    assert factored_compare(fi({2: 10**6}), fi({3: 630930})) == -1  # 3^630930 is larger
-    assert iv.prec == 40
-
+# ---------------------------------------------------------------- dependencies
 
 def test_importing_the_cli_does_not_import_mpmath():
-    # mpmath serves only the interval branch of factored_compare, so it is
-    # imported there; every CLI start would otherwise pay for it
+    # the package has no runtime dependencies; mpmath, its last one, cost
+    # every CLI start its import time, so this keeps it from coming back
     import os
     import subprocess
     import sys
@@ -380,3 +330,29 @@ def test_importing_the_cli_does_not_import_mpmath():
         check=True,
     ).stdout
     assert out == "False\n"
+
+
+def test_package_imports_only_the_standard_library():
+    # every absolute import in the package, at module level or nested in a
+    # function, must name a standard-library module
+    import ast
+    import pathlib
+    import sys
+
+    import psiprime
+
+    outside = []
+    for path in sorted(pathlib.Path(psiprime.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

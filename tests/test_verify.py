@@ -281,3 +281,27 @@ def test_sweep_injectivity_count_matches_independent_factorization():
         for m in range(1, 10**5 + 1)
     )
     assert sweep_injectivity(10**5).groups_checked == 226_610 == expected
+
+
+def _forbid_group_enumeration(monkeypatch):
+    from psiprime import groups, verify
+
+    def never(m, **kwargs):
+        raise AssertionError(f"enumerate_abelian_groups({m}) ran")
+
+    monkeypatch.setattr(groups, "enumerate_abelian_groups", never)
+    monkeypatch.setattr(verify, "enumerate_abelian_groups", never)
+
+
+def test_collisions_refuse_bound_past_cap_before_any_order(monkeypatch):
+    from psiprime import SizeLimitError
+    from psiprime.groups import ENUMERATION_CAP
+
+    _forbid_group_enumeration(monkeypatch)
+    with pytest.raises(
+        SizeLimitError,
+        match=f"max_order = {ENUMERATION_CAP + 1} exceeds the enumeration cap {ENUMERATION_CAP}",
+    ):
+        find_cross_order_collisions(ENUMERATION_CAP + 1)
+    with pytest.raises(AssertionError, match="ran"):
+        find_cross_order_collisions(1)
