@@ -34,7 +34,6 @@ from .groups import (
 )
 from .notation import format_group, group_to_json_dict, parse_group, spectrum_to_json_dict
 from .psi import (
-    FactoredInteger,
     psi_prime,
     psi_prime_cyclic_closed_form,
     psi_prime_from_spectrum,
