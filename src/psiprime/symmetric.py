@@ -7,20 +7,39 @@ instead of the C(|G|, k) subset walk.  The order polynomial is built the
 other way, by literally multiplying the linear factors (X - d), so the
 sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
+
+psi_all_mod expands the same product modulo a prime P < 2^26 by Kronecker
+substitution: each coefficient list is packed into one integer with one
+64-bit slot per coefficient, so a polynomial product is a single integer
+product, unpacked and reduced slot by slot.  A product slot sums at most
+ceil((n + 2) / 2) terms below P^2, which stays below 2^64, so no slot
+carries into the next, while n <= CONJECTURE_F_CAP = 4096
+(2049 * 2^52 < 2^64).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Sequence
 
+from .arith import require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, order_spectrum
 
 # Default ceiling on |G|; psi_|G| already has thousands of digits here.
 # Raise per call via the cap argument if you know what you are doing.
 SYMMETRIC_CAP = 512
+
+# Largest |G| whose residues psi_all_mod packs soundly into 64-bit slots
+# (module docstring); it is fixed by that bound, not a tunable default.
+CONJECTURE_F_CAP = 4096
+
+# The conjecture-f fingerprint moduli, both prime: two values that agree
+# modulo both differ by a multiple of their product, about 2^52.
+FINGERPRINT_PRIMES = (2**26 - 5, 2**26 - 27)
 
 
 @dataclass(frozen=True)
@@ -64,10 +83,10 @@ class OrderPolynomial:
         return " ".join(terms) if terms else "0"
 
 
-def _check_cap(G: AbelianGroup, cap: int) -> int:
+def _check_cap(G: AbelianGroup, cap: int, cap_name: str = "symmetric-function cap") -> int:
     n = G.order
     if n > cap:
-        raise SizeLimitError(f"|G| = {n} exceeds the symmetric-function cap {cap}")
+        raise SizeLimitError(f"|G| = {n} exceeds the {cap_name} {cap}")
     return n
 
 
@@ -83,6 +102,44 @@ def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
             for j, b in enumerate(factor):
                 out[i + j] += a * b
         acc = out
+    assert len(acc) == n + 1
+    return acc[1:]
+
+
+@cache
+def _inverses(P: int) -> array:
+    # inv[j] = j^-1 mod P for 1 <= j <= CONJECTURE_F_CAP, by the recurrence
+    # P = (P // j) * j + P % j; 64-bit slots hold it in 32 KiB, not 160
+    inv = array("Q", [0, 1])
+    for j in range(2, CONJECTURE_F_CAP + 1):
+        inv.append(-(P // j) * inv[P % j] % P)
+    return inv
+
+
+def _pack(coeffs: list[int]) -> int:
+    return int.from_bytes(array("Q", coeffs).tobytes(), "little")
+
+
+def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
+    """[psi_1 mod P, ..., psi_n mod P] for a prime CONJECTURE_F_CAP < P <
+    2^26, by Kronecker substitution (module docstring); equal to
+    [v % P for v in psi_all(G)]."""
+    n = _check_cap(G, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
+    if not CONJECTURE_F_CAP < P < 2**26:
+        raise DomainError(f"fingerprint modulus {P} is not in {CONJECTURE_F_CAP + 1}..2^26 - 1")
+    require_prime(P)
+    inv = _inverses(P)
+    acc = [1]
+    for d, m in order_spectrum(G).entries:
+        # coefficients C(m, j) * d^j of (1 + dX)^m, each reduced mod P
+        factor = [1] * (m + 1)
+        c = 1
+        for j in range(1, m + 1):
+            c = c * ((m - j + 1) * d % P) % P * inv[j] % P
+            factor[j] = c
+        product = array("Q")
+        product.frombytes((_pack(acc) * _pack(factor)).to_bytes(8 * (len(acc) + m), "little"))
+        acc = [x % P for x in product]
     assert len(acc) == n + 1
     return acc[1:]
 

@@ -20,7 +20,7 @@ from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import Partition, partitions_of
 from .psi import FactoredInteger, psi_prime, psi_prime_exponent
-from .symmetric import SYMMETRIC_CAP, psi_all
+from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
 
 
 def _require_max_order(max_order: int, cap: int, cap_name: str) -> None:
@@ -142,20 +142,46 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     return CollisionReport(scope=max_order, pairs=tuple(pairs))
 
 
-def check_conjecture_f(m: int, *, cap: int = SYMMETRIC_CAP) -> ConjectureFReport:
+def check_conjecture_f(m: int) -> ConjectureFReport:
     """Test whether each single psi_k separates all abelian groups of
     order m.  A coincidence is reported, not raised: it would be a
-    counterexample candidate, not an implementation error."""
+    counterexample candidate, not an implementation error.
+
+    Each group is fingerprinted by its residues (psi_k mod P1, psi_k mod
+    P2) at every k (symmetric.psi_all_mod).  Values whose residues differ
+    at either prime differ, so only residue matches get the exact psi_all
+    of both groups, and only exact equalities are reported: pairs (i < j)
+    in enumeration order, then k ascending."""
+    if m > CONJECTURE_F_CAP:
+        raise SizeLimitError(f"m = {m} exceeds the conjecture-f fingerprint cap {CONJECTURE_F_CAP}")
     groups = enumerate_abelian_groups(m)
-    values = [psi_all(G, cap=cap) for G in groups]
+    g = len(groups)
+    if g < 2:
+        return ConjectureFReport(m=m, pair_count=0, coincidences=())
+    p1, p2 = FINGERPRINT_PRIMES
+    keys = [
+        list(zip(psi_all_mod(G, p1), psi_all_mod(G, p2))) for G in groups
+    ]
+    candidates = []
+    for k, column in enumerate(zip(*keys), start=1):
+        if len(set(column)) == g:
+            continue
+        by_key: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(column):
+            by_key.setdefault(key, []).append(i)
+        for indices in by_key.values():
+            candidates.extend((i, j, k) for i, j in itertools.combinations(indices, 2))
+    exact: dict[int, list[int]] = {}
     coincidences = []
-    pair_count = 0
-    for (i, a), (j, b) in itertools.combinations(enumerate(groups), 2):
-        pair_count += 1
-        for k in range(1, m + 1):
-            if values[i][k - 1] == values[j][k - 1]:
-                coincidences.append((a, b, k, values[i][k - 1]))
-    return ConjectureFReport(m=m, pair_count=pair_count, coincidences=tuple(coincidences))
+    for i, j, k in sorted(candidates):
+        for x in (i, j):
+            if x not in exact:
+                exact[x] = psi_all(groups[x], cap=CONJECTURE_F_CAP)
+        if exact[i][k - 1] == exact[j][k - 1]:
+            coincidences.append((groups[i], groups[j], k, exact[i][k - 1]))
+    return ConjectureFReport(
+        m=m, pair_count=g * (g - 1) // 2, coincidences=tuple(coincidences)
+    )
 
 
 @dataclass(frozen=True)
@@ -242,9 +268,9 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
 def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSweep:
     """Run check_conjecture_f for every m <= max_order.
 
-    Every group of order m > SYMMETRIC_CAP is past the psi_k cap, so a
-    larger bound is refused before any order is computed."""
-    _require_max_order(max_order, SYMMETRIC_CAP, "symmetric-function cap")
+    Every group of order m > CONJECTURE_F_CAP is past the fingerprint cap,
+    so a larger bound is refused before any order is computed."""
+    _require_max_order(max_order, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     reports = _fan_out(check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs))
     pairs = sum(r.pair_count for r in reports)
     failures = tuple(r for r in reports if not r.holds)

@@ -254,9 +254,9 @@ def test_conjecture_f_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys
         raise AssertionError(f"check_conjecture_f({m}) ran")
 
     monkeypatch.setattr(verify, "check_conjecture_f", never)
-    code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "513")
+    code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "4097")
     assert (code, out) == (2, "")
-    assert err == "error: max_order = 513 exceeds the symmetric-function cap 512\n"
+    assert err == "error: max_order = 4097 exceeds the conjecture-f fingerprint cap 4096\n"
 
 
 def test_injectivity_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys):

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiprime import (
     AbelianGroup,
@@ -14,6 +18,8 @@ from psiprime import (
     psi_prime,
     psi_sum,
 )
+from psiprime.arith import is_prime
+from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod
 from oracles import spectrum_orders, subset_esp
 
 
@@ -68,6 +74,49 @@ def test_psi_all_cap_and_override():
     values = psi_all(G, cap=1024)
     assert len(values) == 1024
     assert values[0] == psi_sum(G)
+
+
+_GROUPS_UP_TO_512 = st.integers(min_value=1, max_value=512).flatmap(
+    lambda m: st.sampled_from(enumerate_abelian_groups(m))
+)
+
+
+@given(_GROUPS_UP_TO_512)
+@settings(max_examples=60, deadline=None)
+def test_psi_all_mod_is_psi_all_reduced(G):
+    values = psi_all(G)
+    for P in FINGERPRINT_PRIMES:
+        assert psi_all_mod(G, P) == [v % P for v in values]
+
+
+def test_psi_all_mod_at_order_1024_with_two_equal_halves():
+    # the last product multiplies 513 by 513 slots, the widest split
+    G = canonicalize([4] + [2] * 8)
+    values = psi_all(G, cap=1024)
+    for P in FINGERPRINT_PRIMES:
+        assert psi_all_mod(G, P) == [v % P for v in values]
+
+
+def test_fingerprint_slots_cannot_carry_up_to_the_cap():
+    # a product slot sums at most ceil((n + 2) / 2) terms, each below P^2
+    for P in FINGERPRINT_PRIMES:
+        assert is_prime(P)
+        assert (CONJECTURE_F_CAP + 3) // 2 * (P - 1) ** 2 < 2**64
+
+
+def test_psi_all_mod_refuses_order_past_the_cap():
+    G = canonicalize([CONJECTURE_F_CAP + 1])  # 4097 = 17 * 241
+    message = "|G| = 4097 exceeds the conjecture-f fingerprint cap 4096"
+    with pytest.raises(SizeLimitError, match=re.escape(message)):
+        psi_all_mod(G, FINGERPRINT_PRIMES[0])
+
+
+@pytest.mark.parametrize("P", [4093, 2**26 + 15, 2**26 - 6, 2])
+def test_psi_all_mod_refuses_a_modulus_it_cannot_use(P):
+    # a prime above 2^26 breaks the slot bound, a composite or a prime
+    # up to the cap has no inverse of some binomial denominator
+    with pytest.raises(DomainError):
+        psi_all_mod(canonicalize([2]), P)
 
 
 def test_order_polynomial_z2():

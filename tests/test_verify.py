@@ -169,18 +169,155 @@ def test_sweeps_reject_empty_bound(sweep, bad_max):
 
 def test_sweep_conjecture_f_refuses_bound_past_cap_before_any_order(monkeypatch):
     from psiprime import SizeLimitError, verify
-    from psiprime.symmetric import SYMMETRIC_CAP
+    from psiprime.symmetric import CONJECTURE_F_CAP
 
     def never(m):
         raise AssertionError(f"check_conjecture_f({m}) ran")
 
     monkeypatch.setattr(verify, "check_conjecture_f", never)
     with pytest.raises(SizeLimitError, match="cap"):
-        sweep_conjecture_f(SYMMETRIC_CAP + 1)
+        sweep_conjecture_f(CONJECTURE_F_CAP + 1)
     with pytest.raises(SizeLimitError, match="cap"):
-        sweep_conjecture_f(SYMMETRIC_CAP + 1, jobs=2)
+        sweep_conjecture_f(CONJECTURE_F_CAP + 1, jobs=2)
     with pytest.raises(AssertionError, match="ran"):
-        sweep_conjecture_f(SYMMETRIC_CAP)
+        sweep_conjecture_f(CONJECTURE_F_CAP)
+
+
+def _reference_check_conjecture_f(m):
+    # the exact all-pairs check the fingerprints replaced: every group's
+    # exact psi_1..psi_m, every pair at every k; psi_all is read through
+    # verify so that a planted value reaches both paths
+    from psiprime import ConjectureFReport, verify
+    from psiprime.symmetric import CONJECTURE_F_CAP
+
+    groups = enumerate_abelian_groups(m)
+    values = [verify.psi_all(G, cap=CONJECTURE_F_CAP) for G in groups]
+    coincidences = []
+    pair_count = 0
+    for (i, a), (j, b) in itertools.combinations(enumerate(groups), 2):
+        pair_count += 1
+        for k in range(1, m + 1):
+            if values[i][k - 1] == values[j][k - 1]:
+                coincidences.append((a, b, k, values[i][k - 1]))
+    return ConjectureFReport(m=m, pair_count=pair_count, coincidences=tuple(coincidences))
+
+
+def _reference_conjecture_f_sweep(max_order):
+    from psiprime import ConjectureFSweep
+
+    reports = [_reference_check_conjecture_f(m) for m in range(1, max_order + 1)]
+    return ConjectureFSweep(
+        max_order=max_order,
+        pairs_checked=sum(r.pair_count for r in reports),
+        failures=tuple(r for r in reports if not r.holds),
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_conjecture_f_equals_exact_reference(jobs):
+    assert sweep_conjecture_f(128, jobs=jobs) == _reference_conjecture_f_sweep(128)
+
+
+# Planted values at order 16, whose five groups differ at every psi_k: the
+# second group is given the fourth group's psi_5 (or its residue only).
+_A, _B, _K = 3, 1, 5
+
+
+def _plant(monkeypatch, *, residues=(), exact=False):
+    """Copy group _A's psi_K onto group _B of order 16: its residues mod
+    the primes in ``residues``, and its exact value if ``exact``.  Returns
+    the groups whose exact psi_all ran."""
+    from psiprime import symmetric, verify
+
+    groups = enumerate_abelian_groups(16)
+    source, target = groups[_A], groups[_B]
+    ran = []
+
+    def fake_mod(G, P):
+        values = symmetric.psi_all_mod(G, P)
+        if G == target and P in residues:
+            values[_K - 1] = symmetric.psi_all_mod(source, P)[_K - 1]
+        return values
+
+    def fake_exact(G, *, cap):
+        ran.append(G)
+        values = symmetric.psi_all(G, cap=cap)
+        if G == target and exact:
+            values[_K - 1] = symmetric.psi_all(source, cap=cap)[_K - 1]
+        return values
+
+    monkeypatch.setattr(verify, "psi_all_mod", fake_mod)
+    monkeypatch.setattr(verify, "psi_all", fake_exact)
+    return ran
+
+
+def test_conjecture_f_confirms_a_residue_collision_exactly(monkeypatch):
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    ran = _plant(monkeypatch, residues=FINGERPRINT_PRIMES)
+    groups = enumerate_abelian_groups(16)
+    report = check_conjecture_f(16)
+    assert ran == [groups[_B], groups[_A]]
+    assert report.coincidences == ()
+    assert report == _reference_check_conjecture_f(16)
+
+
+@pytest.mark.parametrize("prime", [0, 1])
+def test_conjecture_f_needs_no_exact_value_when_one_prime_differs(monkeypatch, prime):
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    ran = _plant(monkeypatch, residues=(FINGERPRINT_PRIMES[prime],))
+    assert check_conjecture_f(16).coincidences == ()
+    assert ran == []
+
+
+def test_conjecture_f_reports_a_planted_coincidence_like_the_reference(monkeypatch):
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    _plant(monkeypatch, residues=FINGERPRINT_PRIMES, exact=True)
+    groups = enumerate_abelian_groups(16)
+    report = check_conjecture_f(16)
+    assert report == _reference_check_conjecture_f(16)
+    assert [(a, b, k) for a, b, k, _ in report.coincidences] == [(groups[_B], groups[_A], _K)]
+    sweep = sweep_conjecture_f(16)
+    assert sweep == _reference_conjecture_f_sweep(16)
+    assert [r.m for r in sweep.failures] == [16]
+
+
+def test_cli_conjecture_f_reports_a_planted_coincidence(monkeypatch, capsys):
+    from psiprime import cli
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    _plant(monkeypatch, residues=FINGERPRINT_PRIMES, exact=True)
+    code = cli.main(["verify", "conjecture-f", "--max-order", "16"])
+    out, err = capsys.readouterr()
+    monkeypatch.setattr(cli, "sweep_conjecture_f", lambda m, jobs: _reference_conjecture_f_sweep(m))
+    assert cli.main(["verify", "conjecture-f", "--max-order", "16"]) == code == 4
+    assert capsys.readouterr() == (out, err)
+    assert "PSI_K COINCIDENCE FOUND" in out
+
+
+def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
+    from psiprime import verify
+
+    def never(G, P):
+        raise AssertionError(f"psi_all_mod({G}) ran")
+
+    monkeypatch.setattr(verify, "psi_all_mod", never)
+    for m in (1, 2, 97, 15, 30):
+        assert check_conjecture_f(m).pair_count == 0
+
+
+def test_check_conjecture_f_refuses_an_order_past_the_cap_before_enumerating(monkeypatch):
+    from psiprime import SizeLimitError
+    from psiprime.symmetric import CONJECTURE_F_CAP
+
+    _forbid_group_enumeration(monkeypatch)
+    with pytest.raises(
+        SizeLimitError,
+        match=f"m = {CONJECTURE_F_CAP + 1} exceeds the conjecture-f fingerprint cap {CONJECTURE_F_CAP}",
+    ):
+        check_conjecture_f(CONJECTURE_F_CAP + 1)
 
 
 def _reference_injectivity_sweep(max_order):
