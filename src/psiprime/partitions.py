@@ -37,7 +37,7 @@ class Partition:
     def __init__(self, parts: Sequence[int] = ()):
         parts = tuple(parts)
         for i, x in enumerate(parts):
-            if not isinstance(x, int) or x < 1:
+            if type(x) is not int or x < 1:
                 raise DomainError(f"partition part {x!r} is not a positive integer")
             if i > 0 and parts[i - 1] < x:
                 raise DomainError(f"partition parts {parts} are not weakly decreasing")

@@ -32,11 +32,19 @@ other orders.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, require_prime
+from .arith import (
+    FACTORIZATION_CAP,
+    PRIMALITY_TEST_LIMIT,
+    bounded_int,
+    exact_div,
+    factorize,
+    require_prime,
+)
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
 
@@ -111,7 +119,24 @@ class FactoredInteger:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FactoredInteger":
-        return cls({int(p): int(e) for p, e in d["factors"].items()})
+        """Inverse of to_json_dict.  Keys and exponents must be decimal
+        strings: a key is bounded like a notation digit run, an exponent
+        by Python's limit on str -> int conversion (if one is set)."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        factors = {}
+        for key, value in d["factors"].items():
+            if not (isinstance(key, str) and key.isdecimal()):
+                raise DomainError(f"factored JSON key {key!r} is not a prime")
+            if not (isinstance(value, str) and value.isdecimal()):
+                raise DomainError(f"factored JSON exponent {value!r} is not a decimal integer")
+            digits = value.lstrip("0") or "0"
+            if limit and len(digits) > limit:
+                raise SizeLimitError(
+                    f"a {len(digits)}-digit exponent exceeds the int conversion limit {limit}"
+                )
+            p = bounded_int(key, "prime", "factorization cap", FACTORIZATION_CAP)
+            factors[p] = int(digits)
+        return cls(factors)
 
     def __str__(self) -> str:
         if not self.factors:

@@ -68,6 +68,12 @@ def test_partition_validation():
         Partition((-1,))
 
 
+@pytest.mark.parametrize("parts", [(True,), (False,), (2, True), (3, 1.0)])
+def test_partition_refuses_parts_that_are_not_plain_ints(parts):
+    with pytest.raises(DomainError, match="is not a positive integer"):
+        Partition(parts)
+
+
 def test_lex_compare_examples():
     assert lex_compare(Partition((2, 1)), Partition((3,))) == -1
     assert lex_compare(Partition((1, 1, 1)), Partition((1, 1, 1))) == 0

@@ -66,6 +66,26 @@ def test_factored_integer_json_round_trip():
     assert FactoredInteger.from_json_dict(blob) == value
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [{"²": "1"}, {"2": "1.5"}, {"2": "-1"}, {"x": "1"}, {"2": 3}],
+    ids=["superscript-key", "fraction", "negative", "letter-key", "int"],
+)
+def test_factored_json_refuses_non_decimal_strings(factors):
+    with pytest.raises(DomainError):
+        FactoredInteger.from_json_dict({"factors": factors})
+
+
+def test_factored_json_refuses_an_exponent_past_the_conversion_limit():
+    with pytest.raises(SizeLimitError, match="5000-digit exponent"):
+        FactoredInteger.from_json_dict({"factors": {"2": "9" * 5000}})
+
+
+def test_factored_json_refuses_a_long_key_before_converting_it():
+    with pytest.raises(SizeLimitError, match="5000-digit prime"):
+        FactoredInteger.from_json_dict({"factors": {"7" * 5000: "1"}})
+
+
 # ---------------------------------------------------------------- f_eval (oracle)
 
 def test_f_eval_z2xz4():
