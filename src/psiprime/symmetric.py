@@ -126,7 +126,9 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
     [v % P for v in psi_all(G)]."""
     n = _check_cap(G, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     if not CONJECTURE_F_CAP < P < 2**26:
-        raise DomainError(f"fingerprint modulus {P} is not in {CONJECTURE_F_CAP + 1}..2^26 - 1")
+        raise DomainError(
+            f"fingerprint modulus {P} is not in {CONJECTURE_F_CAP + 1}..2^26 - 1"
+        )
     require_prime(P)
     inv = _inverses(P)
     acc = [1]
