@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import (
-    FACTORIZATION_CAP,
-    PRIMALITY_TEST_LIMIT,
-    bounded_int,
-    exact_div,
-    factorize,
-    require_prime,
-)
+from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
 
@@ -120,23 +113,23 @@ class FactoredInteger:
     @classmethod
     def from_json_dict(cls, d: dict) -> "FactoredInteger":
         """Inverse of to_json_dict.  Keys and exponents must be decimal
-        strings: a key is bounded like a notation digit run, an exponent
-        by Python's limit on str -> int conversion (if one is set)."""
+        strings within Python's limit on str -> int conversion (if one is
+        set); primality of the keys is then checked as in the constructor."""
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        factors = {}
-        for key, value in d["factors"].items():
-            if not (isinstance(key, str) and key.isdecimal()):
-                raise DomainError(f"factored JSON key {key!r} is not a prime")
-            if not (isinstance(value, str) and value.isdecimal()):
-                raise DomainError(f"factored JSON exponent {value!r} is not a decimal integer")
-            digits = value.lstrip("0") or "0"
+
+        def decimal(s, what: str) -> int:
+            if not (isinstance(s, str) and s.isdecimal()):
+                raise DomainError(f"factored JSON {what} {s!r} is not a decimal integer")
+            digits = s.lstrip("0") or "0"
             if limit and len(digits) > limit:
                 raise SizeLimitError(
-                    f"a {len(digits)}-digit exponent exceeds the int conversion limit {limit}"
+                    f"a {len(digits)}-digit factored JSON {what} exceeds "
+                    f"the int conversion limit {limit}"
                 )
-            p = bounded_int(key, "prime", "factorization cap", FACTORIZATION_CAP)
-            factors[p] = int(digits)
-        return cls(factors)
+            return int(digits)
+
+        # pairs, not a dict, so "2" and "02" reach the duplicate-prime check
+        return cls((decimal(p, "key"), decimal(e, "exponent")) for p, e in d["factors"].items())
 
     def __str__(self) -> str:
         if not self.factors:

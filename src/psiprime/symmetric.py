@@ -8,24 +8,25 @@ other way, by literally multiplying the linear factors (X - d), so the
 sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
 
-psi_all_mod expands the same product modulo a prime P < 2^26 by Kronecker
-substitution: each coefficient list is packed into one integer with one
-64-bit slot per coefficient, so a polynomial product is a single integer
-product, unpacked and reduced slot by slot.  A product slot sums at most
-ceil((n + 2) / 2) terms below P^2, which stays below 2^64, so no slot
-carries into the next, while n <= CONJECTURE_F_CAP = 4096
-(2049 * 2^52 < 2^64).
+psi_all_mod expands the same product modulo each of two primes P < 2^26
+by Kronecker substitution: each coefficient list is packed into one
+integer with one 64-bit slot per coefficient, so a polynomial product is
+a single integer product, unpacked and reduced slot by slot.  A product
+slot sums at most ceil((n + 2) / 2) terms below P^2, which stays below
+2^64, so no slot carries into the next, while n <= CONJECTURE_F_CAP = 4096
+(2049 * 2^52 < 2^64).  The two residues are joined by the Chinese
+remainder theorem into psi_k mod P1 * P2.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Sequence
 
-from .arith import require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, order_spectrum
 
@@ -37,9 +38,13 @@ SYMMETRIC_CAP = 512
 # (module docstring); it is fixed by that bound, not a tunable default.
 CONJECTURE_F_CAP = 4096
 
-# The conjecture-f fingerprint moduli, both prime: two values that agree
-# modulo both differ by a multiple of their product, about 2^52.
+# The conjecture-f fingerprint moduli, both prime and above the cap (every
+# binomial denominator j <= CONJECTURE_F_CAP is invertible): two values
+# that agree modulo both differ by a multiple of their product, about 2^52.
 FINGERPRINT_PRIMES = (2**26 - 5, 2**26 - 27)
+FINGERPRINT_MODULUS = FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1]
+# P1^-1 mod P2: x = a + P1 * ((b - a) * _CRT % P2) is a mod P1 and b mod P2
+_CRT = pow(FINGERPRINT_PRIMES[0], -1, FINGERPRINT_PRIMES[1])
 
 
 @dataclass(frozen=True)
@@ -117,22 +122,15 @@ def _inverses(P: int) -> array:
 
 
 def _pack(coeffs: list[int]) -> int:
-    return int.from_bytes(array("Q", coeffs).tobytes(), "little")
+    # array("Q") bytes are in native order, so read them back in it
+    return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
 
 
-def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
-    """[psi_1 mod P, ..., psi_n mod P] for a prime CONJECTURE_F_CAP < P <
-    2^26, by Kronecker substitution (module docstring); equal to
-    [v % P for v in psi_all(G)]."""
-    n = _check_cap(G, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    if not CONJECTURE_F_CAP < P < 2**26:
-        raise DomainError(
-            f"fingerprint modulus {P} is not in {CONJECTURE_F_CAP + 1}..2^26 - 1"
-        )
-    require_prime(P)
+def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
+    # prod_d (1 + dX)^(m_d) mod P, ascending coefficients
     inv = _inverses(P)
     acc = [1]
-    for d, m in order_spectrum(G).entries:
+    for d, m in entries:
         # coefficients C(m, j) * d^j of (1 + dX)^m, each reduced mod P
         factor = [1] * (m + 1)
         c = 1
@@ -140,10 +138,23 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
             c = c * ((m - j + 1) * d % P) % P * inv[j] % P
             factor[j] = c
         product = array("Q")
-        product.frombytes((_pack(acc) * _pack(factor)).to_bytes(8 * (len(acc) + m), "little"))
+        product.frombytes(
+            (_pack(acc) * _pack(factor)).to_bytes(8 * (len(acc) + m), sys.byteorder)
+        )
         acc = [x % P for x in product]
-    assert len(acc) == n + 1
-    return acc[1:]
+    return acc
+
+
+def psi_all_mod(G: AbelianGroup) -> list[int]:
+    """[psi_1 mod M, ..., psi_n mod M] for M = FINGERPRINT_MODULUS, by
+    Kronecker substitution modulo each FINGERPRINT_PRIMES factor (module
+    docstring); equal to [v % M for v in psi_all(G)]."""
+    n = _check_cap(G, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
+    entries = order_spectrum(G).entries
+    p1, p2 = FINGERPRINT_PRIMES
+    r1, r2 = (_expand_mod(entries, P) for P in FINGERPRINT_PRIMES)
+    assert len(r1) == n + 1
+    return [a + p1 * ((b - a) * _CRT % p2) for a, b in zip(r1[1:], r2[1:])]
 
 
 def psi_k(G: AbelianGroup, k: int, *, cap: int = SYMMETRIC_CAP) -> int:

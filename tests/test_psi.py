@@ -77,13 +77,27 @@ def test_factored_json_refuses_non_decimal_strings(factors):
 
 
 def test_factored_json_refuses_an_exponent_past_the_conversion_limit():
-    with pytest.raises(SizeLimitError, match="5000-digit exponent"):
+    with pytest.raises(SizeLimitError, match="5000-digit factored JSON exponent"):
         FactoredInteger.from_json_dict({"factors": {"2": "9" * 5000}})
 
 
 def test_factored_json_refuses_a_long_key_before_converting_it():
-    with pytest.raises(SizeLimitError, match="5000-digit prime"):
+    with pytest.raises(SizeLimitError, match="5000-digit factored JSON key"):
         FactoredInteger.from_json_dict({"factors": {"7" * 5000: "1"}})
+
+
+def test_factored_json_refuses_a_prime_written_twice():
+    with pytest.raises(DomainError, match="duplicate prime 2"):
+        FactoredInteger.from_json_dict({"factors": {"2": "1", "02": "5"}})
+
+
+def test_factored_json_round_trips_a_trusted_prime_past_the_factorization_cap():
+    # primes >= 2^31 are trusted by the group and FactoredInteger
+    # constructors, so their JSON must read back too
+    p = 10**13 + 37
+    value = psi_prime(AbelianGroup(((p, Partition((1,))),)))
+    assert value == fi({p: p - 1})
+    assert FactoredInteger.from_json_dict(value.to_json_dict()) == value
 
 
 # ---------------------------------------------------------------- f_eval (oracle)

@@ -19,7 +19,12 @@ from psiprime import (
     psi_sum,
 )
 from psiprime.arith import is_prime
-from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod
+from psiprime.symmetric import (
+    CONJECTURE_F_CAP,
+    FINGERPRINT_MODULUS,
+    FINGERPRINT_PRIMES,
+    psi_all_mod,
+)
 from oracles import spectrum_orders, subset_esp
 
 
@@ -84,23 +89,22 @@ _GROUPS_UP_TO_512 = st.integers(min_value=1, max_value=512).flatmap(
 @given(_GROUPS_UP_TO_512)
 @settings(max_examples=60, deadline=None)
 def test_psi_all_mod_is_psi_all_reduced(G):
-    values = psi_all(G)
-    for P in FINGERPRINT_PRIMES:
-        assert psi_all_mod(G, P) == [v % P for v in values]
+    assert psi_all_mod(G) == [v % FINGERPRINT_MODULUS for v in psi_all(G)]
 
 
 def test_psi_all_mod_at_order_1024_with_two_equal_halves():
     # the last product multiplies 513 by 513 slots, the widest split
     G = canonicalize([4] + [2] * 8)
     values = psi_all(G, cap=1024)
-    for P in FINGERPRINT_PRIMES:
-        assert psi_all_mod(G, P) == [v % P for v in values]
+    assert psi_all_mod(G) == [v % FINGERPRINT_MODULUS for v in values]
 
 
-def test_fingerprint_slots_cannot_carry_up_to_the_cap():
-    # a product slot sums at most ceil((n + 2) / 2) terms, each below P^2
+def test_fingerprint_primes_are_usable_up_to_the_cap():
+    # each prime has an inverse of every binomial denominator j <= the cap,
+    # and a product slot sums at most ceil((n + 2) / 2) terms below P^2
+    assert FINGERPRINT_MODULUS == FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1]
     for P in FINGERPRINT_PRIMES:
-        assert is_prime(P)
+        assert is_prime(P) and P > CONJECTURE_F_CAP
         assert (CONJECTURE_F_CAP + 3) // 2 * (P - 1) ** 2 < 2**64
 
 
@@ -108,15 +112,7 @@ def test_psi_all_mod_refuses_order_past_the_cap():
     G = canonicalize([CONJECTURE_F_CAP + 1])  # 4097 = 17 * 241
     message = "|G| = 4097 exceeds the conjecture-f fingerprint cap 4096"
     with pytest.raises(SizeLimitError, match=re.escape(message)):
-        psi_all_mod(G, FINGERPRINT_PRIMES[0])
-
-
-@pytest.mark.parametrize("P", [4093, 2**26 + 15, 2**26 - 6, 2])
-def test_psi_all_mod_refuses_a_modulus_it_cannot_use(P):
-    # a prime above 2^26 breaks the slot bound, a composite or a prime
-    # up to the cap has no inverse of some binomial denominator
-    with pytest.raises(DomainError):
-        psi_all_mod(canonicalize([2]), P)
+        psi_all_mod(G)
 
 
 def test_order_polynomial_z2():

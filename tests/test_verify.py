@@ -231,12 +231,15 @@ def _plant(monkeypatch, *, residues=(), exact=False):
 
     groups = enumerate_abelian_groups(16)
     source, target = groups[_A], groups[_B]
+    p1, p2 = symmetric.FINGERPRINT_PRIMES
     ran = []
 
-    def fake_mod(G, P):
-        values = symmetric.psi_all_mod(G, P)
-        if G == target and P in residues:
-            values[_K - 1] = symmetric.psi_all_mod(source, P)[_K - 1]
+    def fake_mod(G):
+        values = symmetric.psi_all_mod(G)
+        if G == target:
+            old, new = values[_K - 1], symmetric.psi_all_mod(source)[_K - 1]
+            a, b = ((new if P in residues else old) % P for P in (p1, p2))
+            values[_K - 1] = a + p1 * ((b - a) * pow(p1, -1, p2) % p2)
         return values
 
     def fake_exact(G, *, cap):
@@ -300,7 +303,7 @@ def test_cli_conjecture_f_reports_a_planted_coincidence(monkeypatch, capsys):
 def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
     from psiprime import verify
 
-    def never(G, P):
+    def never(G):
         raise AssertionError(f"psi_all_mod({G}) ran")
 
     monkeypatch.setattr(verify, "psi_all_mod", never)
