@@ -13,15 +13,22 @@ text=..., notes=...)``.  ``--json`` prints ``obj()`` and nothing else.
 default format prints ``text`` if one is given (a bare scalar, a factored
 psi', a polynomial), else ``headers`` and ``rows`` as an aligned table;
 then the ``notes`` lines.
+
+``verify theorem-c`` streams: its rows come from a generator, and the JSON
+and CSV are written as the rows are made, so memory does not grow with
+p(n).  An exactness failure partway through therefore leaves the output
+written so far on stdout, truncated, and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError, NotationError, SizeLimitError
@@ -42,10 +49,11 @@ from .psi import (
 )
 from .symmetric import order_polynomial, psi_all, psi_k
 from .verify import (
-    check_theorem_c,
     find_cross_order_collisions,
+    record_violations,
     sweep_conjecture_f,
     sweep_injectivity,
+    theorem_c_rows,
 )
 
 EXIT_OK = 0
@@ -53,6 +61,9 @@ EXIT_USAGE = 1
 EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
+
+# Items per json.dumps call when a JSON array is written as it streams.
+_JSON_CHUNK = 1024
 
 
 def _styled(text: str) -> str:
@@ -74,10 +85,13 @@ def _render(
 
     Only the chosen format is built: ``obj()`` is called for ``--json``
     alone, and ``rows`` (any iterable, cells passed through ``str``) is
-    consumed only for the table or CSV.
+    consumed only for the table or CSV.  CSV rows and the values of the
+    dict ``obj()`` returns are written in order, and an iterator among
+    those values is written as a JSON array while it is consumed; ``notes``
+    is read after the rows.
     """
     if args.fmt == "json":
-        print(json.dumps(obj(), separators=(",", ":")))
+        _write_json(obj())
         return
     if args.fmt == "csv":
         writer = csv.writer(sys.stdout)
@@ -93,6 +107,29 @@ def _render(
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     for line in notes:
         print(line)
+
+
+def _write_json(doc: object) -> None:
+    # the bytes of print(json.dumps(doc, separators=(",", ":"))), written
+    # one value of a top-level dict (string keys) at a time, an iterator
+    # value in chunks of _JSON_CHUNK items
+    write = sys.stdout.write
+    if not isinstance(doc, dict):
+        write(json.dumps(doc, separators=(",", ":")) + "\n")
+        return
+    write("{")
+    for i, (key, value) in enumerate(doc.items()):
+        write(("," if i else "") + json.dumps(key) + ":")
+        if isinstance(value, Iterator):
+            write("[")
+            comma = ""
+            while chunk := list(itertools.islice(value, _JSON_CHUNK)):
+                write(comma + json.dumps(chunk, separators=(",", ":"))[1:-1])
+                comma = ","
+            write("]")
+        else:
+            write(json.dumps(value, separators=(",", ":")))
+    write("}\n")
 
 
 def _jobs_arg(value: str) -> int | None:
@@ -230,20 +267,27 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_theorem_c(args) -> int:
-    report = check_theorem_c(args.prime, args.n)
+    violations: list[tuple[int, int]] = []
+    rows = record_violations(theorem_c_rows(args.prime, args.n), violations)
+
+    def count():
+        # read after the rows, so every violation is counted
+        yield f"violations: {len(violations)}"
+
     _render(
         args,
         ["partition", "psi_prime_exponent"],
-        report.rows,
+        rows,
         lambda: {
-            "p": str(report.p),
-            "n": str(report.n),
-            "rows": [{"partition": list(q.parts), "exponent": str(e)} for q, e in report.rows],
-            "violations": [list(v) for v in report.violations],
+            "p": str(args.prime),
+            "n": str(args.n),
+            "rows": ({"partition": q.parts, "exponent": str(e)} for q, e in rows),
+            # filled while "rows" streams, and written after it
+            "violations": violations,
         },
-        notes=() if args.fmt == "csv" else [f"violations: {len(report.violations)}"],
+        notes=() if args.fmt == "csv" else count(),
     )
-    return EXIT_OK if report.holds else EXIT_VIOLATION
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _cmd_injectivity(args) -> int:

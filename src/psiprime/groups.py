@@ -4,8 +4,9 @@ order, and two independent element-order-spectrum oracles.
 An abelian p-group of order p^n is one component ``(p, Partition)`` of an
 :class:`AbelianGroup`: the partition of n lists the cyclic-factor exponents
 with parts descending, Z_{p^(a_1)} x ... x Z_{p^(a_k)}.  That component is
-its only representation; the psi' exponent kernel reads the same parts
-ascending, ``q.parts[::-1]``, as the paper indexes them.
+its only representation.  The sweeps' psi' exponent kernel reads the parts
+as stored; ``psi_prime_exponent`` takes them ascending, ``q.parts[::-1]``,
+as the paper indexes them.
 
 The counting oracle (:func:`order_spectrum`) uses the structure of abelian
 p-groups: with exponents a_1, ..., a_k, the number of
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -135,7 +136,11 @@ def enumerate_abelian_groups(m: int, *, cap: int = ENUMERATION_CAP) -> list[Abel
     ]
 
 
-@cache
+# Both private caches are bounded: their keys recur across the groups of a
+# sweep, but a long-lived process must not keep every one.  1024 spectra
+# hold all 938 p-group types of order <= 4096 (the conjecture-f cap); the
+# element-order tables hold at most 16 * BRUTE_FORCE_CAP ints.
+@lru_cache(maxsize=1024)
 def _pgroup_spectrum(p: int, parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     # Spectrum of the abelian p-group with the given exponent multiset:
     # |{x : o(x) | p^i}| = p^(sum_j min(a_j, i)); exact counts by differences.
@@ -159,7 +164,7 @@ def order_spectrum(G: AbelianGroup) -> OrderSpectrum:
     return OrderSpectrum(acc.items())
 
 
-@cache
+@lru_cache(maxsize=16)
 def _cyclic_element_orders(q: int) -> tuple[int, ...]:
     # order of r in the additive group Z_q
     return tuple(q // gcd(r, q) for r in range(q))

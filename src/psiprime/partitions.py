@@ -101,14 +101,24 @@ def _ascending(n: int) -> Iterator[tuple[int, ...]]:
         x += [1] * rest
 
 
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    # a Partition without the O(k) checks of Partition.__init__, for parts
+    # that _ascending made weakly decreasing and positive by construction
+    q = object.__new__(Partition)
+    object.__setattr__(q, "parts", parts)
+    return q
+
+
 def iter_partitions(n: int) -> Iterator[Partition]:
-    """Lazily yield all partitions of n in ascending lexicographic order."""
+    """All partitions of n in ascending lexicographic order, lazily.
+
+    n is checked when this is called, before the first partition is made.
+    """
     if n < 0:
         raise DomainError(f"cannot partition {n}")
     if n > PARTITION_CAP:
         raise SizeLimitError(f"n = {n} exceeds the partition cap {PARTITION_CAP}")
-    for parts in _ascending(n):
-        yield Partition(parts)
+    return map(_trusted, _ascending(n))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -20,9 +20,17 @@ run sums to a geometric series:
 
     E = a_k * p^n - sum_{j=0}^{k-1} p^(S_j) * (q^(a_{j+1}) - q^(a_j)) / (q - 1)
 
-That is what :func:`psi_prime_exponent` computes, in O(k) big-integer
-operations per group instead of O(a_k * k).  The literal loop over i is
-kept as a test oracle in ``tests/oracles.py``.
+A partition stores the same exponents descending, l_t = a_(k+1-t).  With
+t = k - j, P_t = l_1 + ... + l_t = n - S_j and l_(k+1) = 0 this reads
+
+    E = l_1 * p^n - sum_{t=1}^{k} p^(n - P_t) * (p^(t*l_t) - p^(t*l_(t+1))) / (p^t - 1)
+
+where only the t with l_t > l_(t+1) contribute.  That is what
+:func:`pgroup_exponent` computes, on the parts as stored and in O(k)
+big-integer operations per group instead of O(a_k * k);
+:func:`psi_prime_exponent` checks its ascending input, caches, and calls
+it.  The literal loop over i is kept as a test oracle in
+``tests/oracles.py``.
 
 Products over groups of pairwise coprime order combine as
 psi'(G_1 x ... x G_k) = prod_i psi'(G_i)^(n_i) with n_i the product of the
@@ -140,9 +148,31 @@ class FactoredInteger:
 ONE = FactoredInteger(())
 
 
+def pgroup_exponent(p: int, parts: Sequence[int]) -> int:
+    """E with psi'(p-group) = p^E for the descending, non-empty, positive
+    partition parts l_1 >= ... >= l_k, summed run by run (module docstring).
+
+    Neither checked nor cached: the sweeps call it once per partition they
+    generated.  Every run's division is checked exact.
+    """
+    # t runs from k down to 1, so rest = n - P_t grows by each part and
+    # below is l_(t+1)
+    t = len(parts)
+    total = rest = below = 0
+    for part in reversed(parts):
+        if part > below:
+            q = p**t
+            total += p**rest * exact_div(q**part - q**below, q - 1, "psi' exponent run")
+        rest += part
+        below = part
+        t -= 1
+    return parts[0] * p**rest - total
+
+
 @cache
 def psi_prime_exponent(p: int, alphas: tuple[int, ...]) -> int:
-    """E with psi'(p-group) = p^E, summed run by run (module docstring).
+    """E with psi'(p-group) = p^E for ascending exponents alphas: checked,
+    cached, and computed by :func:`pgroup_exponent`.
 
     alphas must be non-empty, positive and ascending, and p >= 2.
     """
@@ -152,17 +182,7 @@ def psi_prime_exponent(p: int, alphas: tuple[int, ...]) -> int:
         alphas[j] > alphas[j + 1] for j in range(len(alphas) - 1)
     ):
         raise DomainError(f"exponents {alphas} must be non-empty, positive and ascending")
-    k = len(alphas)
-    total = 0
-    lo = prefix = 0
-    for j, hi in enumerate(alphas):
-        if hi > lo:
-            q = p ** (k - j)
-            run = exact_div(q**hi - q**lo, q - 1, "psi' exponent run")
-            total += p**prefix * run
-        prefix += hi
-        lo = hi
-    return alphas[-1] * p**prefix - total
+    return pgroup_exponent(p, alphas[::-1])
 
 
 def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:

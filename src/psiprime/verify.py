@@ -14,12 +14,13 @@ import concurrent.futures
 import itertools
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterable, Iterator
 
 from .arith import is_prime, require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
-from .partitions import Partition, partitions_of
-from .psi import FactoredInteger, psi_prime, psi_prime_exponent
+from .partitions import Partition, iter_partitions, partitions_of
+from .psi import FactoredInteger, pgroup_exponent, psi_prime
 from .symmetric import CONJECTURE_F_CAP, psi_all, psi_all_mod
 
 
@@ -88,21 +89,43 @@ class ConjectureFReport:
         return not self.coincidences
 
 
-def check_theorem_c(p: int, n: int) -> MonotonicityReport:
-    """Sweep all abelian p-groups of order p^n in ascending partition order
-    and record every adjacent exponent non-increase.
+def theorem_c_rows(p: int, n: int) -> Iterator[tuple[Partition, int]]:
+    """(partition, psi' exponent) for every abelian p-group of order p^n,
+    lazily, in ascending partition order.
 
-    Cost is p(n) exponent evaluations; n <= 40 stays comfortable for p = 2,
-    and the partition cap (64) bounds n outright.
+    p, n and the partition cap (64) are checked when this is called, before
+    any row is made.  Each row costs one uncached exponent evaluation and
+    nothing is kept, so memory stays flat however large p(n) is.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be >= 1")
     require_prime(p)
-    rows = [(q, psi_prime_exponent(p, q.parts[::-1])) for q in partitions_of(n)]
-    violations = tuple(
-        (i, i + 1) for i in range(len(rows) - 1) if rows[i][1] >= rows[i + 1][1]
-    )
-    return MonotonicityReport(p=p, n=n, rows=tuple(rows), violations=violations)
+    return ((q, pgroup_exponent(p, q.parts)) for q in iter_partitions(n))
+
+
+def record_violations(
+    rows: Iterable[tuple[Partition, int]], violations: list[tuple[int, int]]
+) -> Iterator[tuple[Partition, int]]:
+    """Pass rows through, appending (i, i + 1) to ``violations`` whenever
+    row i + 1's exponent is not above row i's."""
+    previous = None
+    for i, row in enumerate(rows):
+        if previous is not None and previous >= row[1]:
+            violations.append((i - 1, i))
+        previous = row[1]
+        yield row
+
+
+def check_theorem_c(p: int, n: int) -> MonotonicityReport:
+    """The rows of :func:`theorem_c_rows` with every adjacent exponent
+    non-increase, as one report.
+
+    The report holds all p(n) rows (p(64) is over 1.7 million); the CLI
+    streams the same rows instead of building it.
+    """
+    violations: list[tuple[int, int]] = []
+    rows = list(record_violations(theorem_c_rows(p, n), violations))
+    return MonotonicityReport(p=p, n=n, rows=tuple(rows), violations=tuple(violations))
 
 
 def check_injectivity(m: int) -> InjectivityReport:
@@ -252,7 +275,7 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
         n, pn = 2, p * p
         while pn <= max_order:
             types = partitions_of(n)
-            exponents = {psi_prime_exponent(p, q.parts[::-1]) for q in types}
+            exponents = {pgroup_exponent(p, q.parts) for q in types}
             exact = [m for m in range(pn, max_order + 1, pn) if m % (pn * p)]
             for m in exact:
                 counts[m] *= len(types)

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import io
 import json
 import sys
 
@@ -157,18 +159,12 @@ def test_oracle_pass(capsys):
 
 
 def test_theorem_violation_exit_code(monkeypatch, capsys):
-    # wire-level check of exit code 3: substitute a report with a violation
+    # wire-level check of exit code 3: substitute rows with a violation
     from psiprime import cli as cli_module
     from psiprime.partitions import Partition
-    from psiprime.verify import MonotonicityReport
 
-    fake = MonotonicityReport(
-        p=2,
-        n=2,
-        rows=((Partition((1, 1)), 5), (Partition((2,)), 3)),
-        violations=((0, 1),),
-    )
-    monkeypatch.setattr(cli_module, "check_theorem_c", lambda p, n: fake)
+    fake = ((Partition((1, 1)), 5), (Partition((2,)), 3))
+    monkeypatch.setattr(cli_module, "theorem_c_rows", lambda p, n: iter(fake))
     code, out, _ = run(capsys, "verify", "theorem-c", "--prime", "2", "--n", "2")
     assert code == 3
     assert "violations: 1" in out
@@ -193,6 +189,86 @@ def test_consistency_error_exit_3_with_message(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: ") and "not divisible" in err
     assert len(err.splitlines()) == 1
+
+
+def _inexact_theorem_c(monkeypatch, capsys, argv, wrong):
+    # theorem-c output with exact_div made wrong where wrong(numerator,
+    # denominator) holds, next to the correct output
+    from psiprime import psi as psi_module
+    from psiprime.arith import exact_div
+
+    good = run(capsys, *argv)
+
+    def inexact(numerator, denominator, what="division"):
+        return exact_div(numerator + wrong(numerator, denominator), denominator, what)
+
+    # theorem-c calls the uncached kernel, so no cached exponent hides it
+    monkeypatch.setattr(psi_module, "exact_div", inexact)
+    return good, run(capsys, *argv)
+
+
+def test_consistency_error_in_json_exit_3_with_message(monkeypatch, capsys):
+    # the --json twin of the test above: JSON streams, so what was written
+    # before the failure stays on stdout, truncated
+    argv = ("verify", "theorem-c", "--prime", "3", "--n", "4", "--json")
+    good, (code, out, err) = _inexact_theorem_c(monkeypatch, capsys, argv, lambda a, b: 1)
+    assert good[0] == 0
+    assert code == 3
+    assert err.startswith("error: ") and "not divisible" in err
+    assert len(err.splitlines()) == 1
+    assert good[1].startswith(out) and out != good[1]
+
+
+def test_consistency_error_midway_leaves_the_rows_before_it(monkeypatch, capsys):
+    # at p = 3, n = 24 only the last row, (24), divides 3^24 - 1 by 2; the
+    # 1,574 rows before it are made first and 1,024 of them already written
+    argv = ("verify", "theorem-c", "--prime", "3", "--n", "24", "--json")
+    good, (code, out, err) = _inexact_theorem_c(
+        monkeypatch, capsys, argv, lambda a, b: int((a, b) == (3**24 - 1, 2))
+    )
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "not divisible" in err
+    assert good[1].startswith(out) and out.endswith("}")
+    assert out.count('"partition"') == 1024 < good[1].count('"partition"') == 1575
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_theorem_c_streams_the_bytes_of_the_report(capsys, p, fmt):
+    from psiprime.verify import check_theorem_c
+
+    for n in range(1, 13):
+        report = check_theorem_c(p, n)
+        if fmt == "--json":
+            want = json.dumps(
+                {
+                    "p": str(p),
+                    "n": str(n),
+                    "rows": [{"partition": list(q.parts), "exponent": str(e)}
+                             for q, e in report.rows],
+                    "violations": [list(v) for v in report.violations],
+                },
+                separators=(",", ":"),
+            ) + "\n"
+        else:
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(["partition", "psi_prime_exponent"])
+            writer.writerows(report.rows)
+            want = buf.getvalue()
+        assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (
+            0, want, ""
+        )
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+@pytest.mark.parametrize(
+    "prime, n, code", [("4", "3", 1), ("2", "0", 1), ("2", "65", 2), ("1", "5", 1)]
+)
+def test_theorem_c_refusals_write_nothing_to_stdout(capsys, fmt, prime, n, code):
+    got, out, err = run(capsys, "verify", "theorem-c", "--prime", prime, "--n", n, *fmt)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_conjecture_counterexample_exit_code(monkeypatch, capsys):

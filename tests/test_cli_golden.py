@@ -4,7 +4,8 @@ stdout, stderr) must equal the recorded bytes in ``cli_golden.json``.
 The cases cover every subcommand in table, ``--json`` and ``--csv`` form,
 every error exit, every ``--help`` page (at a fixed terminal width), and
 the failure renderings, which are reached by substituting fake reports
-for the sweeps through the module-global names in ``psiprime.cli``.
+(or fake rows, for theorem-c) for the sweeps through the module-global
+names in ``psiprime.cli``.
 
 To re-record after an intended output change::
 
@@ -27,7 +28,6 @@ from psiprime.verify import (
     ConjectureFSweep,
     InjectivityReport,
     InjectivitySweep,
-    MonotonicityReport,
 )
 
 DATA = Path(__file__).with_name("cli_golden.json")
@@ -35,13 +35,8 @@ COLUMNS = "80"
 
 
 def _theorem_c_violation(monkeypatch):
-    fake = MonotonicityReport(
-        p=2,
-        n=2,
-        rows=((Partition((1, 1)), 5), (Partition((2,)), 3)),
-        violations=((0, 1),),
-    )
-    monkeypatch.setattr(cli, "check_theorem_c", lambda p, n: fake)
+    fake = ((Partition((1, 1)), 5), (Partition((2,)), 3))
+    monkeypatch.setattr(cli, "theorem_c_rows", lambda p, n: iter(fake))
 
 
 def _injectivity_duplicate(monkeypatch):

@@ -203,3 +203,11 @@ def test_spectrum_multiplicative_convolution():
 def test_cyclic_factors_matches_list_notation():
     assert canonicalize([4, 3, 3]).cyclic_factors() == [4, 3, 3]
     assert AbelianGroup(()).cyclic_factors() == []
+
+
+def test_private_spectrum_caches_are_bounded():
+    from psiprime import groups
+
+    for cached in (groups._pgroup_spectrum, groups._cyclic_element_orders):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert isinstance(maxsize, int) and maxsize > 0

@@ -7,6 +7,7 @@ from psiprime import (
     NotationError,
     Partition,
     SizeLimitError,
+    iter_partitions,
     lex_compare,
     parse_partition,
     partitions_of,
@@ -46,6 +47,11 @@ def test_generator_matches_recursive_oracle(n):
     got = list(_ascending(n))
     assert got == list(ascending_partitions(n))
     assert all(Partition(parts).n == n for parts in got)
+    # iter_partitions skips Partition.__init__ on these parts; what it
+    # builds must be indistinguishable from what the constructor builds
+    built = list(iter_partitions(n))
+    assert built == [Partition(parts) for parts in got]
+    assert all(type(q.parts) is tuple and hash(q) == hash(Partition(q.parts)) for q in built)
 
 
 def test_partition_cap():
@@ -53,9 +59,16 @@ def test_partition_cap():
         partitions_of(65)
 
 
-def test_cap_boundary_n_64_is_accepted():
-    from psiprime import iter_partitions
+def test_iter_partitions_checks_n_when_called():
+    # before the first partition is asked for, so a caller that streams
+    # the partitions can refuse n before it writes anything
+    with pytest.raises(SizeLimitError):
+        iter_partitions(65)
+    with pytest.raises(DomainError):
+        iter_partitions(-1)
 
+
+def test_cap_boundary_n_64_is_accepted():
     assert sum(1 for _ in iter_partitions(64)) == partition_count(64) == 1_741_630
 
 

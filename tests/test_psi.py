@@ -26,6 +26,8 @@ from psiprime import (
     psi_sum,
 )
 from psiprime.arith import exact_div
+from psiprime.psi import pgroup_exponent
+from psiprime.verify import check_theorem_c, sweep_injectivity
 from oracles import f_eval, psi_prime_exponent_loop
 
 
@@ -162,8 +164,21 @@ def test_f_eval_branch_boundaries_agree(p, raw):
 )
 @settings(max_examples=300)
 def test_psi_prime_exponent_matches_loop_oracle(p, raw):
+    # the cached public name on ascending exponents and the sweeps' kernel
+    # on the same parts descending
     alphas = tuple(sorted(raw))
-    assert psi_prime_exponent(p, alphas) == psi_prime_exponent_loop(p, alphas)
+    expected = psi_prime_exponent_loop(p, alphas)
+    assert psi_prime_exponent(p, alphas) == expected == pgroup_exponent(p, alphas[::-1])
+
+
+def test_sweeps_store_no_exponent_cache_entry():
+    before = psi_prime_exponent.cache_info()
+    assert check_theorem_c(3, 12).holds
+    assert sweep_injectivity(2000).holds
+    after = psi_prime_exponent.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize
+    )
 
 
 def test_psi_prime_exponent_matches_loop_oracle_on_all_partitions_of_14():

@@ -156,6 +156,26 @@ def test_theorem_c_rejects_non_prime_p(bad_p):
         check_theorem_c(bad_p, 3)
 
 
+@pytest.mark.parametrize("p, n", [(2, 0), (4, 3), (2, 65)])
+def test_theorem_c_rows_refuse_on_call(p, n):
+    # a refusal before any row is made, so the CLI writes nothing
+    from psiprime import DomainError, SizeLimitError
+    from psiprime.verify import theorem_c_rows
+
+    with pytest.raises((DomainError, SizeLimitError)):
+        theorem_c_rows(p, n)
+
+
+def test_record_violations_passes_rows_through():
+    from psiprime import Partition
+    from psiprime.verify import record_violations
+
+    rows = [(Partition((1, 1, 1)), 7), (Partition((2, 1)), 7), (Partition((3,)), 5)]
+    violations = []
+    assert list(record_violations(rows, violations)) == rows
+    assert violations == [(0, 1), (1, 2)]
+
+
 @pytest.mark.parametrize("bad_max", [0, -5])
 @pytest.mark.parametrize(
     "sweep", [sweep_injectivity, find_cross_order_collisions, sweep_conjecture_f]
@@ -342,19 +362,25 @@ def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
 
 
 def _collide_two_partitions_of_4(monkeypatch):
-    # alphas (2, 2) and (1, 1, 2) (partitions 2+2 and 2+1+1) share the
-    # exponent at p = 2, in every module that binds the kernel
+    # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in the
+    # cached public name (psi_prime, so the reference sweep) and in the
+    # descending kernel the fast sweep calls
     from psiprime import psi, verify
 
-    real = psi.psi_prime_exponent
+    real, real_kernel = psi.psi_prime_exponent, psi.pgroup_exponent
 
     def fake(p, alphas):
         if p == 2 and tuple(alphas) == (2, 2):
             alphas = (1, 1, 2)
         return real(p, alphas)
 
+    def fake_kernel(p, parts):
+        if p == 2 and tuple(parts) == (2, 2):
+            parts = (2, 1, 1)
+        return real_kernel(p, parts)
+
     monkeypatch.setattr(psi, "psi_prime_exponent", fake)
-    monkeypatch.setattr(verify, "psi_prime_exponent", fake)
+    monkeypatch.setattr(verify, "pgroup_exponent", fake_kernel)
 
 
 def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
