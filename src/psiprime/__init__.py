@@ -22,7 +22,6 @@ from .partitions import Partition, iter_partitions, lex_compare, parse_partition
 from .psi import (
     ONE,
     FactoredInteger,
-    combine_coprime,
     psi_prime,
     psi_prime_cyclic_closed_form,
     psi_prime_exponent,
@@ -70,7 +69,6 @@ __all__ = [
     "check_conjecture_f",
     "check_injectivity",
     "check_theorem_c",
-    "combine_coprime",
     "enumerate_abelian_groups",
     "find_cross_order_collisions",
     "format_group",

@@ -15,7 +15,7 @@ from .errors import ConsistencyError, DomainError, SizeLimitError
 # must be vouched for by the caller (``assume_prime=True``).
 PRIMALITY_TEST_LIMIT = 2**31
 
-# Default ceiling for trial-division factorization of a single integer.
+# Ceiling for trial-division factorization of a single integer.
 FACTORIZATION_CAP = 10**12
 
 # Longest digit run the parsers convert with int(); anything longer is over
@@ -70,15 +70,15 @@ def bounded_int(digits: str, what: str, cap_name: str, cap: int) -> int:
     return int(digits)
 
 
-def factorize(n: int, cap: int = FACTORIZATION_CAP) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division, primes ascending.
 
-    factorize(1) == {}.  Raises SizeLimitError for n above ``cap``.
+    factorize(1) == {}.  Raises SizeLimitError for n above FACTORIZATION_CAP.
     """
     if n < 1:
         raise DomainError(f"cannot factorize {n}: must be >= 1")
-    if n > cap:
-        raise SizeLimitError(f"{n} exceeds the factorization cap {cap}")
+    if n > FACTORIZATION_CAP:
+        raise SizeLimitError(f"{n} exceeds the factorization cap {FACTORIZATION_CAP}")
     factors: dict[int, int] = {}
     for d in (2, 3):
         while n % d == 0:

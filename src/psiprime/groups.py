@@ -30,7 +30,7 @@ from .arith import PRIMALITY_TEST_LIMIT, factorize, require_prime
 from .errors import DomainError, SizeLimitError
 from .partitions import Partition, partitions_of
 
-# Largest group order enumerate_abelian_groups accepts by default.
+# Largest group order enumerate_abelian_groups accepts.
 ENUMERATION_CAP = 10**6
 
 # Largest group the literal element-enumeration oracle will walk.
@@ -73,7 +73,12 @@ class OrderSpectrum:
     entries: tuple[tuple[int, int], ...]
 
     def __init__(self, entries: Iterable[tuple[int, int]]):
-        entries = tuple(sorted((int(d), int(m)) for d, m in entries))
+        pairs = [(d, m) for d, m in entries]
+        for d, m in pairs:
+            # int() would truncate 2.7 to 2; bool is refused too
+            if type(d) is not int or type(m) is not int:
+                raise DomainError(f"order {d!r} and multiplicity {m!r} must be ints")
+        entries = tuple(sorted(pairs))
         if not entries or entries[0] != (1, 1):
             raise DomainError("a spectrum must contain the identity: m_1 = 1")
         total = 0
@@ -97,18 +102,19 @@ class OrderSpectrum:
         return dict(self.entries)
 
 
-def canonicalize(cyclic_orders: Sequence[int], *, cap: int = 10**12) -> AbelianGroup:
+def canonicalize(cyclic_orders: Sequence[int]) -> AbelianGroup:
     """Canonical form of a direct product of cyclic groups.
 
-    Each cyclic order is split into prime-power factors (CRT), and the
-    per-prime exponents are collected into descending partitions, so any
-    two isomorphic spellings yield identical values.
+    Each cyclic order (at most FACTORIZATION_CAP) is split into prime-power
+    factors (CRT), and the per-prime exponents are collected into
+    descending partitions, so any two isomorphic spellings yield identical
+    values.
     """
     per_prime: dict[int, list[int]] = {}
     for q in cyclic_orders:
         if q < 2:
             raise DomainError(f"cyclic order {q} must be >= 2")
-        for p, e in factorize(q, cap).items():
+        for p, e in factorize(q).items():
             per_prime.setdefault(p, []).append(e)
     components = tuple(
         (p, Partition(sorted(per_prime[p], reverse=True))) for p in sorted(per_prime)
@@ -116,8 +122,8 @@ def canonicalize(cyclic_orders: Sequence[int], *, cap: int = 10**12) -> AbelianG
     return AbelianGroup(components)
 
 
-def enumerate_abelian_groups(m: int, *, cap: int = ENUMERATION_CAP) -> list[AbelianGroup]:
-    """All isomorphism types of abelian groups of order m.
+def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
+    """All isomorphism types of abelian groups of order m <= ENUMERATION_CAP.
 
     There are prod_p p(v_p(m)) of them.  Deterministic order: per-prime
     partitions ascend lexicographically, combined lexicographically with
@@ -125,9 +131,9 @@ def enumerate_abelian_groups(m: int, *, cap: int = ENUMERATION_CAP) -> list[Abel
     """
     if m < 1:
         raise DomainError(f"group order {m} must be >= 1")
-    if m > cap:
-        raise SizeLimitError(f"order {m} exceeds the enumeration cap {cap}")
-    factors = factorize(m, cap)
+    if m > ENUMERATION_CAP:
+        raise SizeLimitError(f"order {m} exceeds the enumeration cap {ENUMERATION_CAP}")
+    factors = factorize(m)
     primes = sorted(factors)
     per_prime = [partitions_of(factors[p]) for p in primes]
     return [
@@ -170,11 +176,12 @@ def _cyclic_element_orders(q: int) -> tuple[int, ...]:
     return tuple(q // gcd(r, q) for r in range(q))
 
 
-def brute_force_spectrum(G: AbelianGroup, *, cap: int = BRUTE_FORCE_CAP) -> OrderSpectrum:
+def brute_force_spectrum(G: AbelianGroup) -> OrderSpectrum:
     """Literal oracle: walk every element tuple, tally lcm's of component
-    orders.  Capped because it is Theta(|G|) with a real constant."""
-    if G.order > cap:
-        raise SizeLimitError(f"|G| = {G.order} exceeds the brute-force cap {cap}")
+    orders.  Capped at BRUTE_FORCE_CAP because it is Theta(|G|) with a real
+    constant."""
+    if G.order > BRUTE_FORCE_CAP:
+        raise SizeLimitError(f"|G| = {G.order} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     order_lists = [_cyclic_element_orders(q) for q in G.cyclic_factors()]
     tally = Counter(itertools.starmap(lcm, itertools.product(*order_lists)))
     return OrderSpectrum(tally.items())

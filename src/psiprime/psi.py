@@ -32,9 +32,14 @@ big-integer operations per group instead of O(a_k * k);
 it.  The literal loop over i is kept as a test oracle in
 ``tests/oracles.py``.
 
-Products over groups of pairwise coprime order combine as
-psi'(G_1 x ... x G_k) = prod_i psi'(G_i)^(n_i) with n_i the product of the
-other orders.
+A group of order m with Sylow p-subgroups of order p^(n_p) and exponents
+E_p has
+
+    psi'(G) = prod_p p^(E_p * m / p^(n_p))
+
+since each element's order is the product of its Sylow components'
+orders, and each p-component recurs m / p^(n_p) times.
+:func:`psi_prime` builds that map in one step.
 """
 
 from __future__ import annotations
@@ -63,7 +68,14 @@ class FactoredInteger:
     def __init__(self, factors: Iterable[tuple[int, int]] | Mapping[int, int] = ()):
         if isinstance(factors, Mapping):
             factors = factors.items()
-        normalized = tuple(sorted((int(p), int(e)) for p, e in factors if e != 0))
+        pairs = []
+        for p, e in factors:
+            # int() would truncate 2.5 to 2 and read "3" as 3; bool is refused too
+            if type(p) is not int or type(e) is not int:
+                raise DomainError(f"prime {p!r} and exponent {e!r} must be ints")
+            if e:
+                pairs.append((p, e))
+        normalized = tuple(sorted(pairs))
         for i, (p, e) in enumerate(normalized):
             # keys past the primality-testing limit are trusted, as in
             # group construction
@@ -74,43 +86,33 @@ class FactoredInteger:
                 raise DomainError(f"duplicate prime {p}")
         object.__setattr__(self, "factors", normalized)
 
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredInteger":
-        return cls(factorize(n))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.factors
-
-    def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        acc = self.as_dict()
-        for p, e in other.factors:
-            acc[p] = acc.get(p, 0) + e
-        return FactoredInteger(acc)
-
-    def __pow__(self, n: int) -> "FactoredInteger":
-        if n < 0:
-            raise DomainError("negative powers leave the integers")
-        return FactoredInteger((p, e * n) for p, e in self.factors)
 
     def digit_estimate(self) -> float:
         """Decimal digits of the materialized value (float estimate)."""
         return sum(e * math.log10(p) for p, e in self.factors) + 1.0
 
     def materialize(self, digit_limit: int) -> int:
-        """The plain integer, refused if it would exceed digit_limit digits."""
+        """The plain integer, refused if it has more than digit_limit digits.
+
+        The float estimate refuses on its own only when it proves the value
+        too long; near the limit the value is built and compared with
+        10^digit_limit exactly.
+        """
         if digit_limit < 1:
             raise DomainError("digit_limit must be positive")
-        if self.digit_estimate() > digit_limit + 0.5:
-            raise SizeLimitError(
-                f"value has ~{self.digit_estimate():.0f} digits, over the limit {digit_limit}"
-            )
+        estimate = self.digit_estimate()
+        # far more than the estimate's rounding error, far less than a digit
+        slack = 1e-9 * estimate
+        refusal = SizeLimitError(f"value has ~{estimate:.0f} digits, over the limit {digit_limit}")
+        if estimate - slack >= digit_limit + 1:
+            raise refusal
         value = 1
         for p, e in self.factors:
             value *= p**e
+        if estimate + slack >= digit_limit + 1 and value >= 10**digit_limit:
+            raise refusal
         return value
 
     def to_json_dict(self) -> dict:
@@ -216,32 +218,13 @@ def psi_prime_rank2_closed_form(p: int, alpha: int, beta: int) -> FactoredIntege
     return FactoredInteger({p: e})
 
 
-def combine_coprime(parts: Sequence[tuple[FactoredInteger, int]]) -> FactoredInteger:
-    """psi' of a direct product of groups with pairwise coprime orders:
-    prod_i psi'_i ^ (n_i), n_i = product of the other orders."""
-    orders = [order for _, order in parts]
-    total = 1
-    for order in orders:
-        if order < 1:
-            raise DomainError(f"group order {order} must be >= 1")
-        if math.gcd(total, order) != 1:
-            raise DomainError(f"orders {orders} are not pairwise coprime")
-        total *= order
-    acc: dict[int, int] = {}
-    for value, order in parts:
-        n_i = total // order
-        for p, e in value.factors:
-            acc[p] = acc.get(p, 0) + e * n_i
-    return FactoredInteger(acc)
-
-
 def psi_prime(G: AbelianGroup) -> FactoredInteger:
-    """Product of element orders: per-Sylow exponent formula combined over
-    the coprime primary components.  The trivial group gives 1."""
-    return combine_coprime([
-        (FactoredInteger({p: psi_prime_exponent(p, q.parts[::-1])}), p**q.n)
-        for p, q in G.components
-    ])
+    """Product of element orders, {p: E_p * |G| / p^(n_p)} from the Sylow
+    exponents E_p (module docstring).  The trivial group gives 1."""
+    m = G.order
+    return FactoredInteger(
+        (p, psi_prime_exponent(p, q.parts[::-1]) * (m // p**q.n)) for p, q in G.components
+    )
 
 
 def psi_sum(G: AbelianGroup) -> int:

@@ -30,8 +30,9 @@ from typing import Sequence
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, order_spectrum
 
-# Default ceiling on |G|; psi_|G| already has thousands of digits here.
-# Raise per call via the cap argument if you know what you are doing.
+# Ceiling on |G| for exact psi_k and the order polynomial; psi_|G| already
+# has thousands of digits here.  psi_all alone can raise it per call via
+# its cap argument, as check_conjecture_f does for its exact confirmations.
 SYMMETRIC_CAP = 512
 
 # Largest |G| whose residues psi_all_mod packs soundly into 64-bit slots
@@ -157,17 +158,18 @@ def psi_all_mod(G: AbelianGroup) -> list[int]:
     return [a + p1 * ((b - a) * _CRT % p2) for a, b in zip(r1[1:], r2[1:])]
 
 
-def psi_k(G: AbelianGroup, k: int, *, cap: int = SYMMETRIC_CAP) -> int:
-    """Single elementary symmetric value psi_k, 1 <= k <= |G|."""
-    n = _check_cap(G, cap)
+def psi_k(G: AbelianGroup, k: int) -> int:
+    """Single elementary symmetric value psi_k, 1 <= k <= |G| <= SYMMETRIC_CAP."""
+    n = _check_cap(G, SYMMETRIC_CAP)
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} out of range 1..{n}")
-    return psi_all(G, cap=cap)[k - 1]
+    return psi_all(G)[k - 1]
 
 
-def order_polynomial(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> OrderPolynomial:
-    """prod_x (X - o(x)) by repeated multiplication with linear factors."""
-    _check_cap(G, cap)
+def order_polynomial(G: AbelianGroup) -> OrderPolynomial:
+    """prod_x (X - o(x)) by repeated multiplication with linear factors,
+    for |G| <= SYMMETRIC_CAP."""
+    _check_cap(G, SYMMETRIC_CAP)
     coeffs = [1]
     for d, m in order_spectrum(G).entries:
         for _ in range(m):

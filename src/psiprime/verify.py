@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import os
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator
@@ -236,8 +237,6 @@ class ConjectureFSweep:
 
 def _resolve_jobs(jobs: int | None) -> int:
     if jobs is None:
-        import os
-
         return os.cpu_count() or 1
     if jobs < 1:
         raise DomainError(f"jobs = {jobs} must be >= 1")
@@ -245,10 +244,13 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _fan_out(fn, args, jobs):
-    # deterministic: results returned in argument order regardless of jobs
-    if jobs == 1 or not args:
+    # deterministic: results returned in argument order regardless of jobs.
+    # A fork-started pool forks all its workers at the first submit, so
+    # never ask for more than there are arguments or CPUs.
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in args]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=64))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from psiprime import (
     AbelianGroup,
     DomainError,
+    OrderSpectrum,
     Partition,
     SizeLimitError,
     brute_force_spectrum,
@@ -211,3 +212,19 @@ def test_private_spectrum_caches_are_bounded():
     for cached in (groups._pgroup_spectrum, groups._cyclic_element_orders):
         maxsize = cached.cache_parameters()["maxsize"]
         assert isinstance(maxsize, int) and maxsize > 0
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(1, 1), (2.7, 1)],
+        [(1, 1), (2, 1.0)],
+        [(1, 1), ("2", 1)],
+        [(1, 1), (2, True)],
+        [(True, 1)],
+    ],
+    ids=["float-order", "float-multiplicity", "str-order", "bool-multiplicity", "bool-order"],
+)
+def test_order_spectrum_refuses_non_int_entries(entries):
+    with pytest.raises(DomainError, match="must be ints"):
+        OrderSpectrum(entries)

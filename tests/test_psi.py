@@ -14,7 +14,6 @@ from psiprime import (
     SizeLimitError,
     brute_force_spectrum,
     canonicalize,
-    combine_coprime,
     enumerate_abelian_groups,
     order_spectrum,
     partitions_of,
@@ -42,12 +41,8 @@ def brute_psi_prime(G):
 # ---------------------------------------------------------------- FactoredInteger
 
 def test_factored_integer_normalization_and_arithmetic():
-    assert fi({}) == ONE and ONE.is_one
+    assert fi({}) == ONE
     assert fi({2: 0, 3: 2}) == fi({3: 2})
-    assert fi({2: 1}) * fi({2: 2, 3: 1}) == fi({2: 3, 3: 1})
-    assert fi({2: 3, 3: 4}) ** 2 == fi({2: 6, 3: 8})
-    assert fi({2: 3, 3: 4}) **  0 == ONE
-    assert FactoredInteger.from_int(648) == fi({2: 3, 3: 4})
     with pytest.raises(DomainError):
         fi({4: 1})
     with pytest.raises(DomainError):
@@ -59,6 +54,46 @@ def test_factored_integer_materialize():
     assert ONE.materialize(1) == 1
     with pytest.raises(SizeLimitError):
         fi({2: 10**6}).materialize(1000)
+    with pytest.raises(SizeLimitError, match=r"^value has ~4 digits, over the limit 3$"):
+        fi({2: 3, 5: 3}).materialize(3)
+
+
+@pytest.mark.parametrize(
+    "factors, limit, value",
+    [
+        ({3: 2}, 1, 9),
+        ({5: 4}, 3, 625),
+        ({3: 3, 37: 1}, 3, 999),
+        # its float estimate rounds to exactly 18 digits
+        ({3: 2, 2071723: 1, 5363222357: 1}, 17, 10**17 - 1),
+    ],
+    ids=["Z3-psi-prime", "Z5-psi-prime", "999", "10^17-1"],
+)
+def test_materialize_accepts_values_that_fit(factors, limit, value):
+    assert fi(factors).materialize(limit) == value
+
+
+def test_materialize_limit_is_exact_for_small_psi_prime():
+    # every value fits in its own digit count and not in one fewer
+    for m in range(2, 200):
+        for G in enumerate_abelian_groups(m):
+            value = psi_prime(G)
+            digits = len(str(value.materialize(10**4)))
+            assert value.materialize(digits) == value.materialize(10**4), G
+            if digits > 1:
+                with pytest.raises(SizeLimitError):
+                    value.materialize(digits - 1)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [{2.5: 1}, {2: 1.5}, {"3": 1}, {3: True}, {True: 1}, {2.0: 1}],
+    ids=["float-prime", "float-exponent", "str-prime", "bool-exponent", "bool-prime",
+         "integral-float-prime"],
+)
+def test_factored_integer_refuses_non_int_keys_and_exponents(factors):
+    with pytest.raises(DomainError, match="must be ints"):
+        fi(factors)
 
 
 def test_factored_integer_json_round_trip():
@@ -299,32 +334,27 @@ def test_exact_div_raises_on_remainder():
         exact_div(34, 3)
 
 
-# ---------------------------------------------------------------- coprime combination
+# ---------------------------------------------------------------- psi' and psi
 
-def test_combine_coprime_z6():
+def test_psi_prime_z6():
     # Z_6 literal product 1*6*3*2*3*6 = 648 = 2^3 * 3^4
-    got = combine_coprime([(fi({2: 1}), 2), (fi({3: 2}), 3)])
+    got = psi_prime(canonicalize([6]))
     assert got == fi({2: 3, 3: 4})
     assert brute_psi_prime(canonicalize([6])) == got
 
 
-def test_combine_coprime_single_input_unchanged():
-    value = fi({2: 5})
-    assert combine_coprime([(value, 4)]) == value
+def test_psi_prime_single_component_unchanged():
+    # a p-group is its own Sylow subgroup: psi' is p^E with E unscaled
+    assert psi_prime(canonicalize([4])) == fi({2: 5}) == psi_prime_cyclic_closed_form(2, 2)
 
 
-def test_combine_coprime_order36_vs_order48_values():
-    z4 = psi_prime_cyclic_closed_form(2, 2)
-    z3sq = psi_prime_rank2_closed_form(3, 1, 1)
-    assert combine_coprime([(z4, 4), (z3sq, 9)]) == fi({2: 45, 3: 32})
+def test_psi_prime_order36_from_closed_forms():
+    # Z4 x Z3^2: 2^(5 * 9) * 3^(8 * 4) from the Sylow closed forms
+    z4 = psi_prime_cyclic_closed_form(2, 2).as_dict()[2]
+    z3sq = psi_prime_rank2_closed_form(3, 1, 1).as_dict()[3]
+    assert (z4, z3sq) == (5, 8)
+    assert psi_prime(canonicalize([4, 3, 3])) == fi({2: z4 * 9, 3: z3sq * 4})
 
-
-def test_combine_coprime_rejects_common_factor():
-    with pytest.raises(DomainError):
-        combine_coprime([(fi({2: 1}), 2), (fi({2: 3}), 4)])
-
-
-# ---------------------------------------------------------------- psi' and psi
 
 def test_psi_prime_smallest_cross_order_collision():
     assert psi_prime(canonicalize([4, 3, 3])).as_dict() == {2: 45, 3: 32}
@@ -405,3 +435,12 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_public_name_resolves_once():
+    # a removed function cannot linger in __all__, nor a name be listed twice
+    import psiprime
+
+    missing = [name for name in psiprime.__all__ if not hasattr(psiprime, name)]
+    repeated = sorted({name for name in psiprime.__all__ if psiprime.__all__.count(name) > 1})
+    assert (missing, repeated) == ([], [])

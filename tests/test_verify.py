@@ -471,3 +471,40 @@ def test_collisions_refuse_bound_past_cap_before_any_order(monkeypatch):
         find_cross_order_collisions(ENUMERATION_CAP + 1)
     with pytest.raises(AssertionError, match="ran"):
         find_cross_order_collisions(1)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process, starts nothing."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args, chunksize=1):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize(
+    "cpus, max_order, jobs, workers",
+    [(8, 2, 100_000, [2]), (4, 48, 100_000, [4]), (8, 48, 3, [3]), (None, 48, 100_000, []),
+     (8, 1, 100_000, []), (8, 48, 1, [])],
+    ids=["args-bound", "cpu-bound", "jobs-bound", "no-cpu-count", "one-order", "one-job"],
+)
+def test_fan_out_bounds_workers_by_args_and_cpus(monkeypatch, cpus, max_order, jobs, workers):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sweep = sweep_conjecture_f(max_order, jobs=jobs)
+    assert _SerialPool.created == workers
+    assert sweep == sweep_conjecture_f(max_order, jobs=1)
