@@ -102,6 +102,14 @@ class FactoredInteger:
         """
         if digit_limit < 1:
             raise DomainError("digit_limit must be positive")
+        # the float estimate overflows for an exponent past about 1e308, so
+        # such a value is refused first, by exact ints: log10(p) > 0.3
+        if any(
+            e.bit_length() > 1000 and 3 * e > 10 * (digit_limit + 1) for _, e in self.factors
+        ):
+            raise SizeLimitError(
+                f"value has over {digit_limit + 1} digits, over the limit {digit_limit}"
+            )
         estimate = self.digit_estimate()
         # far more than the estimate's rounding error, far less than a digit
         slack = 1e-9 * estimate

@@ -8,14 +8,20 @@ other way, by literally multiplying the linear factors (X - d), so the
 sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
 
-psi_all_mod expands the same product modulo each of two primes P < 2^26
-by Kronecker substitution: each coefficient list is packed into one
-integer with one 64-bit slot per coefficient, so a polynomial product is
-a single integer product, unpacked and reduced slot by slot.  A product
-slot sums at most ceil((n + 2) / 2) terms below P^2, which stays below
-2^64, so no slot carries into the next, while n <= CONJECTURE_F_CAP = 4096
-(2049 * 2^52 < 2^64).  The two residues are joined by the Chinese
-remainder theorem into psi_k mod P1 * P2.
+psi_all_mod expands the same product modulo one of the two primes
+P < 2^26 in FINGERPRINT_PRIMES by Kronecker substitution: each
+coefficient list is packed into one integer with one 64-bit slot per
+coefficient, so a polynomial product is a single integer product,
+unpacked and reduced slot by slot.  A product slot sums at most
+ceil((n + 2) / 2) terms below P^2, which stays below 2^64, so no slot
+carries into the next, while n <= CONJECTURE_F_CAP = 4096
+(2049 * 2^52 < 2^64); that bound is proved only for these two primes.
+
+verify.check_conjecture_f uses the primes as a cascade: every group is
+expanded mod P1, only groups whose residue matches another group's at
+some k are expanded mod P2, and only pairs that match at both primes get
+exact psi_all.  Values with different residues mod either prime differ,
+so no stage can drop an exact equality.
 """
 
 from __future__ import annotations
@@ -39,13 +45,10 @@ SYMMETRIC_CAP = 512
 # (module docstring); it is fixed by that bound, not a tunable default.
 CONJECTURE_F_CAP = 4096
 
-# The conjecture-f fingerprint moduli, both prime and above the cap (every
-# binomial denominator j <= CONJECTURE_F_CAP is invertible): two values
-# that agree modulo both differ by a multiple of their product, about 2^52.
+# The conjecture-f fingerprint moduli P1, P2, both prime and above the cap
+# (every binomial denominator j <= CONJECTURE_F_CAP is invertible): two
+# values that agree modulo both differ by a multiple of P1 * P2, about 2^52.
 FINGERPRINT_PRIMES = (2**26 - 5, 2**26 - 27)
-FINGERPRINT_MODULUS = FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1]
-# P1^-1 mod P2: x = a + P1 * ((b - a) * _CRT % P2) is a mod P1 and b mod P2
-_CRT = pow(FINGERPRINT_PRIMES[0], -1, FINGERPRINT_PRIMES[1])
 
 
 @dataclass(frozen=True)
@@ -146,16 +149,17 @@ def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
     return acc
 
 
-def psi_all_mod(G: AbelianGroup) -> list[int]:
-    """[psi_1 mod M, ..., psi_n mod M] for M = FINGERPRINT_MODULUS, by
-    Kronecker substitution modulo each FINGERPRINT_PRIMES factor (module
-    docstring); equal to [v % M for v in psi_all(G)]."""
+def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
+    """[psi_1 mod P, ..., psi_n mod P] for P in FINGERPRINT_PRIMES, by
+    Kronecker substitution (module docstring); equal to
+    [v % P for v in psi_all(G)]."""
+    # a float equal to a prime would pass the membership test alone
+    if type(P) is not int or P not in FINGERPRINT_PRIMES:
+        raise DomainError(f"P = {P} is not one of the fingerprint primes {FINGERPRINT_PRIMES}")
     n = _check_cap(G, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    entries = order_spectrum(G).entries
-    p1, p2 = FINGERPRINT_PRIMES
-    r1, r2 = (_expand_mod(entries, P) for P in FINGERPRINT_PRIMES)
-    assert len(r1) == n + 1
-    return [a + p1 * ((b - a) * _CRT % p2) for a, b in zip(r1[1:], r2[1:])]
+    residues = _expand_mod(order_spectrum(G).entries, P)
+    assert len(residues) == n + 1
+    return residues[1:]
 
 
 def psi_k(G: AbelianGroup, k: int) -> int:

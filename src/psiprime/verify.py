@@ -22,7 +22,7 @@ from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import Partition, iter_partitions, partitions_of
 from .psi import FactoredInteger, pgroup_exponent, psi_prime
-from .symmetric import CONJECTURE_F_CAP, psi_all, psi_all_mod
+from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
 
 
 def _require_max_order(max_order: int, cap: int, cap_name: str) -> None:
@@ -171,11 +171,13 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
     order m.  A coincidence is reported, not raised: it would be a
     counterexample candidate, not an implementation error.
 
-    Each group is fingerprinted by psi_k mod P1 * P2 at every k
-    (symmetric.psi_all_mod).  Two values with different residues are
-    different, so only residue matches get the exact psi_all of both
-    groups, and only exact equalities are reported: pairs (i < j) in
-    enumeration order, then k ascending."""
+    The check is a cascade over symmetric.psi_all_mod.  Every group is
+    fingerprinted by psi_k mod P1 at every k; only groups in a P1 residue
+    match are expanded mod P2, and a candidate (i, j, k) stays only if
+    its P2 residues match too.  Two values with different residues mod
+    either prime are different, so only the survivors get the exact
+    psi_all of both groups, and only exact equalities are reported:
+    pairs (i < j) in enumeration order, then k ascending."""
     if m > CONJECTURE_F_CAP:
         raise SizeLimitError(
             f"m = {m} exceeds the conjecture-f fingerprint cap {CONJECTURE_F_CAP}"
@@ -184,9 +186,10 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
     g = len(groups)
     if g < 2:
         return ConjectureFReport(m=m, pair_count=0, coincidences=())
-    fingerprints = [psi_all_mod(G) for G in groups]
+    p1, p2 = FINGERPRINT_PRIMES
+    first = [psi_all_mod(G, p1) for G in groups]
     candidates = []
-    for k, column in enumerate(zip(*fingerprints), start=1):
+    for k, column in enumerate(zip(*first), start=1):
         # nearly every column is all distinct; one set() per column skips
         # the per-element dict bucketing, about 30 % of the M = 256 sweep
         if len(set(column)) == g:
@@ -196,9 +199,14 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
             by_residue.setdefault(residue, []).append(i)
         for indices in by_residue.values():
             candidates.extend((i, j, k) for i, j in itertools.combinations(indices, 2))
+    # P1 matches are rare (one order below 4096 has any), so P2 runs for few groups
+    matched = sorted({x for i, j, _ in candidates for x in (i, j)})
+    second = {x: psi_all_mod(groups[x], p2) for x in matched}
     exact: dict[int, list[int]] = {}
     coincidences = []
     for i, j, k in sorted(candidates):
+        if second[i][k - 1] != second[j][k - 1]:
+            continue
         for x in (i, j):
             if x not in exact:
                 exact[x] = psi_all(groups[x], cap=CONJECTURE_F_CAP)

@@ -58,6 +58,13 @@ def test_factored_integer_materialize():
         fi({2: 3, 5: 3}).materialize(3)
 
 
+def test_materialize_refuses_an_exponent_past_the_float_range():
+    # from_json_dict accepts a 401-digit exponent; e * log10(p) overflows a float
+    value = FactoredInteger.from_json_dict({"factors": {"2": "1" + "0" * 400}})
+    with pytest.raises(SizeLimitError, match=r"^value has over 11 digits, over the limit 10$"):
+        value.materialize(10)
+
+
 @pytest.mark.parametrize(
     "factors, limit, value",
     [

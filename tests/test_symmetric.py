@@ -18,13 +18,9 @@ from psiprime import (
     psi_prime,
     psi_sum,
 )
+from psiprime import symmetric
 from psiprime.arith import is_prime
-from psiprime.symmetric import (
-    CONJECTURE_F_CAP,
-    FINGERPRINT_MODULUS,
-    FINGERPRINT_PRIMES,
-    psi_all_mod,
-)
+from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod
 from oracles import spectrum_orders, subset_esp
 
 
@@ -89,20 +85,22 @@ _GROUPS_UP_TO_512 = st.integers(min_value=1, max_value=512).flatmap(
 @given(_GROUPS_UP_TO_512)
 @settings(max_examples=60, deadline=None)
 def test_psi_all_mod_is_psi_all_reduced(G):
-    assert psi_all_mod(G) == [v % FINGERPRINT_MODULUS for v in psi_all(G)]
+    values = psi_all(G)
+    for P in FINGERPRINT_PRIMES:
+        assert psi_all_mod(G, P) == [v % P for v in values]
 
 
 def test_psi_all_mod_at_order_1024_with_two_equal_halves():
     # the last product multiplies 513 by 513 slots, the widest split
     G = canonicalize([4] + [2] * 8)
     values = psi_all(G, cap=1024)
-    assert psi_all_mod(G) == [v % FINGERPRINT_MODULUS for v in values]
+    for P in FINGERPRINT_PRIMES:
+        assert psi_all_mod(G, P) == [v % P for v in values]
 
 
 def test_fingerprint_primes_are_usable_up_to_the_cap():
     # each prime has an inverse of every binomial denominator j <= the cap,
     # and a product slot sums at most ceil((n + 2) / 2) terms below P^2
-    assert FINGERPRINT_MODULUS == FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1]
     for P in FINGERPRINT_PRIMES:
         assert is_prime(P) and P > CONJECTURE_F_CAP
         assert (CONJECTURE_F_CAP + 3) // 2 * (P - 1) ** 2 < 2**64
@@ -111,8 +109,23 @@ def test_fingerprint_primes_are_usable_up_to_the_cap():
 def test_psi_all_mod_refuses_order_past_the_cap():
     G = canonicalize([CONJECTURE_F_CAP + 1])  # 4097 = 17 * 241
     message = "|G| = 4097 exceeds the conjecture-f fingerprint cap 4096"
-    with pytest.raises(SizeLimitError, match=re.escape(message)):
-        psi_all_mod(G)
+    for P in FINGERPRINT_PRIMES:
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
+            psi_all_mod(G, P)
+
+
+# the slot bound is proved only for the two fingerprint primes: a composite,
+# the first prime past 2^26, a prime below the cap and a float are refused
+@pytest.mark.parametrize(
+    "P", [FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1], 2**26 + 15, 4093, float(2**26 - 5)]
+)
+def test_psi_all_mod_refuses_a_modulus_that_is_not_a_fingerprint_prime(monkeypatch, P):
+    def never(G):
+        raise AssertionError(f"order_spectrum({G}) ran")
+
+    monkeypatch.setattr(symmetric, "order_spectrum", never)
+    with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
+        psi_all_mod(canonicalize([4, 2]), P)
 
 
 def test_order_polynomial_z2():

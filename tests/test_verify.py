@@ -246,24 +246,23 @@ _A, _B, _K = 3, 1, 5
 def _plant(monkeypatch, *, residues=(), exact=False):
     """Copy group _A's psi_K onto group _B of order 16: its residues mod
     the primes in ``residues``, and its exact value if ``exact``.  Returns
-    the groups whose exact psi_all ran."""
+    the (group, prime) of every psi_all_mod call and the groups whose
+    exact psi_all ran."""
     from psiprime import symmetric, verify
 
     groups = enumerate_abelian_groups(16)
     source, target = groups[_A], groups[_B]
-    p1, p2 = symmetric.FINGERPRINT_PRIMES
-    ran = []
+    mod_ran, exact_ran = [], []
 
-    def fake_mod(G):
-        values = symmetric.psi_all_mod(G)
-        if G == target:
-            old, new = values[_K - 1], symmetric.psi_all_mod(source)[_K - 1]
-            a, b = ((new if P in residues else old) % P for P in (p1, p2))
-            values[_K - 1] = a + p1 * ((b - a) * pow(p1, -1, p2) % p2)
+    def fake_mod(G, P):
+        mod_ran.append((G, P))
+        values = symmetric.psi_all_mod(G, P)
+        if G == target and P in residues:
+            values[_K - 1] = symmetric.psi_all_mod(source, P)[_K - 1]
         return values
 
     def fake_exact(G, *, cap):
-        ran.append(G)
+        exact_ran.append(G)
         values = symmetric.psi_all(G, cap=cap)
         if G == target and exact:
             values[_K - 1] = symmetric.psi_all(source, cap=cap)[_K - 1]
@@ -271,13 +270,13 @@ def _plant(monkeypatch, *, residues=(), exact=False):
 
     monkeypatch.setattr(verify, "psi_all_mod", fake_mod)
     monkeypatch.setattr(verify, "psi_all", fake_exact)
-    return ran
+    return mod_ran, exact_ran
 
 
 def test_conjecture_f_confirms_a_residue_collision_exactly(monkeypatch):
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
-    ran = _plant(monkeypatch, residues=FINGERPRINT_PRIMES)
+    _, ran = _plant(monkeypatch, residues=FINGERPRINT_PRIMES)
     groups = enumerate_abelian_groups(16)
     report = check_conjecture_f(16)
     assert ran == [groups[_B], groups[_A]]
@@ -289,9 +288,33 @@ def test_conjecture_f_confirms_a_residue_collision_exactly(monkeypatch):
 def test_conjecture_f_needs_no_exact_value_when_one_prime_differs(monkeypatch, prime):
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
-    ran = _plant(monkeypatch, residues=(FINGERPRINT_PRIMES[prime],))
+    _, ran = _plant(monkeypatch, residues=(FINGERPRINT_PRIMES[prime],))
     assert check_conjecture_f(16).coincidences == ()
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "planted, p2_groups, exact_groups",
+    [((), [], []), ((0,), [_B, _A], []), ((1,), [], []), ((0, 1), [_B, _A], [_B, _A])],
+    ids=["unplanted", "p1-only", "p2-only", "both"],
+)
+def test_conjecture_f_cascade_expands_mod_p2_only_for_p1_matches(
+    monkeypatch, planted, p2_groups, exact_groups
+):
+    # every group is fingerprinted mod P1; P2 runs only for the groups of a
+    # P1 match, and exact psi_all only for pairs that match at both primes
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    p1, p2 = FINGERPRINT_PRIMES
+    residues = tuple(FINGERPRINT_PRIMES[i] for i in planted)
+    mod_ran, exact_ran = _plant(monkeypatch, residues=residues)
+    groups = enumerate_abelian_groups(16)
+    report = check_conjecture_f(16)
+    assert [G for G, P in mod_ran if P == p1] == groups
+    assert sorted(groups.index(G) for G, P in mod_ran if P == p2) == sorted(p2_groups)
+    assert len(mod_ran) == len(groups) + len(p2_groups)
+    assert sorted(groups.index(G) for G in exact_ran) == sorted(exact_groups)
+    assert report == _reference_check_conjecture_f(16)
 
 
 def test_conjecture_f_reports_a_planted_coincidence_like_the_reference(monkeypatch):
@@ -323,8 +346,8 @@ def test_cli_conjecture_f_reports_a_planted_coincidence(monkeypatch, capsys):
 def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
     from psiprime import verify
 
-    def never(G):
-        raise AssertionError(f"psi_all_mod({G}) ran")
+    def never(G, P):
+        raise AssertionError(f"psi_all_mod({G}, {P}) ran")
 
     monkeypatch.setattr(verify, "psi_all_mod", never)
     for m in (1, 2, 97, 15, 30):
