@@ -18,9 +18,8 @@ from .notation import (
     parse_group,
     spectrum_to_json_dict,
 )
-from .partitions import Partition, iter_partitions, lex_compare, parse_partition, partitions_of
+from .partitions import Partition, iter_partitions, parse_partition, partitions_of
 from .psi import (
-    ONE,
     FactoredInteger,
     psi_prime,
     psi_prime_cyclic_closed_form,
@@ -59,7 +58,6 @@ __all__ = [
     "InjectivitySweep",
     "MonotonicityReport",
     "NotationError",
-    "ONE",
     "OrderPolynomial",
     "OrderSpectrum",
     "Partition",
@@ -75,7 +73,6 @@ __all__ = [
     "group_from_json_dict",
     "group_to_json_dict",
     "iter_partitions",
-    "lex_compare",
     "order_polynomial",
     "order_spectrum",
     "parse_group",

@@ -11,8 +11,8 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError, SizeLimitError
 
-# Primality is decided by trial division below this bound; larger inputs
-# must be vouched for by the caller (``assume_prime=True``).
+# Primality is decided by trial division below this bound; group and
+# factored-value construction trust larger primes without a test.
 PRIMALITY_TEST_LIMIT = 2**31
 
 # Ceiling for trial-division factorization of a single integer.
@@ -41,22 +41,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(p: int, *, assume_prime: bool = False) -> None:
-    """Raise DomainError unless p is prime.
+def require_prime(p: int) -> None:
+    """Raise DomainError unless p is a prime below 2**31.
 
-    Inputs below 2**31 are tested outright.  Above that, trial division is
-    no longer reasonable, so the caller must pass ``assume_prime=True`` to
-    take responsibility for primality.
+    Past that, trial division is no longer reasonable, so p is refused; a
+    caller that trusts larger primes skips this check for them.
     """
     if p < 2:
         raise DomainError(f"{p} is not a prime")
-    if assume_prime:
-        return
     if p >= PRIMALITY_TEST_LIMIT:
-        raise DomainError(
-            f"{p} >= 2**31: too large to primality-test here; "
-            "pass assume_prime=True to trust it"
-        )
+        raise DomainError(f"{p} >= 2**31: too large to primality-test here")
     if not is_prime(p):
         raise DomainError(f"{p} is not a prime")
 

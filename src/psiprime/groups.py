@@ -4,9 +4,8 @@ order, and two independent element-order-spectrum oracles.
 An abelian p-group of order p^n is one component ``(p, Partition)`` of an
 :class:`AbelianGroup`: the partition of n lists the cyclic-factor exponents
 with parts descending, Z_{p^(a_1)} x ... x Z_{p^(a_k)}.  That component is
-its only representation.  The sweeps' psi' exponent kernel reads the parts
-as stored; ``psi_prime_exponent`` takes them ascending, ``q.parts[::-1]``,
-as the paper indexes them.
+its only representation, and every psi' exponent function reads its parts
+as stored, descending.
 
 The counting oracle (:func:`order_spectrum`) uses the structure of abelian
 p-groups: with exponents a_1, ..., a_k, the number of
@@ -47,7 +46,9 @@ class AbelianGroup:
     def __init__(self, components: Iterable[tuple[int, Partition]] = ()):
         components = tuple((p, q) for p, q in components)
         for i, (p, q) in enumerate(components):
-            require_prime(p, assume_prime=p >= PRIMALITY_TEST_LIMIT)
+            # primes past the primality-testing limit are trusted
+            if p < PRIMALITY_TEST_LIMIT:
+                require_prime(p)
             if not isinstance(q, Partition) or not q.parts:
                 raise DomainError(f"component for prime {p} needs a non-empty partition")
             if i > 0 and components[i - 1][0] >= p:
@@ -97,9 +98,6 @@ class OrderSpectrum:
     def total(self) -> int:
         """Sum of multiplicities = the group order."""
         return sum(m for _, m in self.entries)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
 
 
 def canonicalize(cyclic_orders: Sequence[int]) -> AbelianGroup:

@@ -4,14 +4,16 @@ the package.
 A partition of n is stored as its weakly decreasing positive parts with no
 trailing zeros.  ``partitions_of`` yields partitions directly in ascending
 lexicographic order of those tuples, so (1,...,1) comes first and (n)
-last.  (Padding with zeros to length n would not change that order: of two
-different partitions of the same n, neither is a prefix of the other.)
+last.  That is the paper's order, and it is plain tuple order on
+``Partition.parts``.  (Padding with zeros to length n would not change that
+order: of two different partitions of the same n, neither is a prefix of
+the other.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .arith import bounded_int
@@ -20,12 +22,6 @@ from .errors import DomainError, NotationError, SizeLimitError
 # Hard ceiling on the size of partitions we generate.  p(64) = 1,741,630,
 # which is the practical limit for materializing the full list in memory.
 PARTITION_CAP = 64
-
-# Partition lists for n below this bound are memoized (the enumeration
-# sweeps request them constantly); larger lists are regenerated on demand
-# to keep memory bounded.
-_MEMO_LIMIT = 24
-_memo: dict[int, tuple["Partition", ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -122,24 +118,20 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, strictly ascending under :func:`lex_compare`.
+    """All partitions of n, strictly ascending in the paper's order, which
+    is plain tuple order on their ``parts``.
 
     The result has exactly p(n) entries.  Beware that p(n) grows fast:
-    p(40) = 37338 and p(64) above 1.7 million (the cap).
+    p(40) = 37338 and p(64) above 1.7 million (the cap).  Only the lists
+    for n < 24 are kept between calls; larger ones are rebuilt each time.
     """
-    if 0 <= n < _MEMO_LIMIT:
-        got = _memo.get(n)
-        if got is None:
-            got = _memo[n] = tuple(iter_partitions(n))
-        return got
+    # the enumeration sweeps ask for n <= 19 only (2^20 > ENUMERATION_CAP),
+    # and constantly
+    if n < 24:
+        return _kept_partitions(n)
     return tuple(iter_partitions(n))
 
 
-def lex_compare(a: Partition, b: Partition) -> int:
-    """Three-way comparison (-1, 0, 1) of the descending parts.
-
-    Only partitions of the same integer are comparable.
-    """
-    if a.n != b.n:
-        raise DomainError(f"cannot lex-compare partitions of {a.n} and {b.n}")
-    return (a.parts > b.parts) - (a.parts < b.parts)
+@lru_cache(maxsize=None)
+def _kept_partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(iter_partitions(n))

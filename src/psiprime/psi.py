@@ -28,9 +28,9 @@ t = k - j, P_t = l_1 + ... + l_t = n - S_j and l_(k+1) = 0 this reads
 where only the t with l_t > l_(t+1) contribute.  That is what
 :func:`pgroup_exponent` computes, on the parts as stored and in O(k)
 big-integer operations per group instead of O(a_k * k);
-:func:`psi_prime_exponent` checks its ascending input, caches, and calls
-it.  The literal loop over i is kept as a test oracle in
-``tests/oracles.py``.
+:func:`psi_prime_exponent` takes the same descending parts, checks them by
+:class:`Partition`'s rules, caches, and calls it.  The literal loop over i
+is kept as a test oracle in ``tests/oracles.py``.
 
 A group of order m with Sylow p-subgroups of order p^(n_p) and exponents
 E_p has
@@ -53,6 +53,7 @@ from typing import Iterable, Mapping, Sequence
 from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,13 @@ class FactoredInteger:
         for i, (p, e) in enumerate(normalized):
             # keys past the primality-testing limit are trusted, as in
             # group construction
-            require_prime(p, assume_prime=p >= PRIMALITY_TEST_LIMIT)
+            if p < PRIMALITY_TEST_LIMIT:
+                require_prime(p)
             if e < 0:
                 raise DomainError(f"negative exponent {e} for prime {p}")
             if i > 0 and normalized[i - 1][0] == p:
                 raise DomainError(f"duplicate prime {p}")
         object.__setattr__(self, "factors", normalized)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def digit_estimate(self) -> float:
-        """Decimal digits of the materialized value (float estimate)."""
-        return sum(e * math.log10(p) for p, e in self.factors) + 1.0
 
     def materialize(self, digit_limit: int) -> int:
         """The plain integer, refused if it has more than digit_limit digits.
@@ -103,14 +98,17 @@ class FactoredInteger:
         if digit_limit < 1:
             raise DomainError("digit_limit must be positive")
         # the float estimate overflows for an exponent past about 1e308, so
-        # such a value is refused first, by exact ints: log10(p) > 0.3
-        if any(
-            e.bit_length() > 1000 and 3 * e > 10 * (digit_limit + 1) for _, e in self.factors
-        ):
-            raise SizeLimitError(
-                f"value has over {digit_limit + 1} digits, over the limit {digit_limit}"
-            )
-        estimate = self.digit_estimate()
+        # such a value is refused first, by exact ints: log10(p) > 0.3, so
+        # it has over 0.3 * 2^1000 > 10^300 digits, more than any memory holds
+        huge = max((e for _, e in self.factors if e.bit_length() > 1000), default=0)
+        if huge:
+            if 3 * huge > 10 * (digit_limit + 1):
+                raise SizeLimitError(
+                    f"value has over {digit_limit + 1} digits, over the limit {digit_limit}"
+                )
+            raise SizeLimitError("value has over 10^300 digits, too many to build")
+        # decimal digits of the value, a float estimate
+        estimate = sum(e * math.log10(p) for p, e in self.factors) + 1.0
         # far more than the estimate's rounding error, far less than a digit
         slack = 1e-9 * estimate
         refusal = SizeLimitError(f"value has ~{estimate:.0f} digits, over the limit {digit_limit}")
@@ -155,9 +153,6 @@ class FactoredInteger:
         return " * ".join(f"{p}^{e}" if e != 1 else str(p) for p, e in self.factors)
 
 
-ONE = FactoredInteger(())
-
-
 def pgroup_exponent(p: int, parts: Sequence[int]) -> int:
     """E with psi'(p-group) = p^E for the descending, non-empty, positive
     partition parts l_1 >= ... >= l_k, summed run by run (module docstring).
@@ -180,19 +175,20 @@ def pgroup_exponent(p: int, parts: Sequence[int]) -> int:
 
 
 @cache
-def psi_prime_exponent(p: int, alphas: tuple[int, ...]) -> int:
-    """E with psi'(p-group) = p^E for ascending exponents alphas: checked,
-    cached, and computed by :func:`pgroup_exponent`.
+def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
+    """E with psi'(p-group) = p^E for the descending partition parts, as
+    ``Partition.parts`` stores them: checked, cached, and computed by
+    :func:`pgroup_exponent`.
 
-    alphas must be non-empty, positive and ascending, and p >= 2.
+    parts must pass :class:`Partition`'s checks and be non-empty, and p >= 2.
+    The checks run on a cache miss only, so a key equal to a cached one,
+    such as (True,) for (1,), gets the cached value.
     """
     if p < 2:
         raise DomainError(f"p = {p} must be >= 2")
-    if not alphas or alphas[0] < 1 or any(
-        alphas[j] > alphas[j + 1] for j in range(len(alphas) - 1)
-    ):
-        raise DomainError(f"exponents {alphas} must be non-empty, positive and ascending")
-    return pgroup_exponent(p, alphas[::-1])
+    if not Partition(parts).parts:
+        raise DomainError("a p-group's partition must be non-empty")
+    return pgroup_exponent(p, parts)
 
 
 def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:
@@ -231,7 +227,7 @@ def psi_prime(G: AbelianGroup) -> FactoredInteger:
     exponents E_p (module docstring).  The trivial group gives 1."""
     m = G.order
     return FactoredInteger(
-        (p, psi_prime_exponent(p, q.parts[::-1]) * (m // p**q.n)) for p, q in G.components
+        (p, psi_prime_exponent(p, q.parts) * (m // p**q.n)) for p, q in G.components
     )
 
 

@@ -70,12 +70,6 @@ class OrderPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         terms = []
         for j in range(self.degree, -1, -1):

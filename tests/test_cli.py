@@ -271,6 +271,14 @@ def test_theorem_c_refusals_write_nothing_to_stdout(capsys, fmt, prime, n, code)
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_theorem_c_prime_past_the_testing_limit_exit_1(capsys):
+    # 2147483659 is a prime above 2^31; the refusal names no library keyword
+    code, out, err = run(capsys, "verify", "theorem-c", "--prime", "2147483659", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "primality-test" in err
+    assert "assume_prime" not in err
+
+
 def test_conjecture_counterexample_exit_code(monkeypatch, capsys):
     from psiprime import cli as cli_module
     from psiprime.verify import ConjectureFReport, ConjectureFSweep

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from psiprime import (
     DomainError,
@@ -8,7 +6,6 @@ from psiprime import (
     Partition,
     SizeLimitError,
     iter_partitions,
-    lex_compare,
     parse_partition,
     partitions_of,
 )
@@ -39,7 +36,7 @@ def test_partitions_strictly_ascending_no_duplicates(n):
     qs = partitions_of(n)
     assert len(set(qs)) == len(qs)
     for a, b in zip(qs, qs[1:]):
-        assert lex_compare(a, b) == -1
+        assert a.parts < b.parts
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -87,37 +84,12 @@ def test_partition_refuses_parts_that_are_not_plain_ints(parts):
         Partition(parts)
 
 
-def test_lex_compare_examples():
-    assert lex_compare(Partition((2, 1)), Partition((3,))) == -1
-    assert lex_compare(Partition((1, 1, 1)), Partition((1, 1, 1))) == 0
-    # padded tuples (2,2,0,0) vs (2,1,1,0) differ first at position 2
-    assert lex_compare(Partition((2, 2)), Partition((2, 1, 1))) == 1
-
-
-def test_lex_compare_rejects_different_n():
-    with pytest.raises(DomainError):
-        lex_compare(Partition((2,)), Partition((2, 1)))
-
-
-@st.composite
-def same_n_partitions(draw, count=2, max_n=16):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    qs = partitions_of(n)
-    return tuple(draw(st.sampled_from(qs)) for _ in range(count))
-
-
-@given(same_n_partitions(count=2))
-def test_lex_compare_antisymmetric(pair):
-    a, b = pair
-    assert lex_compare(a, b) == -lex_compare(b, a)
-    assert (lex_compare(a, b) == 0) == (a == b)
-
-
-@given(same_n_partitions(count=3))
-def test_lex_compare_transitive(triple):
-    a, b, c = triple
-    if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-        assert lex_compare(a, c) <= 0
+def test_partitions_of_keeps_small_lists_only():
+    # lists for n < 24 are kept between calls; larger ones are rebuilt, so
+    # none of them stays in memory after the call that built it
+    assert partitions_of(23) is partitions_of(23)
+    first, second = partitions_of(30), partitions_of(30)
+    assert first == second and first is not second
 
 
 def test_partition_text_round_trip():

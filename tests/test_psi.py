@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psiprime import (
-    ONE,
     AbelianGroup,
     ConsistencyError,
     DomainError,
@@ -41,7 +40,7 @@ def brute_psi_prime(G):
 # ---------------------------------------------------------------- FactoredInteger
 
 def test_factored_integer_normalization_and_arithmetic():
-    assert fi({}) == ONE
+    assert fi({}) == FactoredInteger()
     assert fi({2: 0, 3: 2}) == fi({3: 2})
     with pytest.raises(DomainError):
         fi({4: 1})
@@ -51,7 +50,7 @@ def test_factored_integer_normalization_and_arithmetic():
 
 def test_factored_integer_materialize():
     assert fi({2: 3, 3: 4}).materialize(10) == 648
-    assert ONE.materialize(1) == 1
+    assert FactoredInteger().materialize(1) == 1
     with pytest.raises(SizeLimitError):
         fi({2: 10**6}).materialize(1000)
     with pytest.raises(SizeLimitError, match=r"^value has ~4 digits, over the limit 3$"):
@@ -63,6 +62,14 @@ def test_materialize_refuses_an_exponent_past_the_float_range():
     value = FactoredInteger.from_json_dict({"factors": {"2": "1" + "0" * 400}})
     with pytest.raises(SizeLimitError, match=r"^value has over 11 digits, over the limit 10$"):
         value.materialize(10)
+
+
+def test_materialize_refuses_an_exponent_past_the_float_range_under_a_huge_limit():
+    # the limit does not refuse it, but the float estimate cannot be made and
+    # the value, with over 10^300 digits, cannot be built
+    refusal = r"^value has over 10\^300 digits, too many to build$"
+    with pytest.raises(SizeLimitError, match=refusal):
+        FactoredInteger({2: 10**400}).materialize(10**400)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +158,7 @@ def test_f_eval_z2xz4():
     # = a_k p^n - E must hold with E taken from the literal product
     alphas = (1, 2)
     assert [f_eval(alphas, 2, i) for i in (0, 1, 2)] == [1, 2, 2]
-    E = brute_psi_prime(canonicalize([2, 4])).as_dict()[2]
+    E = dict(brute_psi_prime(canonicalize([2, 4])).factors)[2]
     assert E == 11
     assert sum(2**i * f_eval(alphas, 2, i) for i in range(2)) == 2 * 2**3 - E
 
@@ -167,7 +174,7 @@ def test_f_eval_equal_exponents():
     alphas = (2, 2)
     assert f_eval(alphas, 3, 0) == 1
     assert f_eval(alphas, 3, 1) == 3
-    E = brute_psi_prime(canonicalize([9, 9])).as_dict()[3]
+    E = dict(brute_psi_prime(canonicalize([9, 9])).factors)[3]
     assert sum(3**i * f_eval(alphas, 3, i) for i in range(2)) == 2 * 3**4 - E
 
 
@@ -206,11 +213,11 @@ def test_f_eval_branch_boundaries_agree(p, raw):
 )
 @settings(max_examples=300)
 def test_psi_prime_exponent_matches_loop_oracle(p, raw):
-    # the cached public name on ascending exponents and the sweeps' kernel
-    # on the same parts descending
-    alphas = tuple(sorted(raw))
-    expected = psi_prime_exponent_loop(p, alphas)
-    assert psi_prime_exponent(p, alphas) == expected == pgroup_exponent(p, alphas[::-1])
+    # the cached public name and the sweeps' kernel on descending parts,
+    # the paper's literal loop on the same exponents ascending
+    parts = tuple(sorted(raw, reverse=True))
+    expected = psi_prime_exponent_loop(p, parts[::-1])
+    assert psi_prime_exponent(p, parts) == expected == pgroup_exponent(p, parts)
 
 
 def test_sweeps_store_no_exponent_cache_entry():
@@ -226,14 +233,18 @@ def test_sweeps_store_no_exponent_cache_entry():
 def test_psi_prime_exponent_matches_loop_oracle_on_all_partitions_of_14():
     for p in (2, 3, 5):
         for q in partitions_of(14):
-            alphas = q.parts[::-1]
-            assert psi_prime_exponent(p, alphas) == psi_prime_exponent_loop(p, alphas)
+            assert psi_prime_exponent(p, q.parts) == psi_prime_exponent_loop(p, q.parts[::-1])
 
 
+# alphas are the cyclic-factor exponents, descending as a Partition stores them
 @pytest.mark.parametrize(
-    "p, alphas", [(2, ()), (2, (2, 1)), (2, (0, 1)), (1, (1, 2)), (0, (1,)), (-3, (1,))]
+    "p, alphas",
+    [(2, ()), (2, (1, 2)), (2, (1, 0)), (1, (2, 1)), (0, (1,)), (-3, (1,)),
+     (2, (True,)), (2, (2, True)), (2, (3.0, 1))],
 )
 def test_psi_prime_exponent_validation(p, alphas):
+    # the checks run on a cache miss, and (True,) equals a cached (1,)
+    psi_prime_exponent.cache_clear()
     with pytest.raises(DomainError):
         psi_prime_exponent(p, alphas)
 
@@ -251,9 +262,9 @@ def test_psi_prime_exponent_validation(p, alphas):
 def test_psi_prime_pgroup_examples(orders, expected):
     G = canonicalize(orders)
     ((p, q),) = G.components
-    assert psi_prime(G).as_dict() == expected
-    assert {p: psi_prime_exponent(p, q.parts[::-1])} == expected
-    assert brute_psi_prime(G).as_dict() == expected
+    assert dict(psi_prime(G).factors) == expected
+    assert {p: psi_prime_exponent(p, q.parts)} == expected
+    assert dict(brute_psi_prime(G).factors) == expected
 
 
 def test_psi_prime_pgroup_matches_spectrum_oracle_up_to_4096():
@@ -301,18 +312,18 @@ def test_psi_prime_matches_spectrum_oracle_across_primes(G):
 # ---------------------------------------------------------------- closed forms
 
 def test_cyclic_closed_form_examples():
-    assert psi_prime_cyclic_closed_form(2, 2).as_dict() == {2: 5}
-    assert psi_prime_cyclic_closed_form(2, 3).as_dict() == {2: 17}
+    assert dict(psi_prime_cyclic_closed_form(2, 2).factors) == {2: 5}
+    assert dict(psi_prime_cyclic_closed_form(2, 3).factors) == {2: 17}
     # Z_3: product of orders 1*3*3 = 3^2
-    assert psi_prime_cyclic_closed_form(3, 1).as_dict() == {3: 2}
-    assert brute_psi_prime(canonicalize([3])).as_dict() == {3: 2}
+    assert dict(psi_prime_cyclic_closed_form(3, 1).factors) == {3: 2}
+    assert dict(brute_psi_prime(canonicalize([3])).factors) == {3: 2}
 
 
 def test_rank2_closed_form_examples():
-    assert psi_prime_rank2_closed_form(2, 1, 2).as_dict() == {2: 11}
-    assert brute_psi_prime(canonicalize([2, 4])).as_dict() == {2: 11}
-    assert psi_prime_rank2_closed_form(2, 1, 1).as_dict() == {2: 3}
-    assert psi_prime_rank2_closed_form(3, 1, 1).as_dict() == {3: 8}
+    assert dict(psi_prime_rank2_closed_form(2, 1, 2).factors) == {2: 11}
+    assert dict(brute_psi_prime(canonicalize([2, 4])).factors) == {2: 11}
+    assert dict(psi_prime_rank2_closed_form(2, 1, 1).factors) == {2: 3}
+    assert dict(psi_prime_rank2_closed_form(3, 1, 1).factors) == {3: 8}
 
 
 def test_closed_forms_match_exponent_formula():
@@ -357,16 +368,16 @@ def test_psi_prime_single_component_unchanged():
 
 def test_psi_prime_order36_from_closed_forms():
     # Z4 x Z3^2: 2^(5 * 9) * 3^(8 * 4) from the Sylow closed forms
-    z4 = psi_prime_cyclic_closed_form(2, 2).as_dict()[2]
-    z3sq = psi_prime_rank2_closed_form(3, 1, 1).as_dict()[3]
+    z4 = dict(psi_prime_cyclic_closed_form(2, 2).factors)[2]
+    z3sq = dict(psi_prime_rank2_closed_form(3, 1, 1).factors)[3]
     assert (z4, z3sq) == (5, 8)
     assert psi_prime(canonicalize([4, 3, 3])) == fi({2: z4 * 9, 3: z3sq * 4})
 
 
 def test_psi_prime_smallest_cross_order_collision():
-    assert psi_prime(canonicalize([4, 3, 3])).as_dict() == {2: 45, 3: 32}
-    assert psi_prime(canonicalize([2, 2, 2, 2, 3])).as_dict() == {2: 45, 3: 32}
-    assert psi_prime(AbelianGroup(())) == ONE
+    assert dict(psi_prime(canonicalize([4, 3, 3])).factors) == {2: 45, 3: 32}
+    assert dict(psi_prime(canonicalize([2, 2, 2, 2, 3])).factors) == {2: 45, 3: 32}
+    assert psi_prime(AbelianGroup(())) == FactoredInteger()
 
 
 def test_psi_sum_examples():
@@ -383,8 +394,8 @@ def test_psi_sum_matches_brute_up_to_2000():
 
 
 def test_psi_prime_from_spectrum_examples():
-    assert psi_prime_from_spectrum(order_spectrum(canonicalize([4]))).as_dict() == {2: 5}
-    assert psi_prime_from_spectrum(order_spectrum(AbelianGroup(()))) == ONE
+    assert dict(psi_prime_from_spectrum(order_spectrum(canonicalize([4]))).factors) == {2: 5}
+    assert psi_prime_from_spectrum(order_spectrum(AbelianGroup(()))) == FactoredInteger()
     G = canonicalize([4, 9])
     assert psi_prime_from_spectrum(order_spectrum(G)) == psi_prime(G)
 

@@ -1,7 +1,10 @@
 """Smoke tests for the scripts in ``scripts/``: each runs in a subprocess
 against the package under ``src``, so a name the scripts import cannot
-leave the package without a test failing."""
+leave the package without a test failing.  The benchmark's child script,
+which looks package names up by string, gets the same guard."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,3 +42,16 @@ def test_collision_census_finds_the_order_36_48_pair():
     assert result.returncode == 0, result.stderr
     assert "colliding pairs: 1\n" in result.stdout
     assert "smallest pair: Z4xZ3^2 / Z2^4xZ3" in result.stdout
+
+
+def test_benchmark_child_names_resolve():
+    # perfbench/child.py resolves its spans and caches by name in every
+    # run; loading it runs no benchmark and changes no file
+    path = ROOT / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for _, module, attr, _ in child.SPANS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for _, module, attr in child.CACHES:
+        assert callable(getattr(importlib.import_module(module), attr).cache_info), (module, attr)

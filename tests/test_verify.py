@@ -11,7 +11,6 @@ from psiprime import (
     check_theorem_c,
     enumerate_abelian_groups,
     find_cross_order_collisions,
-    lex_compare,
     order_spectrum,
     psi_prime_from_spectrum,
     sweep_conjecture_f,
@@ -43,7 +42,7 @@ def test_theorem_c_3_5_cross_checked_against_spectrum():
     assert exponents == sorted(exponents) and len(set(exponents)) == 7
     for q, e in report.rows:
         G = canonicalize([3**a for a in q.parts])
-        assert psi_prime_from_spectrum(order_spectrum(G)).as_dict() == {3: e}
+        assert dict(psi_prime_from_spectrum(order_spectrum(G)).factors) == {3: e}
 
 
 def test_theorem_c_full_biconditional_small():
@@ -51,7 +50,7 @@ def test_theorem_c_full_biconditional_small():
         for n in range(1, 9):
             rows = check_theorem_c(p, n).rows
             for (qa, ea), (qb, eb) in itertools.combinations(rows, 2):
-                cmp_lex = lex_compare(qa, qb)
+                cmp_lex = (qa.parts > qb.parts) - (qa.parts < qb.parts)
                 cmp_exp = (ea > eb) - (ea < eb)
                 assert cmp_lex == cmp_exp
 
@@ -73,7 +72,7 @@ def test_injectivity_prime_order_vacuous():
 def test_injectivity_64_exponents_increase_with_enumeration_order():
     report = check_injectivity(64)
     assert len(report.entries) == 11  # p(6)
-    exponents = [value.as_dict()[2] for _, value in report.entries]
+    exponents = [dict(value.factors)[2] for _, value in report.entries]
     assert exponents == sorted(exponents)
     assert len(set(exponents)) == 11
 
@@ -387,23 +386,19 @@ def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
 def _collide_two_partitions_of_4(monkeypatch):
     # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in the
     # cached public name (psi_prime, so the reference sweep) and in the
-    # descending kernel the fast sweep calls
+    # kernel the fast sweep calls
     from psiprime import psi, verify
 
-    real, real_kernel = psi.psi_prime_exponent, psi.pgroup_exponent
+    def planted(real):
+        def fake(p, parts):
+            if p == 2 and tuple(parts) == (2, 2):
+                parts = (2, 1, 1)
+            return real(p, parts)
 
-    def fake(p, alphas):
-        if p == 2 and tuple(alphas) == (2, 2):
-            alphas = (1, 1, 2)
-        return real(p, alphas)
+        return fake
 
-    def fake_kernel(p, parts):
-        if p == 2 and tuple(parts) == (2, 2):
-            parts = (2, 1, 1)
-        return real_kernel(p, parts)
-
-    monkeypatch.setattr(psi, "psi_prime_exponent", fake)
-    monkeypatch.setattr(verify, "pgroup_exponent", fake_kernel)
+    monkeypatch.setattr(psi, "psi_prime_exponent", planted(psi.psi_prime_exponent))
+    monkeypatch.setattr(verify, "pgroup_exponent", planted(psi.pgroup_exponent))
 
 
 def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
