@@ -27,6 +27,15 @@ from psiprime import (
 )
 
 
+def positive_int(text):
+    """argparse type for a bound or job count: a bound of 0 would check
+    nothing yet print PASS, and a job count of 0 cannot run."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def section(title):
     print()
     print("=" * 72)
@@ -42,12 +51,13 @@ def report(ok, label):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5, 7])
-    parser.add_argument("--max-n", type=int, default=12, help="largest p-group exponent n")
-    parser.add_argument("--injectivity-order", type=int, default=10**4)
-    parser.add_argument("--collision-order", type=int, default=100)
-    parser.add_argument("--conjecture-order", type=int, default=96)
-    parser.add_argument("--brute-order", type=int, default=500)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--max-n", type=positive_int, default=12,
+                        help="largest p-group exponent n")
+    parser.add_argument("--injectivity-order", type=positive_int, default=10**4)
+    parser.add_argument("--collision-order", type=positive_int, default=100)
+    parser.add_argument("--conjecture-order", type=positive_int, default=96)
+    parser.add_argument("--brute-order", type=positive_int, default=500)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     args = parser.parse_args()
 
     t0 = time.perf_counter()

@@ -13,12 +13,11 @@ from .groups import (
 )
 from .notation import (
     format_group,
-    group_from_json_dict,
     group_to_json_dict,
     parse_group,
     spectrum_to_json_dict,
 )
-from .partitions import Partition, iter_partitions, parse_partition, partitions_of
+from .partitions import Partition, iter_partitions, partitions_of
 from .psi import (
     FactoredInteger,
     psi_prime,
@@ -70,13 +69,11 @@ __all__ = [
     "enumerate_abelian_groups",
     "find_cross_order_collisions",
     "format_group",
-    "group_from_json_dict",
     "group_to_json_dict",
     "iter_partitions",
     "order_polynomial",
     "order_spectrum",
     "parse_group",
-    "parse_partition",
     "partitions_of",
     "psi_all",
     "psi_k",

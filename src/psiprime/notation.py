@@ -1,17 +1,16 @@
-"""Group notation: the multiplicative form ``Z4xZ3^2``, the bracketed
-cyclic-order list ``[4,3,3]``, and the canonical JSON object
-``{"2": [2], "3": [1, 1]}``.  All three denote the same group; parsing any
-of them canonicalizes.
+"""Group notation: the multiplicative form ``Z4xZ3^2`` and the bracketed
+cyclic-order list ``[4,3,3]``, both read and canonicalized by
+``parse_group``, and the canonical JSON object ``{"2": [2], "3": [1, 1]}``,
+written for the CLI's ``--json`` output.
 """
 
 from __future__ import annotations
 
 import re
 
-from .arith import FACTORIZATION_CAP, PRIMALITY_TEST_LIMIT, bounded_int, require_prime
-from .errors import DomainError, NotationError, SizeLimitError
+from .arith import FACTORIZATION_CAP, bounded_int
+from .errors import NotationError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
-from .partitions import Partition
 
 _INT = re.compile(r"\d+")
 
@@ -134,22 +133,3 @@ def spectrum_to_json_dict(s: OrderSpectrum) -> dict:
         "order": str(s.total),
         "spectrum": {str(d): str(m) for d, m in s.entries},
     }
-
-
-def group_from_json_dict(d: dict) -> AbelianGroup:
-    """Parse the canonical JSON form (keys may arrive in any order)."""
-    components = []
-    for key, parts in d.items():
-        digits = str(key)
-        if not digits.isdecimal():
-            raise DomainError(f"group JSON key {key!r} is not a prime")
-        p = bounded_int(digits, "prime", "primality-testing limit", PRIMALITY_TEST_LIMIT)
-        require_prime(p)
-        if not isinstance(parts, (list, tuple)):
-            raise DomainError(f"group JSON value for {p} must be a list of parts")
-        for x in parts:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise DomainError(f"group JSON part {x!r} for {p} is not an integer")
-        components.append((p, Partition(parts)))
-    components.sort(key=lambda pq: pq[0])
-    return AbelianGroup(tuple(components))

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .arith import bounded_int
-from .errors import DomainError, NotationError, SizeLimitError
+from .errors import DomainError, SizeLimitError
 
-# Hard ceiling on the size of partitions we generate.  p(64) = 1,741,630,
-# which is the practical limit for materializing the full list in memory.
+# Largest n that iter_partitions and partitions_of accept.  Streaming holds
+# no rows, so the cap bounds two things: the length of the tuple that
+# partitions_of(n) builds, and the length of one theorem-c run, p(64) =
+# 1,741,630 rows, about 23 s for ``verify theorem-c --prime 2 --n 64
+# --json`` on one x86_64 core with Python 3.11.
 PARTITION_CAP = 64
 
 
@@ -47,35 +49,8 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(x) for x in self.parts) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse the bracketed textual form, e.g. ``[3,1,1]`` (``[]`` is empty)."""
-    s = text.strip()
-    if not s.startswith("["):
-        raise NotationError("expected '['", 0)
-    if not s.endswith("]"):
-        raise NotationError("expected closing ']'", len(s))
-    inner = s[1:-1].strip()
-    if not inner:
-        return Partition(())
-    parts = []
-    pos = 1
-    for token in inner.split(","):
-        digits = token.strip()
-        if not digits.isdecimal():
-            raise NotationError(f"expected a positive integer, got {digits!r}", pos)
-        parts.append(bounded_int(digits, "partition part", "partition cap", PARTITION_CAP))
-        pos += len(token) + 1
-    try:
-        return Partition(parts)
-    except DomainError as exc:
-        raise NotationError(str(exc), 1) from exc
 
 
 def _ascending(n: int) -> Iterator[tuple[int, ...]]:

@@ -45,7 +45,6 @@ orders, and each p-component recurs m / p^(n_p) times.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
@@ -125,27 +124,6 @@ class FactoredInteger:
         """JSON form {"factors": {...}}: decimal-string keys/values, keys
         in ascending numeric order."""
         return {"factors": {str(p): str(e) for p, e in self.factors}}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FactoredInteger":
-        """Inverse of to_json_dict.  Keys and exponents must be decimal
-        strings within Python's limit on str -> int conversion (if one is
-        set); primality of the keys is then checked as in the constructor."""
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-        def decimal(s, what: str) -> int:
-            if not (isinstance(s, str) and s.isdecimal()):
-                raise DomainError(f"factored JSON {what} {s!r} is not a decimal integer")
-            digits = s.lstrip("0") or "0"
-            if limit and len(digits) > limit:
-                raise SizeLimitError(
-                    f"a {len(digits)}-digit factored JSON {what} exceeds "
-                    f"the int conversion limit {limit}"
-                )
-            return int(digits)
-
-        # pairs, not a dict, so "2" and "02" reach the duplicate-prime check
-        return cls((decimal(p, "key"), decimal(e, "exponent")) for p, e in d["factors"].items())
 
     def __str__(self) -> str:
         if not self.factors:

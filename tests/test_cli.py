@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from psiprime import (
-    FactoredInteger,
-    group_from_json_dict,
+    enumerate_abelian_groups,
+    group_to_json_dict,
     order_spectrum,
     parse_group,
     psi_prime,
@@ -99,10 +99,12 @@ def test_enumerate_json_round_trip(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["count"] == "4"
-    for entry in blob["groups"]:
-        G = group_from_json_dict(entry["group"])
-        assert psi_prime(G) == FactoredInteger.from_json_dict(entry["psi_prime"])
-    # re-emitting after a parse round-trip reproduces the bytes
+    groups = enumerate_abelian_groups(36)
+    assert len(blob["groups"]) == len(groups)
+    for entry, G in zip(blob["groups"], groups):
+        assert entry["group"] == group_to_json_dict(G)
+        assert entry["psi_prime"] == psi_prime(G).to_json_dict()
+    # re-emitting reproduces the bytes
     code2, out2, _ = run(capsys, "enumerate", "36", "--json")
     assert out2 == out
 
@@ -156,6 +158,21 @@ def test_oracle_pass(capsys):
     assert all(c["status"] in ("pass", "skipped") for c in blob["checks"])
     names = [c["name"] for c in blob["checks"]]
     assert any("brute" in n for n in names)
+
+
+def test_oracle_skips_the_spectrum_product_past_the_factorization_cap(capsys):
+    # the element order 1000003 * 1000033 is past 10^12, so trial division
+    # of it is skipped like the other capped checks, not refused with exit 2
+    skipped = ("psi' formula vs spectrum product", "element order > 1000000000000")
+    code, out, err = run(capsys, "oracle", "Z1000003xZ1000033")
+    assert (code, err) == (0, "")
+    row = next(line for line in out.splitlines() if skipped[0] in line)
+    assert row.split() == ["SKIPPED", *skipped[0].split(), *skipped[1].split()]
+    code, out, err = run(capsys, "oracle", "Z1000003xZ1000033", "--json")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert {"name": skipped[0], "status": "skipped", "detail": skipped[1]} in checks
+    assert all(c["status"] == "skipped" for c in checks)
 
 
 def test_theorem_violation_exit_code(monkeypatch, capsys):
@@ -283,8 +300,8 @@ def test_conjecture_counterexample_exit_code(monkeypatch, capsys):
     from psiprime import cli as cli_module
     from psiprime.verify import ConjectureFReport, ConjectureFSweep
 
-    group_a = group_from_json_dict({"2": [2]})
-    group_b = group_from_json_dict({"2": [1, 1]})
+    group_a = parse_group("Z4")
+    group_b = parse_group("Z2^2")
     finding = ConjectureFReport(
         m=4, pair_count=1, coincidences=((group_a, group_b, 2, 42),)
     )

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from psiprime import cli, group_from_json_dict
+from psiprime import cli, parse_group
 from psiprime.partitions import Partition
 from psiprime.psi import FactoredInteger, psi_prime_exponent
 from psiprime.verify import (
@@ -40,9 +40,8 @@ def _theorem_c_violation(monkeypatch):
 
 
 def _injectivity_duplicate(monkeypatch):
-    z4, z2z2 = group_from_json_dict({"2": [2]}), group_from_json_dict({"2": [1, 1]})
-    z12 = group_from_json_dict({"2": [2], "3": [1]})
-    z2z6 = group_from_json_dict({"2": [1, 1], "3": [1]})
+    z4, z2z2 = parse_group("Z4"), parse_group("Z2^2")
+    z12, z2z6 = parse_group("Z12"), parse_group("Z2xZ6")
     value = FactoredInteger({2: 4})
     reports = (
         InjectivityReport(m=4, entries=((z4, value), (z2z2, value)), duplicates=((z4, z2z2),)),
@@ -55,7 +54,7 @@ def _injectivity_duplicate(monkeypatch):
 
 
 def _conjecture_f_coincidence(monkeypatch):
-    a, b = group_from_json_dict({"2": [2]}), group_from_json_dict({"2": [1, 1]})
+    a, b = parse_group("Z4"), parse_group("Z2^2")
     finding = ConjectureFReport(
         m=4, pair_count=1, coincidences=((a, b, 2, 42), (a, b, 4, 64))
     )

@@ -7,8 +7,6 @@ from psiprime import (
     NotationError,
     enumerate_abelian_groups,
     format_group,
-    group_from_json_dict,
-    group_to_json_dict,
     parse_group,
 )
 
@@ -70,17 +68,6 @@ def test_format_parse_round_trip():
         for G in enumerate_abelian_groups(m):
             assert parse_group(format_group(G)) == G
             assert parse_group(str(G.cyclic_factors()).replace(" ", "")) == G
-
-
-def test_group_json_round_trip():
-    for m in (1, 36, 48, 720):
-        for G in enumerate_abelian_groups(m):
-            d = group_to_json_dict(G)
-            assert group_from_json_dict(d) == G
-
-
-def test_group_json_accepts_any_key_order():
-    assert group_from_json_dict({"3": [1, 1], "2": [2]}) == parse_group("Z4xZ3^2")
 
 
 def test_spectrum_json_shape():
@@ -155,27 +142,3 @@ def test_non_ascii_digit_characters_are_notation_errors():
     # "²".isdigit() is True but int("²") raises a bare ValueError
     with pytest.raises(NotationError, match="position 1"):
         parse_group("[²]")
-
-
-def test_group_json_non_ascii_digit_key_is_a_domain_error():
-    from psiprime import DomainError
-
-    with pytest.raises(DomainError, match="not a prime"):
-        group_from_json_dict({"²": [1]})
-
-
-def test_group_json_refuses_a_long_key_before_conversion():
-    from psiprime import SizeLimitError
-
-    with pytest.raises(SizeLimitError, match="5000-digit prime exceeds"):
-        group_from_json_dict({"1" * 5000: [1]})
-
-
-@pytest.mark.parametrize("part", ["x", "2", 1.5, True])
-def test_group_json_parts_must_be_integers(part):
-    from psiprime import DomainError
-
-    # strings, floats and bools used to go through int(): "x" raised a bare
-    # ValueError, 1.5 became 1, True became 1
-    with pytest.raises(DomainError, match="is not an integer"):
-        group_from_json_dict({"2": [part]})

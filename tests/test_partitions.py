@@ -2,11 +2,9 @@ import pytest
 
 from psiprime import (
     DomainError,
-    NotationError,
     Partition,
     SizeLimitError,
     iter_partitions,
-    parse_partition,
     partitions_of,
 )
 from psiprime.partitions import _ascending
@@ -90,34 +88,3 @@ def test_partitions_of_keeps_small_lists_only():
     assert partitions_of(23) is partitions_of(23)
     first, second = partitions_of(30), partitions_of(30)
     assert first == second and first is not second
-
-
-def test_partition_text_round_trip():
-    for n in range(11):
-        for q in partitions_of(n):
-            assert parse_partition(str(q)) == q
-
-
-def test_parse_partition_examples():
-    assert parse_partition("[3,1,1]").parts == (3, 1, 1)
-    assert parse_partition("[]").parts == ()
-    with pytest.raises(NotationError):
-        parse_partition("3,1,1")
-    with pytest.raises(NotationError):
-        parse_partition("[3,1,")
-    with pytest.raises(NotationError):
-        parse_partition("[1,3]")  # not weakly decreasing
-
-
-def test_parse_partition_non_ascii_digit_is_a_notation_error():
-    # "²".isdigit() is True but int("²") raises a bare ValueError
-    with pytest.raises(NotationError, match="position 1"):
-        parse_partition("[²]")
-
-
-def test_parse_partition_refuses_a_long_part_before_conversion():
-    from psiprime import SizeLimitError
-
-    # past Python's 4300-digit int() limit
-    with pytest.raises(SizeLimitError, match="5000-digit partition part exceeds"):
-        parse_partition("[" + "1" * 5000 + "]")

@@ -46,6 +46,8 @@ def test_factored_integer_normalization_and_arithmetic():
         fi({4: 1})
     with pytest.raises(DomainError):
         fi({2: -1})
+    with pytest.raises(DomainError, match="duplicate prime 2"):
+        FactoredInteger(((2, 1), (2, 5)))
 
 
 def test_factored_integer_materialize():
@@ -58,8 +60,8 @@ def test_factored_integer_materialize():
 
 
 def test_materialize_refuses_an_exponent_past_the_float_range():
-    # from_json_dict accepts a 401-digit exponent; e * log10(p) overflows a float
-    value = FactoredInteger.from_json_dict({"factors": {"2": "1" + "0" * 400}})
+    # a 401-digit exponent: e * log10(p) overflows a float
+    value = FactoredInteger({2: 10**400})
     with pytest.raises(SizeLimitError, match=r"^value has over 11 digits, over the limit 10$"):
         value.materialize(10)
 
@@ -114,41 +116,15 @@ def test_factored_integer_json_round_trip():
     value = fi({2: 45, 3: 32})
     blob = value.to_json_dict()
     assert blob == {"factors": {"2": "45", "3": "32"}}
-    assert FactoredInteger.from_json_dict(blob) == value
-
-
-@pytest.mark.parametrize(
-    "factors",
-    [{"²": "1"}, {"2": "1.5"}, {"2": "-1"}, {"x": "1"}, {"2": 3}],
-    ids=["superscript-key", "fraction", "negative", "letter-key", "int"],
-)
-def test_factored_json_refuses_non_decimal_strings(factors):
-    with pytest.raises(DomainError):
-        FactoredInteger.from_json_dict({"factors": factors})
-
-
-def test_factored_json_refuses_an_exponent_past_the_conversion_limit():
-    with pytest.raises(SizeLimitError, match="5000-digit factored JSON exponent"):
-        FactoredInteger.from_json_dict({"factors": {"2": "9" * 5000}})
-
-
-def test_factored_json_refuses_a_long_key_before_converting_it():
-    with pytest.raises(SizeLimitError, match="5000-digit factored JSON key"):
-        FactoredInteger.from_json_dict({"factors": {"7" * 5000: "1"}})
-
-
-def test_factored_json_refuses_a_prime_written_twice():
-    with pytest.raises(DomainError, match="duplicate prime 2"):
-        FactoredInteger.from_json_dict({"factors": {"2": "1", "02": "5"}})
 
 
 def test_factored_json_round_trips_a_trusted_prime_past_the_factorization_cap():
     # primes >= 2^31 are trusted by the group and FactoredInteger
-    # constructors, so their JSON must read back too
+    # constructors, and written as decimal strings like any other
     p = 10**13 + 37
     value = psi_prime(AbelianGroup(((p, Partition((1,))),)))
     assert value == fi({p: p - 1})
-    assert FactoredInteger.from_json_dict(value.to_json_dict()) == value
+    assert value.to_json_dict() == {"factors": {str(p): str(p - 1)}}
 
 
 # ---------------------------------------------------------------- f_eval (oracle)
@@ -462,3 +438,27 @@ def test_every_public_name_resolves_once():
     missing = [name for name in psiprime.__all__ if not hasattr(psiprime, name)]
     repeated = sorted({name for name in psiprime.__all__ if psiprime.__all__.count(name) > 1})
     assert (missing, repeated) == ([], [])
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that no module of the package and no script names is
+    # reached only by tests, and should go
+    import ast
+    import pathlib
+
+    import psiprime
+
+    package = pathlib.Path(psiprime.__file__).parent
+    scripts = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += scripts.glob("*.py")
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(psiprime.__all__) - used) == []

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -42,6 +44,31 @@ def test_collision_census_finds_the_order_36_48_pair():
     assert result.returncode == 0, result.stderr
     assert "colliding pairs: 1\n" in result.stdout
     assert "smallest pair: Z4xZ3^2 / Z2^4xZ3" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_verification.py", ["--max-n", "0"]),
+        ("run_verification.py", ["--injectivity-order", "0"]),
+        ("run_verification.py", ["--collision-order", "0"]),
+        ("run_verification.py", ["--conjecture-order", "0"]),
+        ("run_verification.py", ["--brute-order", "0"]),
+        ("run_verification.py", ["--jobs", "0"]),
+        ("collision_census.py", ["0"]),
+    ],
+    ids=["max-n", "injectivity-order", "collision-order", "conjecture-order",
+         "brute-order", "jobs", "census-max-order"],
+)
+def test_scripts_refuse_a_bound_below_one(script, args):
+    # a bound of 0 would print PASS having checked nothing, or end in a
+    # DomainError traceback, so argparse refuses it before any work
+    result = run_script(script, *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ")
+    assert "must be >= 1, got 0" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_benchmark_child_names_resolve():
