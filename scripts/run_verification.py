@@ -14,6 +14,7 @@ import sys
 import time
 
 from psiprime import (
+    DomainError,
     brute_force_spectrum,
     check_theorem_c,
     enumerate_abelian_groups,
@@ -25,6 +26,7 @@ from psiprime import (
     sweep_conjecture_f,
     sweep_injectivity,
 )
+from psiprime.arith import require_prime
 
 
 def positive_int(text):
@@ -33,6 +35,17 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def prime(text):
+    """argparse type for --primes: check_theorem_c refuses anything but a
+    prime below 2**31, with a traceback after the primes before it ran."""
+    value = int(text)
+    try:
+        require_prime(value)
+    except DomainError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return value
 
 
@@ -50,7 +63,7 @@ def report(ok, label):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5, 7])
+    parser.add_argument("--primes", type=prime, nargs="+", default=[2, 3, 5, 7])
     parser.add_argument("--max-n", type=positive_int, default=12,
                         help="largest p-group exponent n")
     parser.add_argument("--injectivity-order", type=positive_int, default=10**4)
@@ -66,7 +79,7 @@ def main():
 
     section(f"monotonicity of the psi' exponent, p in {args.primes}, n <= {args.max_n}")
     for p in args.primes:
-        bad = sum(not check_theorem_c(p, n).holds for n in range(1, args.max_n + 1))
+        bad = sum(bool(check_theorem_c(p, n)) for n in range(1, args.max_n + 1))
         violations += bad
         report(bad == 0, f"p = {p}: strictly increasing for every n (violations: {bad})")
 

@@ -34,7 +34,6 @@ from .verify import (
     ConjectureFSweep,
     InjectivityReport,
     InjectivitySweep,
-    MonotonicityReport,
     check_conjecture_f,
     check_injectivity,
     check_theorem_c,
@@ -55,7 +54,6 @@ __all__ = [
     "FactoredInteger",
     "InjectivityReport",
     "InjectivitySweep",
-    "MonotonicityReport",
     "NotationError",
     "OrderPolynomial",
     "OrderSpectrum",

@@ -41,18 +41,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(p: int) -> None:
-    """Raise DomainError unless p is a prime below 2**31.
-
-    Past that, trial division is no longer reasonable, so p is refused; a
-    caller that trusts larger primes skips this check for them.
-    """
-    if p < 2:
+def _require_trusted_prime(p: int) -> None:
+    """Raise DomainError unless p is a plain int that is prime, or at least
+    2**31: past that, group and factored-value construction trust it."""
+    # a float or bool would pass the trial division and spread into results
+    if type(p) is not int:
+        raise DomainError(f"prime {p!r} must be an int")
+    if p < PRIMALITY_TEST_LIMIT and not is_prime(p):
         raise DomainError(f"{p} is not a prime")
+
+
+def require_prime(p: int) -> None:
+    """Raise DomainError unless p is a plain int prime below 2**31.
+
+    Past that, trial division is no longer reasonable, so p is refused.
+    """
+    _require_trusted_prime(p)
     if p >= PRIMALITY_TEST_LIMIT:
         raise DomainError(f"{p} >= 2**31: too large to primality-test here")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not a prime")
 
 
 def bounded_int(digits: str, what: str, cap_name: str, cap: int) -> int:

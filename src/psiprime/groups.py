@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .arith import PRIMALITY_TEST_LIMIT, factorize, require_prime
+from .arith import _require_trusted_prime, factorize
 from .errors import DomainError, SizeLimitError
 from .partitions import Partition, partitions_of
 
@@ -46,9 +46,7 @@ class AbelianGroup:
     def __init__(self, components: Iterable[tuple[int, Partition]] = ()):
         components = tuple((p, q) for p, q in components)
         for i, (p, q) in enumerate(components):
-            # primes past the primality-testing limit are trusted
-            if p < PRIMALITY_TEST_LIMIT:
-                require_prime(p)
+            _require_trusted_prime(p)
             if not isinstance(q, Partition) or not q.parts:
                 raise DomainError(f"component for prime {p} needs a non-empty partition")
             if i > 0 and components[i - 1][0] >= p:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .arith import PRIMALITY_TEST_LIMIT, exact_div, factorize, require_prime
+from .arith import _require_trusted_prime, exact_div, factorize
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
 from .partitions import Partition
@@ -77,10 +77,7 @@ class FactoredInteger:
                 pairs.append((p, e))
         normalized = tuple(sorted(pairs))
         for i, (p, e) in enumerate(normalized):
-            # keys past the primality-testing limit are trusted, as in
-            # group construction
-            if p < PRIMALITY_TEST_LIMIT:
-                require_prime(p)
+            _require_trusted_prime(p)
             if e < 0:
                 raise DomainError(f"negative exponent {e} for prime {p}")
             if i > 0 and normalized[i - 1][0] == p:
@@ -158,12 +155,12 @@ def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
     ``Partition.parts`` stores them: checked, cached, and computed by
     :func:`pgroup_exponent`.
 
-    parts must pass :class:`Partition`'s checks and be non-empty, and p >= 2.
+    parts must pass :class:`Partition`'s checks and be non-empty, and p
+    must be an int prime, trusted from 2**31 on as in group construction.
     The checks run on a cache miss only, so a key equal to a cached one,
     such as (True,) for (1,), gets the cached value.
     """
-    if p < 2:
-        raise DomainError(f"p = {p} must be >= 2")
+    _require_trusted_prime(p)
     if not Partition(parts).parts:
         raise DomainError("a p-group's partition must be non-empty")
     return pgroup_exponent(p, parts)

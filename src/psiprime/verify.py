@@ -39,27 +39,11 @@ def _group_sort_key(G: AbelianGroup):
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
-    """psi' exponents for all p-groups of order p^n in ascending partition
-    order; any adjacent non-increase lands in ``violations``."""
-
-    p: int
-    n: int
-    rows: tuple[tuple[Partition, int], ...]
-    violations: tuple[tuple[int, int], ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
 class InjectivityReport:
-    """psi' for every abelian group of one order m; ``duplicates`` collects
-    any value classes of size >= 2 (each one a theorem violation)."""
+    """For one order m, the classes of two or more abelian groups of that
+    order sharing a psi' value (each one a theorem violation)."""
 
     m: int
-    entries: tuple[tuple[AbelianGroup, FactoredInteger], ...]
     duplicates: tuple[tuple[AbelianGroup, ...], ...]
 
     @property
@@ -117,30 +101,40 @@ def record_violations(
         yield row
 
 
-def check_theorem_c(p: int, n: int) -> MonotonicityReport:
-    """The rows of :func:`theorem_c_rows` with every adjacent exponent
-    non-increase, as one report.
+def check_theorem_c(p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Every (i, i + 1) where row i + 1 of :func:`theorem_c_rows` has an
+    exponent not above row i's; empty when Theorem C holds at p^n.
 
-    The report holds all p(n) rows (p(64) is over 1.7 million); the CLI
-    streams the same rows instead of building it.
+    The rows are streamed and none is kept, so memory stays flat however
+    large p(n) is (p(64) is over 1.7 million).
     """
     violations: list[tuple[int, int]] = []
-    rows = list(record_violations(theorem_c_rows(p, n), violations))
-    return MonotonicityReport(p=p, n=n, rows=tuple(rows), violations=tuple(violations))
+    for _ in record_violations(theorem_c_rows(p, n), violations):
+        pass
+    return tuple(violations)
+
+
+def _shared_psi_prime(
+    groups: Iterable[AbelianGroup],
+) -> list[tuple[FactoredInteger, list[AbelianGroup]]]:
+    """(value, groups) for each psi' value two or more of the groups share,
+    values in first-seen order, each class sorted by order and type."""
+    by_value: dict[FactoredInteger, list[AbelianGroup]] = {}
+    for G in groups:
+        by_value.setdefault(psi_prime(G), []).append(G)
+    return [
+        (value, sorted(gs, key=_group_sort_key))
+        for value, gs in by_value.items()
+        if len(gs) >= 2
+    ]
 
 
 def check_injectivity(m: int) -> InjectivityReport:
-    """psi' over all abelian groups of order m, grouped by exact value."""
-    entries = tuple((G, psi_prime(G)) for G in enumerate_abelian_groups(m))
-    by_value: dict[FactoredInteger, list[AbelianGroup]] = {}
-    for G, value in entries:
-        by_value.setdefault(value, []).append(G)
-    duplicates = tuple(
-        tuple(sorted(gs, key=_group_sort_key))
-        for value, gs in sorted(by_value.items(), key=lambda kv: kv[0].factors)
-        if len(gs) >= 2
-    )
-    return InjectivityReport(m=m, entries=entries, duplicates=duplicates)
+    """The psi' value classes that two or more abelian groups of order m
+    share, values ascending by their factors."""
+    shared = _shared_psi_prime(enumerate_abelian_groups(m))
+    shared.sort(key=lambda vg: vg[0].factors)
+    return InjectivityReport(m=m, duplicates=tuple(tuple(gs) for _, gs in shared))
 
 
 def find_cross_order_collisions(max_order: int) -> CollisionReport:
@@ -151,17 +145,12 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     order-48 pair Z4 x Z3^2 and Z2^4 x Z3 with shared value 2^45 * 3^32.
     """
     _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
-    by_value: dict[FactoredInteger, list[AbelianGroup]] = {}
-    for m in range(1, max_order + 1):
-        for G in enumerate_abelian_groups(m):
-            by_value.setdefault(psi_prime(G), []).append(G)
-    pairs = []
-    for value, gs in by_value.items():
-        if len(gs) < 2:
-            continue
-        gs = sorted(gs, key=_group_sort_key)
-        for a, b in itertools.combinations(gs, 2):
-            pairs.append((a, b, value))
+    groups = (G for m in range(1, max_order + 1) for G in enumerate_abelian_groups(m))
+    pairs = [
+        (a, b, value)
+        for value, gs in _shared_psi_prime(groups)
+        for a, b in itertools.combinations(gs, 2)
+    ]
     pairs.sort(key=lambda abv: (_group_sort_key(abv[0]), _group_sort_key(abv[1])))
     return CollisionReport(scope=max_order, pairs=tuple(pairs))
 

@@ -29,6 +29,7 @@ from psiprime import (
     sweep_conjecture_f,
     sweep_injectivity,
 )
+from psiprime.verify import theorem_c_rows
 from oracles import spectrum_orders, subset_esp
 
 
@@ -102,9 +103,8 @@ def test_criterion_4_monotonicity_biconditional():
     def body():
         for p in (2, 3, 5, 7):
             for n in range(1, 13):
-                report = check_theorem_c(p, n)
-                assert report.violations == (), (p, n)
-                rows = report.rows
+                assert check_theorem_c(p, n) == (), (p, n)
+                rows = list(theorem_c_rows(p, n))
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):
                         (qa, ea), (qb, eb) = rows[i], rows[j]

@@ -252,18 +252,18 @@ def test_consistency_error_midway_leaves_the_rows_before_it(monkeypatch, capsys)
 @pytest.mark.parametrize("fmt", ["--json", "--csv"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_theorem_c_streams_the_bytes_of_the_report(capsys, p, fmt):
-    from psiprime.verify import check_theorem_c
+    from psiprime.verify import check_theorem_c, theorem_c_rows
 
     for n in range(1, 13):
-        report = check_theorem_c(p, n)
+        rows = list(theorem_c_rows(p, n))
         if fmt == "--json":
             want = json.dumps(
                 {
                     "p": str(p),
                     "n": str(n),
                     "rows": [{"partition": list(q.parts), "exponent": str(e)}
-                             for q, e in report.rows],
-                    "violations": [list(v) for v in report.violations],
+                             for q, e in rows],
+                    "violations": [list(v) for v in check_theorem_c(p, n)],
                 },
                 separators=(",", ":"),
             ) + "\n"
@@ -271,7 +271,7 @@ def test_theorem_c_streams_the_bytes_of_the_report(capsys, p, fmt):
             buf = io.StringIO(newline="")
             writer = csv.writer(buf)
             writer.writerow(["partition", "psi_prime_exponent"])
-            writer.writerows(report.rows)
+            writer.writerows(rows)
             want = buf.getvalue()
         assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (
             0, want, ""
@@ -294,6 +294,15 @@ def test_theorem_c_prime_past_the_testing_limit_exit_1(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "primality-test" in err
     assert "assume_prime" not in err
+
+
+def test_compute_psi_prime_of_a_trusted_prime_past_the_testing_limit(capsys):
+    # psi_prime_exponent checks p on a cache miss and trusts it from 2^31 on
+    from psiprime.psi import psi_prime_exponent
+
+    psi_prime_exponent.cache_clear()
+    code, out, err = run(capsys, "compute", "Z2147483659", "--psi-prime")
+    assert (code, out, err) == (0, "2147483659^2147483658\n", "")
 
 
 def test_conjecture_counterexample_exit_code(monkeypatch, capsys):

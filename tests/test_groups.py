@@ -15,6 +15,8 @@ from psiprime import (
     enumerate_abelian_groups,
     order_spectrum,
 )
+from psiprime.arith import require_prime
+from psiprime.verify import theorem_c_rows
 from oracles import partition_count
 
 
@@ -138,6 +140,25 @@ def test_primes_past_the_testing_limit_are_trusted_at_construction():
     assert AbelianGroup(((big, Partition((1,))),)).order == big
     # a Mersenne prime, just below the limit, is tested and accepted
     assert AbelianGroup(((2**31 - 1, Partition((1,))),)).order == 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: require_prime(3.0),
+        lambda: list(theorem_c_rows(3.0, 3)),
+        lambda: list(theorem_c_rows(3.0, 40)),
+        lambda: AbelianGroup([(2.0, Partition((2, 1)))]),
+        lambda: enumerate_abelian_groups(10.0),
+    ],
+    ids=["require_prime", "theorem_c_rows", "theorem_c_rows-rounding", "AbelianGroup",
+         "enumerate"],
+)
+def test_a_float_prime_is_refused(make):
+    # 3.0 passes trial division, then spreads float exponents and orders
+    # (or a false ConsistencyError from rounding) through every result
+    with pytest.raises(DomainError, match="must be an int"):
+        make()
 
 
 # ---------------------------------------------------------------- spectra

@@ -71,6 +71,17 @@ def test_scripts_refuse_a_bound_below_one(script, args):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("value, reason", [("4", "4 is not a prime"), ("1", "1 is not a prime")])
+def test_run_verification_refuses_a_non_prime(value, reason):
+    # check_theorem_c would end in a DomainError traceback on it
+    result = run_script("run_verification.py", "--primes", "2", value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ")
+    assert f"argument --primes: {reason}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_benchmark_child_names_resolve():
     # perfbench/child.py resolves its spans and caches by name in every
     # run; loading it runs no benchmark and changes no file

@@ -12,35 +12,34 @@ from psiprime import (
     enumerate_abelian_groups,
     find_cross_order_collisions,
     order_spectrum,
+    psi_prime,
     psi_prime_from_spectrum,
     sweep_conjecture_f,
     sweep_injectivity,
 )
+from psiprime.verify import theorem_c_rows
 
 
 def test_theorem_c_2_3():
-    report = check_theorem_c(2, 3)
-    assert [(q.parts, e) for q, e in report.rows] == [
+    assert [(q.parts, e) for q, e in theorem_c_rows(2, 3)] == [
         ((1, 1, 1), 7),
         ((2, 1), 11),
         ((3,), 17),
     ]
-    assert report.violations == ()
-    assert report.holds
+    assert check_theorem_c(2, 3) == ()
 
 
 def test_theorem_c_single_row():
-    report = check_theorem_c(2, 1)
-    assert len(report.rows) == 1
-    assert report.holds
+    assert len(list(theorem_c_rows(2, 1))) == 1
+    assert check_theorem_c(2, 1) == ()
 
 
 def test_theorem_c_3_5_cross_checked_against_spectrum():
-    report = check_theorem_c(3, 5)
-    assert len(report.rows) == 7  # p(5)
-    exponents = [e for _, e in report.rows]
+    rows = list(theorem_c_rows(3, 5))
+    assert len(rows) == 7  # p(5)
+    exponents = [e for _, e in rows]
     assert exponents == sorted(exponents) and len(set(exponents)) == 7
-    for q, e in report.rows:
+    for q, e in rows:
         G = canonicalize([3**a for a in q.parts])
         assert dict(psi_prime_from_spectrum(order_spectrum(G)).factors) == {3: e}
 
@@ -48,7 +47,7 @@ def test_theorem_c_3_5_cross_checked_against_spectrum():
 def test_theorem_c_full_biconditional_small():
     for p in (2, 3):
         for n in range(1, 9):
-            rows = check_theorem_c(p, n).rows
+            rows = list(theorem_c_rows(p, n))
             for (qa, ea), (qb, eb) in itertools.combinations(rows, 2):
                 cmp_lex = (qa.parts > qb.parts) - (qa.parts < qb.parts)
                 cmp_exp = (ea > eb) - (ea < eb)
@@ -56,25 +55,26 @@ def test_theorem_c_full_biconditional_small():
 
 
 def test_injectivity_36():
+    values = [psi_prime(G) for G in enumerate_abelian_groups(36)]
+    assert len(values) == 4
+    assert len(set(values)) == 4
     report = check_injectivity(36)
-    assert len(report.entries) == 4
-    assert len({value for _, value in report.entries}) == 4
     assert report.duplicates == ()
     assert report.holds
 
 
 def test_injectivity_prime_order_vacuous():
-    report = check_injectivity(13)
-    assert len(report.entries) == 1
-    assert report.holds
+    assert len(enumerate_abelian_groups(13)) == 1
+    assert check_injectivity(13).holds
 
 
 def test_injectivity_64_exponents_increase_with_enumeration_order():
-    report = check_injectivity(64)
-    assert len(report.entries) == 11  # p(6)
-    exponents = [dict(value.factors)[2] for _, value in report.entries]
+    values = [psi_prime(G) for G in enumerate_abelian_groups(64)]
+    assert len(values) == 11  # p(6)
+    exponents = [dict(value.factors)[2] for value in values]
     assert exponents == sorted(exponents)
     assert len(set(exponents)) == 11
+    assert check_injectivity(64).holds
 
 
 def test_collisions_up_to_10_empty():
@@ -159,7 +159,6 @@ def test_theorem_c_rejects_non_prime_p(bad_p):
 def test_theorem_c_rows_refuse_on_call(p, n):
     # a refusal before any row is made, so the CLI writes nothing
     from psiprime import DomainError, SizeLimitError
-    from psiprime.verify import theorem_c_rows
 
     with pytest.raises((DomainError, SizeLimitError)):
         theorem_c_rows(p, n)
@@ -173,6 +172,33 @@ def test_record_violations_passes_rows_through():
     violations = []
     assert list(record_violations(rows, violations)) == rows
     assert violations == [(0, 1), (1, 2)]
+
+
+def test_check_theorem_c_returns_a_planted_drop(monkeypatch):
+    from psiprime import verify
+
+    real = verify.pgroup_exponent
+    dropped = list(theorem_c_rows(2, 6))[5][0].parts
+
+    def planted(p, parts):
+        return 0 if parts == dropped else real(p, parts)
+
+    monkeypatch.setattr(verify, "pgroup_exponent", planted)
+    assert check_theorem_c(2, 6) == ((4, 5),)
+
+
+def test_check_theorem_c_keeps_no_rows():
+    # p(36) = 17,977 rows, several megabytes if kept; streamed, the peak
+    # is one row and the few violations
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert check_theorem_c(2, 36) == ()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("bad_max", [0, -5])
@@ -372,7 +398,7 @@ def _reference_injectivity_sweep(max_order):
     reports = [check_injectivity(m) for m in range(1, max_order + 1)]
     return InjectivitySweep(
         max_order=max_order,
-        groups_checked=sum(len(r.entries) for r in reports),
+        groups_checked=sum(len(enumerate_abelian_groups(m)) for m in range(1, max_order + 1)),
         failures=tuple(r for r in reports if not r.holds),
     )
 
