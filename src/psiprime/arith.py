@@ -73,8 +73,12 @@ def bounded_int(digits: str, what: str, cap_name: str, cap: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division, primes ascending.
 
-    factorize(1) == {}.  Raises SizeLimitError for n above FACTORIZATION_CAP.
+    factorize(1) == {}.  Raises SizeLimitError for n above FACTORIZATION_CAP
+    and DomainError for anything but a plain int.
     """
+    # a float would divide out as floats and leave a float "prime" behind
+    if type(n) is not int:
+        raise DomainError(f"cannot factorize {n!r}: must be an int")
     if n < 1:
         raise DomainError(f"cannot factorize {n}: must be >= 1")
     if n > FACTORIZATION_CAP:

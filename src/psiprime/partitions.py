@@ -21,7 +21,7 @@ from .errors import DomainError, SizeLimitError
 # Largest n that iter_partitions and partitions_of accept.  Streaming holds
 # no rows, so the cap bounds two things: the length of the tuple that
 # partitions_of(n) builds, and the length of one theorem-c run, p(64) =
-# 1,741,630 rows, about 23 s for ``verify theorem-c --prime 2 --n 64
+# 1,741,630 rows, about 6 s for ``verify theorem-c --prime 2 --n 64
 # --json`` on one x86_64 core with Python 3.11.
 PARTITION_CAP = 64
 

@@ -32,6 +32,18 @@ big-integer operations per group instead of O(a_k * k);
 :class:`Partition`'s rules, caches, and calls it.  The literal loop over i
 is kept as a test oracle in ``tests/oracles.py``.
 
+:func:`pgroup_exponents` gives the same E for every partition of one n
+in ascending order, as the Theorem C sweep needs them, with constant work
+per partition.  Write T_t for the t-th run term, p^(n - P_t + t*l_(t+1)) *
+g(t, l_t - l_(t+1)) with g(t, d) = (p^(t*d) - 1) / (p^t - 1), and S_t for
+T_1 + ... + T_t.  The successor of a partition keeps every part before
+index i (0-based), raises part i and ends in 1s, so in each new partition
+i is the last part above 1.  T_1..T_(i-1) are unchanged and S_(i-1) is
+reused; only T_i and T_(i+1) are new, and the tail of 1s adds g(k, 1).
+There n - P_i is part i plus the number of 1s and n - P_(i+1) is the
+number of 1s, so no part sum is needed.  Each g(t, d) is divided, checked
+exact, on first use and kept for the rest of the sweep.
+
 A group of order m with Sylow p-subgroups of order p^(n_p) and exponents
 E_p has
 
@@ -47,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arith import _require_trusted_prime, exact_div, factorize
 from .errors import DomainError, SizeLimitError
@@ -147,6 +159,65 @@ def pgroup_exponent(p: int, parts: Sequence[int]) -> int:
         below = part
         t -= 1
     return parts[0] * p**rest - total
+
+
+class _RunSums(dict):
+    """g(t, d) = (p^(t*d) - 1) / (p^t - 1), keyed by (t, d) and computed
+    from the table power[j] = p^j on first use, its division checked exact."""
+
+    def __init__(self, power: list[int]):
+        super().__init__()
+        self.power = power
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        t, d = key
+        power = self.power
+        value = self[key] = exact_div(power[t * d] - 1, power[t] - 1, "psi' exponent run")
+        return value
+
+
+def pgroup_exponents(
+    p: int, partitions: Iterable[Partition]
+) -> Iterator[tuple[Partition, int]]:
+    """(q, pgroup_exponent(p, q.parts)) for each q of ``partitions``, which
+    must be iter_partitions(n) for some n >= 1: every partition of n, in
+    ascending order.  Lazy, unchecked like pgroup_exponent, and with
+    constant work per partition: the prefix-sum pass of the module
+    docstring.  The first partition, all 1s, divides by p^n - 1 first, as
+    pgroup_exponent does.
+    """
+    rows = iter(partitions)
+    first = next(rows)
+    n = len(first.parts)
+    power = [1]
+    for _ in range(n):
+        power.append(power[-1] * p)
+    top = power[n]
+    runs = _RunSums(power)
+    yield first, top - runs[n, 1]
+    # sums[t] = S_t, which reads l_1..l_(t+1).  A row with index i reads
+    # S_(i-1): the last row with index i - 1 wrote it, and each row since
+    # had an index of at least i (it grows by at most 1 a row), so it left
+    # every part before i as it was
+    sums = [0] * n
+    for q in rows:
+        parts = q.parts
+        ones = parts.count(1)
+        i = len(parts) - ones - 1
+        part = parts[i]
+        if i:
+            s = sums[i - 1]
+            d = parts[i - 1] - part
+            if d:
+                s += power[(i + 1) * part + ones] * runs[i, d]
+            sums[i] = s
+        else:
+            s = 0
+        if ones:
+            s += power[ones + i + 1] * runs[i + 1, part - 1] + runs[len(parts), 1]
+        else:
+            s += runs[i + 1, part]
+        yield q, parts[0] * top - s
 
 
 @cache

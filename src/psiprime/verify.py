@@ -21,7 +21,7 @@ from .arith import is_prime, require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import Partition, iter_partitions, partitions_of
-from .psi import FactoredInteger, pgroup_exponent, psi_prime
+from .psi import FactoredInteger, pgroup_exponent, pgroup_exponents, psi_prime
 from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
 
 
@@ -79,13 +79,15 @@ def theorem_c_rows(p: int, n: int) -> Iterator[tuple[Partition, int]]:
     lazily, in ascending partition order.
 
     p, n and the partition cap (64) are checked when this is called, before
-    any row is made.  Each row costs one uncached exponent evaluation and
-    nothing is kept, so memory stays flat however large p(n) is.
+    any row is made.  The rows come from one prefix-sum pass,
+    :func:`psi.pgroup_exponents`, which adds two new run terms per row and
+    keeps only the run sums of one partition, so memory stays flat however
+    large p(n) is.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be >= 1")
     require_prime(p)
-    return ((q, pgroup_exponent(p, q.parts)) for q in iter_partitions(n))
+    return pgroup_exponents(p, iter_partitions(n))
 
 
 def record_violations(

@@ -249,33 +249,52 @@ def test_consistency_error_midway_leaves_the_rows_before_it(monkeypatch, capsys)
     assert out.count('"partition"') == 1024 < good[1].count('"partition"') == 1575
 
 
+def _theorem_c_bytes(p, n, rows, violations, fmt):
+    # the whole report, as one json.dumps or csv.writer would write it
+    if fmt == "--json":
+        return json.dumps(
+            {
+                "p": str(p),
+                "n": str(n),
+                "rows": [{"partition": list(q.parts), "exponent": str(e)} for q, e in rows],
+                "violations": [list(v) for v in violations],
+            },
+            separators=(",", ":"),
+        ) + "\n"
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["partition", "psi_prime_exponent"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("fmt", ["--json", "--csv"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_theorem_c_streams_the_bytes_of_the_report(capsys, p, fmt):
     from psiprime.verify import check_theorem_c, theorem_c_rows
 
     for n in range(1, 13):
-        rows = list(theorem_c_rows(p, n))
-        if fmt == "--json":
-            want = json.dumps(
-                {
-                    "p": str(p),
-                    "n": str(n),
-                    "rows": [{"partition": list(q.parts), "exponent": str(e)}
-                             for q, e in rows],
-                    "violations": [list(v) for v in check_theorem_c(p, n)],
-                },
-                separators=(",", ":"),
-            ) + "\n"
-        else:
-            buf = io.StringIO(newline="")
-            writer = csv.writer(buf)
-            writer.writerow(["partition", "psi_prime_exponent"])
-            writer.writerows(rows)
-            want = buf.getvalue()
+        want = _theorem_c_bytes(p, n, list(theorem_c_rows(p, n)), check_theorem_c(p, n), fmt)
         assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (
             0, want, ""
         )
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("p, n", [(2, 30), (3, 24), (5, 13), (7, 1), (11, 2)])
+def test_theorem_c_bytes_match_the_kernel_row_by_row(capsys, p, n, fmt):
+    # the test above builds its bytes from theorem_c_rows itself; these
+    # come from pgroup_exponent on each partition, independent of the
+    # prefix-sum pass the CLI streams
+    from psiprime.partitions import iter_partitions
+    from psiprime.psi import pgroup_exponent
+
+    rows = [(q, pgroup_exponent(p, q.parts)) for q in iter_partitions(n)]
+    violations = [(i, i + 1) for i in range(len(rows) - 1) if rows[i][1] >= rows[i + 1][1]]
+    want = _theorem_c_bytes(p, n, rows, violations, fmt)
+    assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (
+        0, want, ""
+    )
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])

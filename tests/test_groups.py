@@ -15,7 +15,7 @@ from psiprime import (
     enumerate_abelian_groups,
     order_spectrum,
 )
-from psiprime.arith import require_prime
+from psiprime.arith import factorize, require_prime
 from psiprime.verify import theorem_c_rows
 from oracles import partition_count
 
@@ -158,6 +158,23 @@ def test_a_float_prime_is_refused(make):
     # 3.0 passes trial division, then spreads float exponents and orders
     # (or a false ConsistencyError from rounding) through every result
     with pytest.raises(DomainError, match="must be an int"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda: factorize(10.0), "10.0"),
+        (lambda: factorize(True), "True"),
+        (lambda: enumerate_abelian_groups(12.0), "12.0"),
+        (lambda: enumerate_abelian_groups(10.0), "10.0"),
+    ],
+    ids=["factorize-float", "factorize-bool", "enumerate-12.0", "enumerate-10.0"],
+)
+def test_a_non_int_order_is_refused_by_its_value(make, shown):
+    # factorize(10.0) would give {2: 1, 5.0: 1} and enumerate_abelian_groups(12.0)
+    # the groups of order 12; (10.0) would fail only on the prime 5.0
+    with pytest.raises(DomainError, match=rf"cannot factorize {shown}: must be an int"):
         make()
 
 

@@ -24,7 +24,8 @@ from psiprime import (
     psi_sum,
 )
 from psiprime.arith import exact_div
-from psiprime.psi import pgroup_exponent
+from psiprime.partitions import iter_partitions
+from psiprime.psi import pgroup_exponent, pgroup_exponents
 from psiprime.verify import check_theorem_c, sweep_injectivity
 from oracles import f_eval, psi_prime_exponent_loop
 
@@ -194,6 +195,14 @@ def test_psi_prime_exponent_matches_loop_oracle(p, raw):
     parts = tuple(sorted(raw, reverse=True))
     expected = psi_prime_exponent_loop(p, parts[::-1])
     assert psi_prime_exponent(p, parts) == expected == pgroup_exponent(p, parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_pgroup_exponents_equal_the_kernel_on_every_partition_up_to_30(p):
+    # the prefix-sum pass against pgroup_exponent, called row by row
+    for n in range(1, 31):
+        want = [(q, pgroup_exponent(p, q.parts)) for q in iter_partitions(n)]
+        assert list(pgroup_exponents(p, iter_partitions(n))) == want, n
 
 
 def test_sweeps_store_no_exponent_cache_entry():

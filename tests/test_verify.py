@@ -177,13 +177,13 @@ def test_record_violations_passes_rows_through():
 def test_check_theorem_c_returns_a_planted_drop(monkeypatch):
     from psiprime import verify
 
-    real = verify.pgroup_exponent
-    dropped = list(theorem_c_rows(2, 6))[5][0].parts
+    real = verify.pgroup_exponents
 
-    def planted(p, parts):
-        return 0 if parts == dropped else real(p, parts)
+    def planted(p, partitions):
+        for i, (q, e) in enumerate(real(p, partitions)):
+            yield q, 0 if i == 5 else e
 
-    monkeypatch.setattr(verify, "pgroup_exponent", planted)
+    monkeypatch.setattr(verify, "pgroup_exponents", planted)
     assert check_theorem_c(2, 6) == ((4, 5),)
 
 
