@@ -63,7 +63,7 @@ EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Items per json.dumps call when a JSON array is written as it streams.
+# Items per write when a JSON array is written as it streams.
 _JSON_CHUNK = 1024
 
 
@@ -87,9 +87,10 @@ def _render(
     Only the chosen format is built: ``obj()`` is called for ``--json``
     alone, and ``rows`` (any iterable, cells passed through ``str``) is
     consumed only for the table or CSV.  CSV rows and the values of the
-    dict ``obj()`` returns are written in order, and an iterator among
-    those values is written as a JSON array while it is consumed; ``notes``
-    is read after the rows.
+    dict ``obj()`` returns are written in order.  An iterator among those
+    values must yield the JSON text of each item, and is written as a
+    JSON array of them while it is consumed; ``notes`` is read after the
+    rows.
     """
     if args.fmt == "json":
         _write_json(obj())
@@ -112,8 +113,9 @@ def _render(
 
 def _write_json(doc: object) -> None:
     # the bytes of print(json.dumps(doc, separators=(",", ":"))), written
-    # one value of a top-level dict (string keys) at a time, an iterator
-    # value in chunks of _JSON_CHUNK items
+    # one value of a top-level dict (string keys) at a time.  An iterator
+    # value yields the compact JSON text of each item, and those texts are
+    # joined with "," in chunks of _JSON_CHUNK items
     write = sys.stdout.write
     if not isinstance(doc, dict):
         write(json.dumps(doc, separators=(",", ":")) + "\n")
@@ -124,8 +126,8 @@ def _write_json(doc: object) -> None:
         if isinstance(value, Iterator):
             write("[")
             comma = ""
-            while chunk := list(itertools.islice(value, _JSON_CHUNK)):
-                write(comma + json.dumps(chunk, separators=(",", ":"))[1:-1])
+            while chunk := ",".join(itertools.islice(value, _JSON_CHUNK)):
+                write(comma + chunk)
                 comma = ","
             write("]")
         else:
@@ -269,7 +271,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_theorem_c(args) -> int:
     violations: list[tuple[int, int]] = []
+    # theorem_c_rows checks p, n and the cap before the table is built
     rows = record_violations(theorem_c_rows(args.prime, args.n), violations)
+    # every part is at most n; each row's partition text is made once
+    part_text = [str(x) for x in range(args.n + 1)].__getitem__
+    texts = (("[" + ",".join(map(part_text, q.parts)) + "]", e) for q, e in rows)
 
     def count():
         # read after the rows, so every violation is counted
@@ -278,11 +284,11 @@ def _cmd_theorem_c(args) -> int:
     _render(
         args,
         ["partition", "psi_prime_exponent"],
-        rows,
+        texts,
         lambda: {
             "p": str(args.prime),
             "n": str(args.n),
-            "rows": ({"partition": q.parts, "exponent": str(e)} for q, e in rows),
+            "rows": ('{"partition":' + t + ',"exponent":"' + str(e) + '"}' for t, e in texts),
             # filled while "rows" streams, and written after it
             "violations": violations,
         },

@@ -21,8 +21,10 @@ from .errors import DomainError, SizeLimitError
 # Largest n that iter_partitions and partitions_of accept.  Streaming holds
 # no rows, so the cap bounds two things: the length of the tuple that
 # partitions_of(n) builds, and the length of one theorem-c run, p(64) =
-# 1,741,630 rows, about 6 s for ``verify theorem-c --prime 2 --n 64
-# --json`` on one x86_64 core with Python 3.11.
+# 1,741,630 rows: 9.2-11.7 s for ``verify theorem-c --prime 2 --n 64
+# --json`` with Python 3.11 on a shared 2-core x86_64 host under load
+# (BENCH_15.json), where a quiet host runs the benchmark's kernels about
+# twice as fast.
 PARTITION_CAP = 64
 
 
@@ -49,27 +51,36 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __str__(self) -> str:
-        return "[" + ",".join(str(x) for x in self.parts) + "]"
-
 
 def _ascending(n: int) -> Iterator[tuple[int, ...]]:
     # Descending-part tuples of the partitions of n in ascending lex
-    # order.  Successor step: take the rightmost i < len-1 where x[i] can
-    # grow without breaking the descent (i = 0 or x[i] < x[i-1]), add 1 to
-    # it, and spend what is left of the tail as 1s.
-    x = [1] * n
-    while True:
-        yield tuple(x)
-        i = len(x) - 2
-        if i < 0:
-            return
-        while i > 0 and x[i] == x[i - 1]:
-            i -= 1
-        rest = sum(x[i + 1 :]) - 1
-        x[i] += 1
-        del x[i + 1 :]
-        x += [1] * rest
+    # order, by ZS2 of Zoghbi and Stojmenovic (1998): constant amortized
+    # time per partition.  x[1..m] is the partition and x[m+1..n] stays 1,
+    # h is the index of the last part above 1, and x[0] = -1 ends a scan.
+    x = [-1] + [1] * n
+    h, m = 0, n
+    yield tuple(x[1:])
+    while m > 1:  # (n) is the one partition with a single part
+        if m - h > 1:
+            # the first 1 after x[h] becomes a 2
+            h += 1
+            x[h] = 2
+            m -= 1
+        else:
+            # raise the first part equal to x[m-1]; the rest become 1s
+            last = x[m - 1]
+            j = m - 2
+            while x[j] == last:
+                x[j] = 1
+                j -= 1
+            h = j + 1
+            x[h] = last + 1
+            r = x[m] + last * (m - h - 1)
+            x[m] = 1
+            if m - h > 1:
+                x[m - 1] = 1
+            m = h + r - 1
+        yield tuple(x[1 : m + 1])
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:

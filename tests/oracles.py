@@ -87,3 +87,22 @@ def ascending_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[
     for head in range(1, min(n, max_part) + 1):
         for tail in ascending_partitions(n - head, head):
             yield (head,) + tail
+
+
+def successor_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The same sequence as :func:`ascending_partitions`, by a successor
+    step: take the rightmost i < len-1 where x[i] can grow without breaking
+    the descent (i = 0 or x[i] < x[i-1]), add 1 to it, and spend what is
+    left of the tail as 1s.  This was the package's generator before ZS2."""
+    x = [1] * n
+    while True:
+        yield tuple(x)
+        i = len(x) - 2
+        if i < 0:
+            return
+        while i > 0 and x[i] == x[i - 1]:
+            i -= 1
+        rest = sum(x[i + 1 :]) - 1
+        x[i] += 1
+        del x[i + 1 :]
+        x += [1] * rest

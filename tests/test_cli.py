@@ -264,7 +264,7 @@ def _theorem_c_bytes(p, n, rows, violations, fmt):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["partition", "psi_prime_exponent"])
-    writer.writerows(rows)
+    writer.writerows(("[" + ",".join(map(str, q.parts)) + "]", e) for q, e in rows)
     return buf.getvalue()
 
 
@@ -299,7 +299,8 @@ def test_theorem_c_bytes_match_the_kernel_row_by_row(capsys, p, n, fmt):
 
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
 @pytest.mark.parametrize(
-    "prime, n, code", [("4", "3", 1), ("2", "0", 1), ("2", "65", 2), ("1", "5", 1)]
+    "prime, n, code",
+    [("4", "3", 1), ("2", "0", 1), ("2", "65", 2), ("1", "5", 1), ("2", "10000000000", 2)],
 )
 def test_theorem_c_refusals_write_nothing_to_stdout(capsys, fmt, prime, n, code):
     got, out, err = run(capsys, "verify", "theorem-c", "--prime", prime, "--n", n, *fmt)

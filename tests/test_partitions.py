@@ -8,7 +8,7 @@ from psiprime import (
     partitions_of,
 )
 from psiprime.partitions import _ascending
-from oracles import ascending_partitions, partition_count
+from oracles import ascending_partitions, partition_count, successor_partitions
 
 
 def test_partitions_of_3_exhaustive():
@@ -47,6 +47,11 @@ def test_generator_matches_recursive_oracle(n):
     built = list(iter_partitions(n))
     assert built == [Partition(parts) for parts in got]
     assert all(type(q.parts) is tuple and hash(q) == hash(Partition(q.parts)) for q in built)
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_zs2_matches_the_successor_step_it_replaced(n):
+    assert list(_ascending(n)) == list(successor_partitions(n))
 
 
 def test_partition_cap():
