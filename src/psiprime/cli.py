@@ -17,7 +17,10 @@ then the ``notes`` lines.
 ``verify theorem-c`` streams: its rows come from a generator, and the JSON
 and CSV are written as the rows are made, so memory does not grow with
 p(n).  An exactness failure partway through therefore leaves the output
-written so far on stdout, truncated, and exits 3.
+written so far on stdout, truncated, and exits 3.  The table makes the
+rows twice, once for its column widths and once to print them, so it
+holds none either; an exactness failure there comes in the first pass,
+before anything is written.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ def _render(
     *,
     text: str | None = None,
     notes: Iterable[str] = (),
+    again: Callable[[], Iterable[Sequence]] | None = None,
 ) -> None:
     """Print one result in the format chosen by ``args.fmt``.
 
@@ -90,7 +94,9 @@ def _render(
     dict ``obj()`` returns are written in order.  An iterator among those
     values must yield the JSON text of each item, and is written as a
     JSON array of them while it is consumed; ``notes`` is read after the
-    rows.
+    rows.  ``again()``, if given, makes the same rows afresh: the table
+    then reads ``rows`` for its column widths alone and prints the rows
+    of ``again()``, so it holds none of them.
     """
     if args.fmt == "json":
         _write_json(obj())
@@ -102,11 +108,14 @@ def _render(
     elif text is not None:
         print(text)
     else:
-        cells = [[str(c) for c in row] for row in rows]
-        widths = [max([len(h)] + [len(row[i]) for row in cells]) for i, h in enumerate(headers)]
+        if again is None:
+            rows = [[str(c) for c in row] for row in rows]
+        widths = [len(h) for h in headers]
+        for row in rows:
+            widths = [max(w, len(str(c))) for w, c in zip(widths, row)]
         print(_styled("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()))
-        for row in cells:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        for row in rows if again is None else again():
+            print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
     for line in notes:
         print(line)
 
@@ -271,11 +280,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_theorem_c(args) -> int:
     violations: list[tuple[int, int]] = []
-    # theorem_c_rows checks p, n and the cap before the table is built
+    # theorem_c_rows checks p, n and the cap when called, before anything
+    # is written
     rows = record_violations(theorem_c_rows(args.prime, args.n), violations)
-    # every part is at most n; each row's partition text is made once
-    part_text = [str(x) for x in range(args.n + 1)].__getitem__
-    texts = (("[" + ",".join(map(part_text, q.parts)) + "]", e) for q, e in rows)
 
     def count():
         # read after the rows, so every violation is counted
@@ -284,15 +291,18 @@ def _cmd_theorem_c(args) -> int:
     _render(
         args,
         ["partition", "psi_prime_exponent"],
-        texts,
+        rows,
         lambda: {
             "p": str(args.prime),
             "n": str(args.n),
-            "rows": ('{"partition":' + t + ',"exponent":"' + str(e) + '"}' for t, e in texts),
+            "rows": ('{"partition":' + t + ',"exponent":"' + str(e) + '"}' for t, e in rows),
             # filled while "rows" streams, and written after it
             "violations": violations,
         },
         notes=() if args.fmt == "csv" else count(),
+        # the table's widths pass over rows records the violations, and
+        # an exactness failure there leaves stdout empty
+        again=lambda: theorem_c_rows(args.prime, args.n),
     )
     return EXIT_VIOLATION if violations else EXIT_OK
 

@@ -18,13 +18,12 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, SizeLimitError
 
-# Largest n that iter_partitions and partitions_of accept.  Streaming holds
-# no rows, so the cap bounds two things: the length of the tuple that
-# partitions_of(n) builds, and the length of one theorem-c run, p(64) =
-# 1,741,630 rows: 9.2-11.7 s for ``verify theorem-c --prime 2 --n 64
-# --json`` with Python 3.11 on a shared 2-core x86_64 host under load
-# (BENCH_15.json), where a quiet host runs the benchmark's kernels about
-# twice as fast.
+# Largest n that iter_partitions, partitions_of and the theorem-c rows
+# accept.  Streaming holds no rows, so the cap bounds two things: the
+# length of the tuple that partitions_of(n) builds, and the length of one
+# theorem-c run, p(64) = 1,741,630 rows: 2.6-3.7 s for ``verify theorem-c
+# --prime 2 --n 64 --json`` with Python 3.11 on a shared 2-core x86_64
+# host (BENCH_16.json).
 PARTITION_CAP = 64
 
 
@@ -52,14 +51,17 @@ class Partition:
         return len(self.parts)
 
 
-def _ascending(n: int) -> Iterator[tuple[int, ...]]:
-    # Descending-part tuples of the partitions of n in ascending lex
-    # order, by ZS2 of Zoghbi and Stojmenovic (1998): constant amortized
-    # time per partition.  x[1..m] is the partition and x[m+1..n] stays 1,
-    # h is the index of the last part above 1, and x[0] = -1 ends a scan.
+def _zs2(n: int) -> Iterator[tuple[list[int], int, int]]:
+    # The state (x, h, m) of ZS2 of Zoghbi and Stojmenovic (1998) after
+    # each step, for the partitions of n in ascending lex order: constant
+    # amortized time per partition.  x[1..m] is the partition and
+    # x[m+1..n] stays 1, h is the index of the last part above 1 (0 for
+    # the first, all 1s), and x[0] = -1 ends a scan.  x is one list,
+    # changed in place by the next step, so a reader takes what it needs
+    # from it before asking for the next state.
     x = [-1] + [1] * n
     h, m = 0, n
-    yield tuple(x[1:])
+    yield x, h, m
     while m > 1:  # (n) is the one partition with a single part
         if m - h > 1:
             # the first 1 after x[h] becomes a 2
@@ -80,7 +82,21 @@ def _ascending(n: int) -> Iterator[tuple[int, ...]]:
             if m - h > 1:
                 x[m - 1] = 1
             m = h + r - 1
-        yield tuple(x[1 : m + 1])
+        yield x, h, m
+
+
+def _ascending(n: int) -> Iterator[tuple[int, ...]]:
+    # descending-part tuples of the partitions of n in ascending lex order
+    return (tuple(x[1 : m + 1]) for x, _, m in _zs2(n))
+
+
+def _require_partition_size(n: int) -> None:
+    """Refuse an n below 0 or above PARTITION_CAP, for a caller that
+    streams the partitions of n and must refuse before the first one."""
+    if n < 0:
+        raise DomainError(f"cannot partition {n}")
+    if n > PARTITION_CAP:
+        raise SizeLimitError(f"n = {n} exceeds the partition cap {PARTITION_CAP}")
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:
@@ -96,10 +112,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
     n is checked when this is called, before the first partition is made.
     """
-    if n < 0:
-        raise DomainError(f"cannot partition {n}")
-    if n > PARTITION_CAP:
-        raise SizeLimitError(f"n = {n} exceeds the partition cap {PARTITION_CAP}")
+    _require_partition_size(n)
     return map(_trusted, _ascending(n))
 
 

@@ -38,11 +38,16 @@ per partition.  Write T_t for the t-th run term, p^(n - P_t + t*l_(t+1)) *
 g(t, l_t - l_(t+1)) with g(t, d) = (p^(t*d) - 1) / (p^t - 1), and S_t for
 T_1 + ... + T_t.  The successor of a partition keeps every part before
 index i (0-based), raises part i and ends in 1s, so in each new partition
-i is the last part above 1.  T_1..T_(i-1) are unchanged and S_(i-1) is
-reused; only T_i and T_(i+1) are new, and the tail of 1s adds g(k, 1).
-There n - P_i is part i plus the number of 1s and n - P_(i+1) is the
-number of 1s, so no part sum is needed.  Each g(t, d) is divided, checked
-exact, on first use and kept for the rest of the sweep.
+i is the last part above 1.  The ZS2 successor (``partitions._zs2``)
+holds both in its state (x, h, m): i = h - 1 and the number of 1s is
+m - h, so the pass reads them and never scans the parts.  T_1..T_(i-1)
+are unchanged and S_(i-1) is reused; only T_i and T_(i+1) are new, and
+the tail of 1s adds g(k, 1).  There n - P_i is part i plus the number of
+1s and n - P_(i+1) is the number of 1s, so no part sum is needed.  Each
+g(t, d) is divided, checked exact, on first use and kept for the rest of
+the sweep.  The partition's text is kept by prefix in the same way: the
+text of the parts before i is reused, and part i and a tabled run of
+",1"s end it.
 
 A group of order m with Sylow p-subgroups of order p^(n_p) and exponents
 E_p has
@@ -64,7 +69,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .arith import _require_trusted_prime, exact_div, factorize
 from .errors import DomainError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
-from .partitions import Partition
+from .partitions import Partition, _zs2
 
 
 @dataclass(frozen=True)
@@ -176,48 +181,54 @@ class _RunSums(dict):
         return value
 
 
-def pgroup_exponents(
-    p: int, partitions: Iterable[Partition]
-) -> Iterator[tuple[Partition, int]]:
-    """(q, pgroup_exponent(p, q.parts)) for each q of ``partitions``, which
-    must be iter_partitions(n) for some n >= 1: every partition of n, in
-    ascending order.  Lazy, unchecked like pgroup_exponent, and with
+def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
+    """(text, pgroup_exponent(p, parts)) for the parts of every partition
+    of n >= 1, in ascending order, where text is "[l_1,...,l_k]", the JSON
+    array of the parts.  Lazy, unchecked like pgroup_exponent, and with
     constant work per partition: the prefix-sum pass of the module
-    docstring.  The first partition, all 1s, divides by p^n - 1 first, as
+    docstring, read from the ZS2 state.  No tuple is made per partition.
+    The first partition, all 1s, divides by p^n - 1 first, as
     pgroup_exponent does.
     """
-    rows = iter(partitions)
-    first = next(rows)
-    n = len(first.parts)
     power = [1]
     for _ in range(n):
         power.append(power[-1] * p)
     top = power[n]
     runs = _RunSums(power)
-    yield first, top - runs[n, 1]
-    # sums[t] = S_t, which reads l_1..l_(t+1).  A row with index i reads
-    # S_(i-1): the last row with index i - 1 wrote it, and each row since
-    # had an index of at least i (it grows by at most 1 a row), so it left
-    # every part before i as it was
+    # every part is at most n, and a row after the first ends in at most
+    # n - 2 ones; tail[k] closes a row that ends in k ones
+    part_text = [str(x) for x in range(n + 1)]
+    tail = [",1" * k + "]" for k in range(n)]
+    states = _zs2(n)
+    next(states)
+    yield "[1" + tail[n - 1], top - runs[n, 1]
+    # x[1..m] holds the parts, h - 1 is the raised index i and m - h the
+    # number of 1s.  sums[t] = S_t, which reads l_1..l_(t+1), and pre[t]
+    # is the text "[l_1,...,l_t," of the first t parts.  A row with index
+    # i reads S_(i-1) and pre[i]: the last row with index i - 1 wrote
+    # them, and each row since had an index of at least i (it grows by at
+    # most 1 a row), so it left every part before i as it was
     sums = [0] * n
-    for q in rows:
-        parts = q.parts
-        ones = parts.count(1)
-        i = len(parts) - ones - 1
-        part = parts[i]
+    pre = ["["] * (n + 1)
+    for x, h, m in states:
+        ones = m - h
+        i = h - 1
+        part = x[h]
         if i:
             s = sums[i - 1]
-            d = parts[i - 1] - part
+            d = x[i] - part
             if d:
-                s += power[(i + 1) * part + ones] * runs[i, d]
+                s += power[h * part + ones] * runs[i, d]
             sums[i] = s
         else:
             s = 0
         if ones:
-            s += power[ones + i + 1] * runs[i + 1, part - 1] + runs[len(parts), 1]
+            s += power[ones + h] * runs[h, part - 1] + runs[m, 1]
         else:
-            s += runs[i + 1, part]
-        yield q, parts[0] * top - s
+            s += runs[h, part]
+        head = pre[i] + part_text[part]
+        pre[h] = head + ","
+        yield head + tail[ones], x[1] * top - s
 
 
 @cache

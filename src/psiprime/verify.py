@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .arith import is_prime, require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
-from .partitions import Partition, iter_partitions, partitions_of
+from .partitions import _require_partition_size, partitions_of
 from .psi import FactoredInteger, pgroup_exponent, pgroup_exponents, psi_prime
 from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
 
@@ -74,25 +74,27 @@ class ConjectureFReport:
         return not self.coincidences
 
 
-def theorem_c_rows(p: int, n: int) -> Iterator[tuple[Partition, int]]:
-    """(partition, psi' exponent) for every abelian p-group of order p^n,
-    lazily, in ascending partition order.
+def theorem_c_rows(p: int, n: int) -> Iterator[tuple[str, int]]:
+    """(partition text, psi' exponent) for every abelian p-group of order
+    p^n, lazily, in ascending partition order.  The text is the JSON
+    array of the descending parts, such as "[2,1]".
 
-    p, n and the partition cap (64) are checked when this is called, before
-    any row is made.  The rows come from one prefix-sum pass,
+    p, n and the partition cap (64) are checked when this is called,
+    before any row is made.  The rows come from one prefix-sum pass,
     :func:`psi.pgroup_exponents`, which adds two new run terms per row and
-    keeps only the run sums of one partition, so memory stays flat however
-    large p(n) is.
+    keeps only the run sums and text prefixes of one partition, so memory
+    stays flat however large p(n) is.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be >= 1")
     require_prime(p)
-    return pgroup_exponents(p, iter_partitions(n))
+    _require_partition_size(n)
+    return pgroup_exponents(p, n)
 
 
 def record_violations(
-    rows: Iterable[tuple[Partition, int]], violations: list[tuple[int, int]]
-) -> Iterator[tuple[Partition, int]]:
+    rows: Iterable[tuple[str, int]], violations: list[tuple[int, int]]
+) -> Iterator[tuple[str, int]]:
     """Pass rows through, appending (i, i + 1) to ``violations`` whenever
     row i + 1's exponent is not above row i's."""
     previous = None

@@ -5,6 +5,7 @@ Each criterion also carries the runtime budget it must stay inside; elapsed
 time is printed next to the verdict and asserted against the budget.
 """
 
+import json
 import time
 
 from psiprime import (
@@ -104,11 +105,11 @@ def test_criterion_4_monotonicity_biconditional():
         for p in (2, 3, 5, 7):
             for n in range(1, 13):
                 assert check_theorem_c(p, n) == (), (p, n)
-                rows = list(theorem_c_rows(p, n))
+                rows = [(tuple(json.loads(t)), e) for t, e in theorem_c_rows(p, n)]
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):
                         (qa, ea), (qb, eb) = rows[i], rows[j]
-                        assert (qa.parts > qb.parts) - (qa.parts < qb.parts) == (
+                        assert (qa > qb) - (qa < qb) == (
                             (ea > eb) - (ea < eb)
                         ), (p, n, i, j)
 

@@ -178,9 +178,8 @@ def test_oracle_skips_the_spectrum_product_past_the_factorization_cap(capsys):
 def test_theorem_violation_exit_code(monkeypatch, capsys):
     # wire-level check of exit code 3: substitute rows with a violation
     from psiprime import cli as cli_module
-    from psiprime.partitions import Partition
 
-    fake = ((Partition((1, 1)), 5), (Partition((2,)), 3))
+    fake = (("[1,1]", 5), ("[2]", 3))
     monkeypatch.setattr(cli_module, "theorem_c_rows", lambda p, n: iter(fake))
     code, out, _ = run(capsys, "verify", "theorem-c", "--prime", "2", "--n", "2")
     assert code == 3
@@ -256,7 +255,7 @@ def _theorem_c_bytes(p, n, rows, violations, fmt):
             {
                 "p": str(p),
                 "n": str(n),
-                "rows": [{"partition": list(q.parts), "exponent": str(e)} for q, e in rows],
+                "rows": [{"partition": json.loads(t), "exponent": str(e)} for t, e in rows],
                 "violations": [list(v) for v in violations],
             },
             separators=(",", ":"),
@@ -264,7 +263,7 @@ def _theorem_c_bytes(p, n, rows, violations, fmt):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["partition", "psi_prime_exponent"])
-    writer.writerows(("[" + ",".join(map(str, q.parts)) + "]", e) for q, e in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -289,7 +288,10 @@ def test_theorem_c_bytes_match_the_kernel_row_by_row(capsys, p, n, fmt):
     from psiprime.partitions import iter_partitions
     from psiprime.psi import pgroup_exponent
 
-    rows = [(q, pgroup_exponent(p, q.parts)) for q in iter_partitions(n)]
+    rows = [
+        ("[" + ",".join(map(str, q.parts)) + "]", pgroup_exponent(p, q.parts))
+        for q in iter_partitions(n)
+    ]
     violations = [(i, i + 1) for i in range(len(rows) - 1) if rows[i][1] >= rows[i + 1][1]]
     want = _theorem_c_bytes(p, n, rows, violations, fmt)
     assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from psiprime import cli, parse_group
-from psiprime.partitions import Partition
 from psiprime.psi import FactoredInteger, psi_prime_exponent
 from psiprime.verify import (
     ConjectureFReport,
@@ -35,7 +34,7 @@ COLUMNS = "80"
 
 
 def _theorem_c_violation(monkeypatch):
-    fake = ((Partition((1, 1)), 5), (Partition((2,)), 3))
+    fake = (("[1,1]", 5), ("[2]", 3))
     monkeypatch.setattr(cli, "theorem_c_rows", lambda p, n: iter(fake))
 
 

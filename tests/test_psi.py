@@ -197,12 +197,24 @@ def test_psi_prime_exponent_matches_loop_oracle(p, raw):
     assert psi_prime_exponent(p, parts) == expected == pgroup_exponent(p, parts)
 
 
+def _text(q):
+    return "[" + ",".join(map(str, q.parts)) + "]"
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
 def test_pgroup_exponents_equal_the_kernel_on_every_partition_up_to_30(p):
-    # the prefix-sum pass against pgroup_exponent, called row by row
+    # the prefix-sum pass, read from the ZS2 state, against pgroup_exponent
+    # called row by row on the partitions iter_partitions makes
     for n in range(1, 31):
-        want = [(q, pgroup_exponent(p, q.parts)) for q in iter_partitions(n)]
-        assert list(pgroup_exponents(p, iter_partitions(n))) == want, n
+        want = [(_text(q), pgroup_exponent(p, q.parts)) for q in iter_partitions(n)]
+        assert list(pgroup_exponents(p, n)) == want, n
+
+
+def test_pgroup_exponents_text_is_the_parts_joined_up_to_40():
+    # the text kept by prefix against a join of each partition's parts
+    for n in range(1, 41):
+        want = [_text(q) for q in iter_partitions(n)]
+        assert [text for text, _ in pgroup_exponents(2, n)] == want, n
 
 
 def test_sweeps_store_no_exponent_cache_entry():

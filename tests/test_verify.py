@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -21,10 +22,10 @@ from psiprime.verify import theorem_c_rows
 
 
 def test_theorem_c_2_3():
-    assert [(q.parts, e) for q, e in theorem_c_rows(2, 3)] == [
-        ((1, 1, 1), 7),
-        ((2, 1), 11),
-        ((3,), 17),
+    assert list(theorem_c_rows(2, 3)) == [
+        ("[1,1,1]", 7),
+        ("[2,1]", 11),
+        ("[3]", 17),
     ]
     assert check_theorem_c(2, 3) == ()
 
@@ -39,17 +40,17 @@ def test_theorem_c_3_5_cross_checked_against_spectrum():
     assert len(rows) == 7  # p(5)
     exponents = [e for _, e in rows]
     assert exponents == sorted(exponents) and len(set(exponents)) == 7
-    for q, e in rows:
-        G = canonicalize([3**a for a in q.parts])
+    for text, e in rows:
+        G = canonicalize([3**a for a in json.loads(text)])
         assert dict(psi_prime_from_spectrum(order_spectrum(G)).factors) == {3: e}
 
 
 def test_theorem_c_full_biconditional_small():
     for p in (2, 3):
         for n in range(1, 9):
-            rows = list(theorem_c_rows(p, n))
+            rows = [(tuple(json.loads(t)), e) for t, e in theorem_c_rows(p, n)]
             for (qa, ea), (qb, eb) in itertools.combinations(rows, 2):
-                cmp_lex = (qa.parts > qb.parts) - (qa.parts < qb.parts)
+                cmp_lex = (qa > qb) - (qa < qb)
                 cmp_exp = (ea > eb) - (ea < eb)
                 assert cmp_lex == cmp_exp
 
@@ -157,7 +158,9 @@ def test_theorem_c_rejects_non_prime_p(bad_p):
 
 @pytest.mark.parametrize("p, n", [(2, 0), (4, 3), (2, 65)])
 def test_theorem_c_rows_refuse_on_call(p, n):
-    # a refusal before any row is made, so the CLI writes nothing
+    # a refusal before any row is made, so the CLI writes nothing.  The
+    # pass reads the ZS2 state, not iter_partitions, so n >= 1 and the cap
+    # are theorem_c_rows' own checks
     from psiprime import DomainError, SizeLimitError
 
     with pytest.raises((DomainError, SizeLimitError)):
@@ -165,10 +168,9 @@ def test_theorem_c_rows_refuse_on_call(p, n):
 
 
 def test_record_violations_passes_rows_through():
-    from psiprime import Partition
     from psiprime.verify import record_violations
 
-    rows = [(Partition((1, 1, 1)), 7), (Partition((2, 1)), 7), (Partition((3,)), 5)]
+    rows = [("[1,1,1]", 7), ("[2,1]", 7), ("[3]", 5)]
     violations = []
     assert list(record_violations(rows, violations)) == rows
     assert violations == [(0, 1), (1, 2)]
@@ -179,9 +181,9 @@ def test_check_theorem_c_returns_a_planted_drop(monkeypatch):
 
     real = verify.pgroup_exponents
 
-    def planted(p, partitions):
-        for i, (q, e) in enumerate(real(p, partitions)):
-            yield q, 0 if i == 5 else e
+    def planted(p, n):
+        for i, (text, e) in enumerate(real(p, n)):
+            yield text, 0 if i == 5 else e
 
     monkeypatch.setattr(verify, "pgroup_exponents", planted)
     assert check_theorem_c(2, 6) == ((4, 5),)
