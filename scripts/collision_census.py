@@ -12,12 +12,13 @@ import argparse
 from collections import Counter
 
 from psiprime import find_cross_order_collisions, format_group
-from run_verification import positive_int
+from psiprime.groups import ENUMERATION_CAP
+from run_verification import bound
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("max_order", type=positive_int, nargs="?", default=300)
+    parser.add_argument("max_order", type=bound(ENUMERATION_CAP), nargs="?", default=300)
     args = parser.parse_args()
 
     census = find_cross_order_collisions(args.max_order)

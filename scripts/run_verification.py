@@ -27,6 +27,10 @@ from psiprime import (
     sweep_injectivity,
 )
 from psiprime.arith import require_prime
+from psiprime.groups import BRUTE_FORCE_CAP, ENUMERATION_CAP
+from psiprime.partitions import PARTITION_CAP
+from psiprime.symmetric import CONJECTURE_F_CAP
+from psiprime.verify import INJECTIVITY_CAP
 
 
 def positive_int(text):
@@ -36,6 +40,19 @@ def positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def bound(cap):
+    """argparse type for a sweep's bound, from 1 to the sweep's cap: past
+    the cap the sweep would fail only after every section before it ran."""
+
+    def positive_int_to_cap(text):
+        value = positive_int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}")
+        return value
+
+    return positive_int_to_cap
 
 
 def prime(text):
@@ -64,12 +81,12 @@ def report(ok, label):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--primes", type=prime, nargs="+", default=[2, 3, 5, 7])
-    parser.add_argument("--max-n", type=positive_int, default=12,
+    parser.add_argument("--max-n", type=bound(PARTITION_CAP), default=12,
                         help="largest p-group exponent n")
-    parser.add_argument("--injectivity-order", type=positive_int, default=10**4)
-    parser.add_argument("--collision-order", type=positive_int, default=100)
-    parser.add_argument("--conjecture-order", type=positive_int, default=96)
-    parser.add_argument("--brute-order", type=positive_int, default=500)
+    parser.add_argument("--injectivity-order", type=bound(INJECTIVITY_CAP), default=10**4)
+    parser.add_argument("--collision-order", type=bound(ENUMERATION_CAP), default=100)
+    parser.add_argument("--conjecture-order", type=bound(CONJECTURE_F_CAP), default=96)
+    parser.add_argument("--brute-order", type=bound(BRUTE_FORCE_CAP), default=500)
     parser.add_argument("--jobs", type=positive_int, default=1)
     args = parser.parse_args()
 

@@ -33,8 +33,8 @@ big-integer operations per group instead of O(a_k * k);
 is kept as a test oracle in ``tests/oracles.py``.
 
 :func:`pgroup_exponents` gives the same E for every partition of one n
-in ascending order, as the Theorem C sweep needs them, with constant work
-per partition.  Write T_t for the t-th run term, p^(n - P_t + t*l_(t+1)) *
+in ascending order, as the Theorem C and injectivity sweeps read them,
+with constant work per partition.  Write T_t for the t-th run term, p^(n - P_t + t*l_(t+1)) *
 g(t, l_t - l_(t+1)) with g(t, d) = (p^(t*d) - 1) / (p^t - 1), and S_t for
 T_1 + ... + T_t.  The successor of a partition keeps every part before
 index i (0-based), raises part i and ends in 1s, so in each new partition
@@ -149,8 +149,9 @@ def pgroup_exponent(p: int, parts: Sequence[int]) -> int:
     """E with psi'(p-group) = p^E for the descending, non-empty, positive
     partition parts l_1 >= ... >= l_k, summed run by run (module docstring).
 
-    Neither checked nor cached: the sweeps call it once per partition they
-    generated.  Every run's division is checked exact.
+    Neither checked nor cached: psi_prime_exponent checks and caches it,
+    and the tests use it as the single-group reference for the sweeps'
+    prefix-sum pass.  Every run's division is checked exact.
     """
     # t runs from k down to 1, so rest = n - P_t grows by each part and
     # below is l_(t+1)

@@ -13,16 +13,21 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Iterator
 
-from .arith import is_prime, require_prime
+from .arith import factorize, require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
-from .partitions import _require_partition_size, partitions_of
-from .psi import FactoredInteger, pgroup_exponent, pgroup_exponents, psi_prime
+from .partitions import _require_partition_size, iter_partitions, partitions_of
+from .psi import FactoredInteger, pgroup_exponents, psi_prime
 from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
+
+# Largest max_order that sweep_injectivity accepts.  Its time and memory
+# grow with the square root of the bound, not with the bound.
+INJECTIVITY_CAP = 10**12
 
 
 def _require_max_order(max_order: int, cap: int, cap_name: str) -> None:
@@ -222,6 +227,12 @@ class InjectivitySweep:
     def holds(self) -> bool:
         return not self.failures
 
+    @property
+    def prime_powers_only(self) -> bool:
+        """Past ENUMERATION_CAP each failure is one colliding p^n, reported
+        at the order p^n only, not at every order it divides."""
+        return self.max_order > ENUMERATION_CAP
+
 
 @dataclass(frozen=True)
 class ConjectureFSweep:
@@ -244,7 +255,7 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _fan_out(fn, args, jobs):
+def _fan_out(fn, args, jobs, weight=None):
     # deterministic: results returned in argument order regardless of jobs.
     # A fork-started pool forks all its workers at the first submit, so
     # never ask for more than there are arguments or CPUs.
@@ -252,44 +263,134 @@ def _fan_out(fn, args, jobs):
     if workers <= 1:
         return [fn(a) for a in args]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args, chunksize=64))
+        if weight is None:
+            return list(pool.map(fn, args, chunksize=64))
+        # heaviest first, one argument per task, so that no worker is left
+        # alone with the heavy tail; the results go back in argument order
+        by_weight = sorted(range(len(args)), key=lambda i: -weight(args[i]))
+        results = [None] * len(args)
+        for i, r in zip(by_weight, pool.map(fn, [args[i] for i in by_weight], chunksize=1)):
+            results[i] = r
+        return results
+
+
+def _primes_to(limit: int) -> list[int]:
+    """The primes up to limit >= 1, by a bytearray sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(itertools.compress(range(limit + 1), sieve))
+
+
+def _count_groups(max_order: int, primes: list[int], types: list[int]) -> int:
+    """sum_{m <= max_order} a(m), with a(m) = prod_p types[v_p(m)] the
+    number of abelian groups of order m, from primes up to the square
+    root of max_order and types[k] = p(k) for every p^k <= max_order.
+
+    a = 1 * b (Dirichlet) with b multiplicative, b(p^k) = p(k) - p(k - 1).
+    b(p) = 0, so b lives on the powerful numbers d, and the sum is
+    sum_d b(d) * (max_order // d), about 2.2 * sqrt(max_order) terms.
+    They are walked depth first, primes ascending.
+    """
+    b = [0, 0] + [types[k] - types[k - 1] for k in range(2, len(types))]
+
+    def walk(n: int, bd: int, i: int) -> int:
+        # the terms for d times a powerful number of the primes from
+        # primes[i] on, where n = max_order // d and bd = b(d)
+        total = bd * n
+        top = bisect_right(primes, isqrt(n), i)
+        # past n^(1/4) each p^k <= n has k = 2 or 3 and no next prime fits
+        # beside it (p^2 * q^2 > p^4 > n for q > p): those terms are leaves
+        leaf = bisect_right(primes, isqrt(isqrt(n)), i, top)
+        for j in range(i, leaf):
+            p = primes[j]
+            pk, k = p * p, 2
+            while pk <= n:
+                total += walk(n // pk, bd * b[k], j + 1)
+                pk, k = pk * p, k + 1
+        if leaf < top:
+            total += bd * b[2] * sum(n // (p * p) for p in primes[leaf:top])
+            for p in itertools.islice(primes, leaf, top):
+                if p * p * p > n:
+                    break
+                total += bd * b[3] * (n // (p * p * p))
+        return total
+
+    return walk(max_order, 1, 0)
+
+
+def _prime_power_failure(p: int, n: int, exponents: list[int]) -> InjectivityReport:
+    # the classes of p-groups of order p^n that share an exponent, as
+    # check_injectivity(p**n) orders them: values ascending, each class
+    # in partition order, which is the order the exponents came in
+    by_exponent: dict[int, list[AbelianGroup]] = {}
+    for q, e in zip(iter_partitions(n), exponents):
+        by_exponent.setdefault(e, []).append(AbelianGroup([(p, q)]))
+    shared = sorted((e, gs) for e, gs in by_exponent.items() if len(gs) >= 2)
+    return InjectivityReport(m=p**n, duplicates=tuple(tuple(gs) for _, gs in shared))
 
 
 def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySweep:
     """Injectivity of psi' at every order m <= max_order, checked through
-    prime powers instead of by building every group.
+    prime powers instead of by building every group; time and memory grow
+    with sqrt(max_order).
 
     For |G| = m, psi'(G) = prod_p p^(E_p * m / p^(n_p)) with n_p = v_p(m)
     and E_p the exponent of the Sylow p-subgroup, so two groups of order m
     share psi' exactly when their Sylow exponents agree at every prime.
     psi' is thus injective at m iff each E_p is injective on the partitions
-    of n_p, which takes sum_{p^n <= max_order} p(n) exponent evaluations.
-    Only the orders exactly divisible by a p^n on which E_p collides run
-    the full check_injectivity (across a process pool when jobs > 1), so
-    the result equals check_injectivity run at every order.
+    of n_p.  For every prime p up to sqrt(max_order), found by a sieve, and
+    every n >= 2 with p^n <= max_order, the exponents come from the
+    prefix-sum pass :func:`psi.pgroup_exponents`, p(n) of them.
+
+    groups_checked, the number of abelian groups of order at most
+    max_order, is counted over the powerful numbers (:func:`_count_groups`).
+    Up to ENUMERATION_CAP, every order exactly divisible by a p^n on which
+    E_p collides runs the full check_injectivity (across a process pool
+    when jobs > 1), so the result equals check_injectivity run at every
+    order.  Past it, each such p^n is one failure at the order p^n alone,
+    whose classes are the p-groups of order p^n sharing E_p.
     """
-    _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
+    _require_max_order(max_order, INJECTIVITY_CAP, "injectivity cap")
     jobs = _resolve_jobs(jobs)
-    # counts[m] becomes prod_p p(v_p(m)), the number of groups of order m;
-    # slot 0 stays 1 and is subtracted from the total
-    counts = [1] * (max_order + 1)
-    suspect: set[int] = set()
-    for p in filter(is_prime, range(2, isqrt(max_order) + 1)):
+    primes = _primes_to(isqrt(max_order))
+    # types[n] = p(n), the number of abelian p-groups of order p^n; p = 2
+    # comes first and reaches every n that a larger prime does
+    types = [1, 1]
+    colliding = []
+    for p in primes:
         n, pn = 2, p * p
         while pn <= max_order:
-            types = partitions_of(n)
-            exponents = {pgroup_exponent(p, q.parts) for q in types}
-            exact = [m for m in range(pn, max_order + 1, pn) if m % (pn * p)]
-            for m in exact:
-                counts[m] *= len(types)
-            if len(exponents) < len(types):
-                suspect.update(exact)
+            exponents = [e for _, e in pgroup_exponents(p, n)]
+            if n == len(types):
+                types.append(len(exponents))
+            if len(set(exponents)) < len(exponents):
+                colliding.append((p, n, exponents))
             n, pn = n + 1, pn * p
-    reports = _fan_out(check_injectivity, sorted(suspect), jobs)
-    failures = tuple(r for r in reports if not r.holds)
+    groups_checked = _count_groups(max_order, primes, types)
+    if max_order > ENUMERATION_CAP:
+        failures = tuple(_prime_power_failure(*c) for c in colliding)
+    else:
+        suspect = {
+            m
+            for p, n, _ in colliding
+            for m in range(p**n, max_order + 1, p**n)
+            if m % p ** (n + 1)
+        }
+        reports = _fan_out(check_injectivity, sorted(suspect), jobs)
+        failures = tuple(r for r in reports if not r.holds)
     return InjectivitySweep(
-        max_order=max_order, groups_checked=sum(counts) - 1, failures=failures
+        max_order=max_order, groups_checked=groups_checked, failures=failures
     )
+
+
+def _conjecture_f_weight(m: int) -> int:
+    # g(m) * m, with g(m) = prod_p p(v_p(m)) the number of groups of order
+    # m: a rough weight for check_conjecture_f(m), which fingerprints each
+    # of the g(m) groups at all m values of k
+    return m * prod(len(partitions_of(v)) for v in factorize(m).values())
 
 
 def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSweep:
@@ -298,7 +399,9 @@ def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSw
     Every group of order m > CONJECTURE_F_CAP is past the fingerprint cap,
     so a larger bound is refused before any order is computed."""
     _require_max_order(max_order, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    reports = _fan_out(check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs))
+    reports = _fan_out(
+        check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs), _conjecture_f_weight
+    )
     pairs = sum(r.pair_count for r in reports)
     failures = tuple(r for r in reports if not r.holds)
     return ConjectureFSweep(max_order=max_order, pairs_checked=pairs, failures=failures)

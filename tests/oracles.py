@@ -4,6 +4,8 @@ Everything here is deliberately naive (recursion, literal enumeration,
 subset sums, plain trial division) and shares no code with the package
 internals it checks; only the package's ``DomainError`` is borrowed, so
 validation tests can expect the same exception from oracle and fast path.
+The one exception is :func:`counts_list_injectivity_sweep`, a former fast
+path kept whole as the reference for the one that replaced it.
 """
 
 from __future__ import annotations
@@ -106,3 +108,49 @@ def successor_partitions(n: int) -> Iterator[tuple[int, ...]]:
         x[i] += 1
         del x[i + 1 :]
         x += [1] * rest
+
+
+def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
+    """The injectivity sweep as the package ran it before it counted
+    groups over powerful numbers, kept unchanged but for these imports:
+    it holds a list of max_order + 1 group counts, finds the primes by
+    trial division and evaluates each p-group exponent by its own call.
+    It shares only check_injectivity and the fan-out with the sweep it
+    checks, so the count, the primes and the exponents are independent.
+    """
+    from math import isqrt
+
+    from psiprime.arith import is_prime
+    from psiprime.groups import ENUMERATION_CAP
+    from psiprime.partitions import partitions_of
+    from psiprime.psi import pgroup_exponent
+    from psiprime.verify import (
+        InjectivitySweep,
+        _fan_out,
+        _require_max_order,
+        _resolve_jobs,
+        check_injectivity,
+    )
+
+    _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
+    jobs = _resolve_jobs(jobs)
+    # counts[m] becomes prod_p p(v_p(m)), the number of groups of order m;
+    # slot 0 stays 1 and is subtracted from the total
+    counts = [1] * (max_order + 1)
+    suspect: set[int] = set()
+    for p in filter(is_prime, range(2, isqrt(max_order) + 1)):
+        n, pn = 2, p * p
+        while pn <= max_order:
+            types = partitions_of(n)
+            exponents = {pgroup_exponent(p, q.parts) for q in types}
+            exact = [m for m in range(pn, max_order + 1, pn) if m % (pn * p)]
+            for m in exact:
+                counts[m] *= len(types)
+            if len(exponents) < len(types):
+                suspect.update(exact)
+            n, pn = n + 1, pn * p
+    reports = _fan_out(check_injectivity, sorted(suspect), jobs)
+    failures = tuple(r for r in reports if not r.holds)
+    return InjectivitySweep(
+        max_order=max_order, groups_checked=sum(counts) - 1, failures=failures
+    )

@@ -398,9 +398,11 @@ def test_injectivity_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys)
         raise AssertionError(f"check_injectivity({m}) ran")
 
     monkeypatch.setattr(verify, "check_injectivity", never)
-    code, out, err = run(capsys, "verify", "injectivity", "--max-order", "1000001")
+    code, out, err = run(capsys, "verify", "injectivity", "--max-order", "1000000000001")
     assert (code, out) == (2, "")
-    assert err == "error: max_order = 1000001 exceeds the enumeration cap 1000000\n"
+    assert err == (
+        "error: max_order = 1000000000001 exceeds the injectivity cap 1000000000000\n"
+    )
 
 
 def test_collisions_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys):

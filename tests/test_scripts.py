@@ -71,6 +71,30 @@ def test_scripts_refuse_a_bound_below_one(script, args):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "script, args, cap",
+    [
+        ("run_verification.py", ["--max-n"], 64),
+        ("run_verification.py", ["--injectivity-order"], 10**12),
+        ("run_verification.py", ["--collision-order"], 10**6),
+        ("run_verification.py", ["--conjecture-order"], 4096),
+        ("run_verification.py", ["--brute-order"], 10**5),
+        ("collision_census.py", [], 10**6),
+    ],
+    ids=["max-n", "injectivity-order", "collision-order", "conjecture-order",
+         "brute-order", "census-max-order"],
+)
+def test_scripts_refuse_a_bound_past_its_cap(script, args, cap):
+    # the sweep would refuse it with a SizeLimitError traceback, after
+    # every section before it ran, so argparse refuses it before any work
+    result = run_script(script, *args, str(cap + 1))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ")
+    assert f"must be <= {cap}, got {cap + 1}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("value, reason", [("4", "4 is not a prime"), ("1", "1 is not a prime")])
 def test_run_verification_refuses_a_non_prime(value, reason):
     # check_theorem_c would end in a DomainError traceback on it

@@ -414,19 +414,25 @@ def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
 def _collide_two_partitions_of_4(monkeypatch):
     # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in the
     # cached public name (psi_prime, so the reference sweep) and in the
-    # kernel the fast sweep calls
+    # prefix-sum pass the fast sweep reads its exponents from
     from psiprime import psi, verify
 
-    def planted(real):
-        def fake(p, parts):
-            if p == 2 and tuple(parts) == (2, 2):
-                parts = (2, 1, 1)
-            return real(p, parts)
+    real_exponent = psi.psi_prime_exponent
+    real_rows = psi.pgroup_exponents
 
-        return fake
+    def fake_exponent(p, parts):
+        if p == 2 and tuple(parts) == (2, 2):
+            parts = (2, 1, 1)
+        return real_exponent(p, parts)
 
-    monkeypatch.setattr(psi, "psi_prime_exponent", planted(psi.psi_prime_exponent))
-    monkeypatch.setattr(verify, "pgroup_exponent", planted(psi.pgroup_exponent))
+    def fake_rows(p, n):
+        for text, e in real_rows(p, n):
+            if p == 2 and text == "[2,2]":
+                e = psi.pgroup_exponent(2, (2, 1, 1))
+            yield text, e
+
+    monkeypatch.setattr(psi, "psi_prime_exponent", fake_exponent)
+    monkeypatch.setattr(verify, "pgroup_exponents", fake_rows)
 
 
 def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
@@ -451,6 +457,28 @@ def test_cli_injectivity_reports_a_planted_collision(monkeypatch, capsys):
     assert "DUPLICATE at order 16: Z4xZ2^2, Z4^2\n" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_cli_injectivity_reports_a_planted_collision_past_the_cap(monkeypatch, capsys, fmt):
+    from psiprime import cli
+
+    _collide_two_partitions_of_4(monkeypatch)
+    _forbid_full_check(monkeypatch)
+    argv = ["verify", "injectivity", "--max-order", "1000001"]
+    assert cli.main(argv + ([] if fmt == "table" else [f"--{fmt}"])) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    note = "past order 1000000 duplicates are listed at their prime-power order only"
+    if fmt == "json":
+        doc = json.loads(out)
+        assert [d["m"] for d in doc["duplicates"]] == ["16"]
+        assert doc["duplicates"][0]["groups"] == [{"2": [2, 1, 1]}, {"2": [2, 2]}]
+        assert doc["note"] == note
+    else:
+        assert out.count("DUPLICATE at order ") == 1
+        assert out.endswith("DUPLICATE at order 16: Z4xZ2^2, Z4^2\nnote: " + note + "\n")
+        assert ("1000001,2284718,1\r\n" if fmt == "csv" else "1000001    2284718") in out
+
+
 def _forbid_full_check(monkeypatch):
     from psiprime import verify
 
@@ -460,29 +488,100 @@ def _forbid_full_check(monkeypatch):
     monkeypatch.setattr(verify, "check_injectivity", never)
 
 
-def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
-    from psiprime import SizeLimitError
-    from psiprime.groups import ENUMERATION_CAP
-
-    _forbid_full_check(monkeypatch)
-    for jobs in (1, 2):
-        with pytest.raises(SizeLimitError, match="enumeration cap"):
-            sweep_injectivity(ENUMERATION_CAP + 1, jobs=jobs)
-
-
-def test_sweep_injectivity_at_cap_needs_no_group(monkeypatch):
+def _forbid_pool(monkeypatch):
     import concurrent.futures
-
-    from psiprime.groups import ENUMERATION_CAP
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    _forbid_full_check(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def test_sweep_injectivity_reports_a_planted_collision_past_the_cap_at_its_prime_power(
+    monkeypatch,
+):
+    from psiprime.groups import ENUMERATION_CAP
+
+    _collide_two_partitions_of_4(monkeypatch)
+    _forbid_full_check(monkeypatch)
+    _forbid_pool(monkeypatch)
+    for jobs in (1, 2):
+        sweep = sweep_injectivity(ENUMERATION_CAP + 1, jobs=jobs)
+        assert sweep.prime_powers_only
+        assert [r.m for r in sweep.failures] == [16]
+        # the classes check_injectivity gives at 16 (the name imported
+        # above is the real one, which the patch does not reach)
+        assert sweep.failures == (check_injectivity(16),)
+
+
+def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
+    from psiprime import SizeLimitError
+    from psiprime.verify import INJECTIVITY_CAP
+
+    _forbid_full_check(monkeypatch)
+    for jobs in (1, 2):
+        with pytest.raises(
+            SizeLimitError,
+            match=f"max_order = {INJECTIVITY_CAP + 1} exceeds the injectivity cap {INJECTIVITY_CAP}",
+        ):
+            sweep_injectivity(INJECTIVITY_CAP + 1, jobs=jobs)
+
+
+def test_sweep_injectivity_at_cap_needs_no_group(monkeypatch):
+    from psiprime.groups import ENUMERATION_CAP
+
+    _forbid_full_check(monkeypatch)
+    _forbid_pool(monkeypatch)
     sweep = sweep_injectivity(ENUMERATION_CAP, jobs=2)
     assert sweep.holds
     assert sweep.groups_checked == 2_284_717
+
+
+def test_sweep_injectivity_at_10_9_needs_no_group(monkeypatch):
+    # the count over powerful numbers, pinned where no list of counts fits
+    _forbid_full_check(monkeypatch)
+    _forbid_pool(monkeypatch)
+    sweep = sweep_injectivity(10**9, jobs=2)
+    assert sweep.holds
+    assert sweep.groups_checked == 2_294_454_056
+
+
+def test_sweep_injectivity_equals_the_counts_list_sweep_up_to_2000():
+    from oracles import counts_list_injectivity_sweep
+
+    for max_order in range(1, 2001):
+        expected = counts_list_injectivity_sweep(max_order)
+        for jobs in (1, 2):
+            assert sweep_injectivity(max_order, jobs=jobs) == expected, (max_order, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("max_order", [10**5, 10**6])
+def test_sweep_injectivity_equals_the_counts_list_sweep(max_order, jobs):
+    from oracles import counts_list_injectivity_sweep
+
+    expected = counts_list_injectivity_sweep(max_order, jobs=jobs)
+    assert sweep_injectivity(max_order, jobs=jobs) == expected
+
+
+def test_sweep_injectivity_equals_the_counts_list_sweep_with_a_planted_collision(monkeypatch):
+    from oracles import counts_list_injectivity_sweep
+
+    from psiprime import psi
+
+    _collide_two_partitions_of_4(monkeypatch)
+    # the old sweep reads its exponents from the kernel, one call per group
+    real_kernel = psi.pgroup_exponent
+
+    def fake_kernel(p, parts):
+        if p == 2 and tuple(parts) == (2, 2):
+            parts = (2, 1, 1)
+        return real_kernel(p, parts)
+
+    monkeypatch.setattr(psi, "pgroup_exponent", fake_kernel)
+    expected = counts_list_injectivity_sweep(3000)
+    assert [r.m for r in expected.failures][:3] == [16, 48, 80]
+    assert sweep_injectivity(3000) == expected
 
 
 def test_sweep_injectivity_count_matches_independent_factorization():
@@ -524,6 +623,8 @@ class _SerialPool:
     this process, starts nothing."""
 
     created: list[int] = []
+    # (args, chunksize) of every map call
+    mapped: list[tuple[list, int]] = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -535,6 +636,8 @@ class _SerialPool:
         return False
 
     def map(self, fn, args, chunksize=1):
+        args = list(args)
+        self.mapped.append((args, chunksize))
         return map(fn, args)
 
 
@@ -549,8 +652,29 @@ def test_fan_out_bounds_workers_by_args_and_cpus(monkeypatch, cpus, max_order, j
     import os
 
     monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(_SerialPool, "mapped", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     sweep = sweep_conjecture_f(max_order, jobs=jobs)
     assert _SerialPool.created == workers
     assert sweep == sweep_conjecture_f(max_order, jobs=1)
+
+
+def test_conjecture_f_pool_takes_the_heaviest_orders_first(monkeypatch):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(_SerialPool, "mapped", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sweep = sweep_conjecture_f(64, jobs=2)
+    [(submitted, chunksize)] = _SerialPool.mapped
+    assert chunksize == 1
+    assert sorted(submitted) == list(range(1, 65))
+    assert submitted[:3] == [64, 48, 32]  # 11 * 64, 5 * 48, 7 * 32
+    # descending by g(m) * m, ties in ascending order
+    key = [(-m * len(enumerate_abelian_groups(m)), m) for m in submitted]
+    assert key == sorted(key)
+    # the results come back in order, so the sweep is the one-job sweep
+    assert sweep == sweep_conjecture_f(64, jobs=1)
