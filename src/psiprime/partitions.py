@@ -124,8 +124,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     p(40) = 37338 and p(64) above 1.7 million (the cap).  Only the lists
     for n < 24 are kept between calls; larger ones are rebuilt each time.
     """
-    # group enumeration and the conjecture-f fan-out ask for n <= 19 only
-    # (2^20 > ENUMERATION_CAP), and constantly
+    # group enumeration asks for n <= 19 only (2^20 > ENUMERATION_CAP),
+    # and constantly
     if n < 24:
         return _kept_partitions(n)
     return tuple(iter_partitions(n))

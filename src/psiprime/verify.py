@@ -15,13 +15,13 @@ import itertools
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt
 from typing import Iterable, Iterator
 
-from .arith import factorize, require_prime
+from .arith import require_prime
 from .errors import DomainError, SizeLimitError
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
-from .partitions import _require_partition_size, iter_partitions, partitions_of
+from .partitions import _require_partition_size, iter_partitions
 from .psi import FactoredInteger, pgroup_exponents, psi_prime
 from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
 
@@ -255,7 +255,7 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _fan_out(fn, args, jobs, weight=None):
+def _fan_out(fn, args, jobs):
     # deterministic: results returned in argument order regardless of jobs.
     # A fork-started pool forks all its workers at the first submit, so
     # never ask for more than there are arguments or CPUs.
@@ -263,15 +263,7 @@ def _fan_out(fn, args, jobs, weight=None):
     if workers <= 1:
         return [fn(a) for a in args]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        if weight is None:
-            return list(pool.map(fn, args, chunksize=64))
-        # heaviest first, one argument per task, so that no worker is left
-        # alone with the heavy tail; the results go back in argument order
-        by_weight = sorted(range(len(args)), key=lambda i: -weight(args[i]))
-        results = [None] * len(args)
-        for i, r in zip(by_weight, pool.map(fn, [args[i] for i in by_weight], chunksize=1)):
-            results[i] = r
-        return results
+        return list(pool.map(fn, args, chunksize=64))
 
 
 def _primes_to(limit: int) -> list[int]:
@@ -300,22 +292,12 @@ def _count_groups(max_order: int, primes: list[int], types: list[int]) -> int:
         # the terms for d times a powerful number of the primes from
         # primes[i] on, where n = max_order // d and bd = b(d)
         total = bd * n
-        top = bisect_right(primes, isqrt(n), i)
-        # past n^(1/4) each p^k <= n has k = 2 or 3 and no next prime fits
-        # beside it (p^2 * q^2 > p^4 > n for q > p): those terms are leaves
-        leaf = bisect_right(primes, isqrt(isqrt(n)), i, top)
-        for j in range(i, leaf):
+        for j in range(i, bisect_right(primes, isqrt(n), i)):
             p = primes[j]
             pk, k = p * p, 2
             while pk <= n:
                 total += walk(n // pk, bd * b[k], j + 1)
                 pk, k = pk * p, k + 1
-        if leaf < top:
-            total += bd * b[2] * sum(n // (p * p) for p in primes[leaf:top])
-            for p in itertools.islice(primes, leaf, top):
-                if p * p * p > n:
-                    break
-                total += bd * b[3] * (n // (p * p * p))
         return total
 
     return walk(max_order, 1, 0)
@@ -386,22 +368,13 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
     )
 
 
-def _conjecture_f_weight(m: int) -> int:
-    # g(m) * m, with g(m) = prod_p p(v_p(m)) the number of groups of order
-    # m: a rough weight for check_conjecture_f(m), which fingerprints each
-    # of the g(m) groups at all m values of k
-    return m * prod(len(partitions_of(v)) for v in factorize(m).values())
-
-
 def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSweep:
     """Run check_conjecture_f for every m <= max_order.
 
     Every group of order m > CONJECTURE_F_CAP is past the fingerprint cap,
     so a larger bound is refused before any order is computed."""
     _require_max_order(max_order, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    reports = _fan_out(
-        check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs), _conjecture_f_weight
-    )
+    reports = _fan_out(check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs))
     pairs = sum(r.pair_count for r in reports)
     failures = tuple(r for r in reports if not r.holds)
     return ConjectureFSweep(max_order=max_order, pairs_checked=pairs, failures=failures)

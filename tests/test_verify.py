@@ -623,8 +623,6 @@ class _SerialPool:
     this process, starts nothing."""
 
     created: list[int] = []
-    # (args, chunksize) of every map call
-    mapped: list[tuple[list, int]] = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -636,8 +634,6 @@ class _SerialPool:
         return False
 
     def map(self, fn, args, chunksize=1):
-        args = list(args)
-        self.mapped.append((args, chunksize))
         return map(fn, args)
 
 
@@ -652,29 +648,8 @@ def test_fan_out_bounds_workers_by_args_and_cpus(monkeypatch, cpus, max_order, j
     import os
 
     monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(_SerialPool, "mapped", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     sweep = sweep_conjecture_f(max_order, jobs=jobs)
     assert _SerialPool.created == workers
     assert sweep == sweep_conjecture_f(max_order, jobs=1)
-
-
-def test_conjecture_f_pool_takes_the_heaviest_orders_first(monkeypatch):
-    import concurrent.futures
-    import os
-
-    monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(_SerialPool, "mapped", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    sweep = sweep_conjecture_f(64, jobs=2)
-    [(submitted, chunksize)] = _SerialPool.mapped
-    assert chunksize == 1
-    assert sorted(submitted) == list(range(1, 65))
-    assert submitted[:3] == [64, 48, 32]  # 11 * 64, 5 * 48, 7 * 32
-    # descending by g(m) * m, ties in ascending order
-    key = [(-m * len(enumerate_abelian_groups(m)), m) for m in submitted]
-    assert key == sorted(key)
-    # the results come back in order, so the sweep is the one-job sweep
-    assert sweep == sweep_conjecture_f(64, jobs=1)
