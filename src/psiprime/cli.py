@@ -26,7 +26,6 @@ before anything is written.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -103,6 +102,7 @@ def _render(
         _write_json(obj())
         return
     if args.fmt == "csv":
+        import csv  # here, not at the top: only --csv needs it
         writer = csv.writer(sys.stdout)
         writer.writerow(headers)
         writer.writerows(rows)

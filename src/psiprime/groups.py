@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .arith import _require_trusted_prime, factorize
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, frozen
 from .partitions import Partition, partitions_of
 
 # Largest group order enumerate_abelian_groups accepts.
@@ -36,7 +35,7 @@ ENUMERATION_CAP = 10**6
 BRUTE_FORCE_CAP = 10**5
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianGroup:
     """Primary decomposition: (prime, exponent partition) pairs with
     strictly increasing primes.  The trivial group is the empty tuple."""
@@ -65,7 +64,7 @@ class AbelianGroup:
         return [p**a for p, q in self.components for a in q.parts]
 
 
-@dataclass(frozen=True)
+@frozen
 class OrderSpectrum:
     """Map element order -> exact multiplicity, stored sorted by order."""
 

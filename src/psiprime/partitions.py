@@ -12,11 +12,10 @@ the other.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, frozen
 
 # Largest n that iter_partitions, partitions_of and the theorem-c rows
 # accept.  Streaming holds no rows, so the cap bounds two things: the
@@ -27,7 +26,7 @@ from .errors import DomainError, SizeLimitError
 PARTITION_CAP = 64
 
 
-@dataclass(frozen=True)
+@frozen
 class Partition:
     """Weakly decreasing positive integers; indexes abelian p-group types."""
 

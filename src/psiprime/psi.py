@@ -62,17 +62,16 @@ orders, and each p-component recurs m / p^(n_p) times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arith import _require_trusted_prime, exact_div, factorize
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, frozen
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
 from .partitions import Partition, _zs2
 
 
-@dataclass(frozen=True)
+@frozen
 class FactoredInteger:
     """A positive integer as {prime: exponent}, exponents arbitrary size.
 

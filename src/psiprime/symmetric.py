@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, frozen
 from .groups import AbelianGroup, order_spectrum
 
 # Ceiling on |G| for exact psi_k and the order polynomial; psi_|G| already
@@ -51,7 +50,7 @@ CONJECTURE_F_CAP = 4096
 FINGERPRINT_PRIMES = (2**26 - 5, 2**26 - 27)
 
 
-@dataclass(frozen=True)
+@frozen
 class OrderPolynomial:
     """prod_x (X - o(x)) with exact coefficients, ascending powers.
 

@@ -10,16 +10,14 @@ asserted away.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator
 
 from .arith import require_prime
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, frozen
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import _require_partition_size, iter_partitions
 from .psi import FactoredInteger, pgroup_exponents, psi_prime
@@ -43,7 +41,7 @@ def _group_sort_key(G: AbelianGroup):
     return (G.order, tuple((p, q.parts) for p, q in G.components))
 
 
-@dataclass(frozen=True)
+@frozen
 class InjectivityReport:
     """For one order m, the classes of two or more abelian groups of that
     order sharing a psi' value (each one a theorem violation)."""
@@ -56,7 +54,7 @@ class InjectivityReport:
         return not self.duplicates
 
 
-@dataclass(frozen=True)
+@frozen
 class CollisionReport:
     """Pairs of non-isomorphic groups (orders allowed to differ) sharing an
     identical psi' value, over all orders up to ``scope``."""
@@ -65,7 +63,7 @@ class CollisionReport:
     pairs: tuple[tuple[AbelianGroup, AbelianGroup, FactoredInteger], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class ConjectureFReport:
     """For one order m: every unordered pair of distinct groups tested at
     every k in 1..m; any psi_k coincidence is a finding."""
@@ -215,7 +213,7 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class InjectivitySweep:
     """check_injectivity over every order 1..max_order."""
 
@@ -234,7 +232,7 @@ class InjectivitySweep:
         return self.max_order > ENUMERATION_CAP
 
 
-@dataclass(frozen=True)
+@frozen
 class ConjectureFSweep:
     """check_conjecture_f over every order 1..max_order."""
 
@@ -249,6 +247,10 @@ class ConjectureFSweep:
 
 def _resolve_jobs(jobs: int | None) -> int:
     if jobs is None:
+        # the CPUs this process may run on, which an affinity mask (taskset,
+        # a container's cpuset) can hold below the host's os.cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 1:
         raise DomainError(f"jobs = {jobs} must be >= 1")
@@ -258,10 +260,12 @@ def _resolve_jobs(jobs: int | None) -> int:
 def _fan_out(fn, args, jobs):
     # deterministic: results returned in argument order regardless of jobs.
     # A fork-started pool forks all its workers at the first submit, so
-    # never ask for more than there are arguments or CPUs.
-    workers = min(jobs, len(args), os.cpu_count() or 1)
+    # never ask for more than there are arguments or usable CPUs.  The pool
+    # is imported only here: with logging it cost every CLI start ~7 ms.
+    workers = min(jobs, len(args), _resolve_jobs(None))
     if workers <= 1:
         return [fn(a) for a in args]
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=64))
 

@@ -506,3 +506,46 @@ def test_int_digit_limit_is_restored(argv, capsys):
         assert sys.get_int_max_str_digits() == 4321
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _fresh_cli(*argv):
+    # the CLI in a new interpreter, which has imported neither the pool
+    # module nor csv, so an import deferred to its use is exercised there
+    import os
+    import subprocess
+
+    import psiprime
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psiprime.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "psiprime.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "injectivity", "--max-order", "200", "--json"],
+        # 64 orders: two workers wherever two CPUs are usable
+        ["verify", "conjecture-f", "--max-order", "64"],
+    ],
+    ids=["injectivity-json", "conjecture-f"],
+)
+def test_fresh_interpreter_prints_the_same_bytes_at_one_and_two_jobs(argv):
+    one = _fresh_cli(*argv, "--jobs", "1")
+    assert one[0] == 0 and one[1] and one[2] == b""
+    assert _fresh_cli(*argv, "--jobs", "2") == one
+
+
+def test_fresh_interpreter_csv_bytes_match_the_golden_case():
+    from pathlib import Path
+
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+    case = golden["conjecture-f-csv"]
+    assert _fresh_cli(*case["argv"]) == (
+        case["code"], case["stdout"].encode(), case["stderr"].encode()
+    )

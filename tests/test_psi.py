@@ -426,6 +426,37 @@ def test_importing_the_cli_does_not_import_mpmath():
     assert out == "False\n"
 
 
+def test_importing_the_cli_loads_no_module_only_some_commands_need():
+    # dataclasses (with inspect, ast and dis) and concurrent.futures (with
+    # logging) cost every CLI start about 17 ms: the value classes are
+    # built without dataclasses, and the pool and csv are imported where
+    # they are used.  The modules counted are those the import adds to a
+    # bare interpreter's.
+    import os
+    import subprocess
+    import sys
+
+    import psiprime
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psiprime.__file__)))
+    code = (
+        "import sys; bare = set(sys.modules); import psiprime.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    added = set(
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+    )
+    assert "psiprime.cli" in added
+    unwanted = {"dataclasses", "inspect", "concurrent.futures", "logging", "csv"}
+    assert sorted(added & unwanted) == []
+
+
 def test_package_imports_only_the_standard_library():
     # every absolute import in the package, at module level or nested in a
     # function, must name a standard-library module

@@ -650,6 +650,31 @@ def test_fan_out_bounds_workers_by_args_and_cpus(monkeypatch, cpus, max_order, j
     monkeypatch.setattr(_SerialPool, "created", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # the os.cpu_count() fallback, taken where there is no affinity mask
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     sweep = sweep_conjecture_f(max_order, jobs=jobs)
     assert _SerialPool.created == workers
     assert sweep == sweep_conjecture_f(max_order, jobs=1)
+
+
+def test_jobs_auto_counts_the_cpus_this_process_may_run_on(monkeypatch, capsys):
+    # one CPU in the affinity mask of an eight-CPU host: "auto" is one job,
+    # and an asked-for two run in one process, with the same bytes
+    import concurrent.futures
+    import os
+
+    from psiprime.cli import main
+    from psiprime.verify import _resolve_jobs
+
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _resolve_jobs(None) == 1
+    outputs = []
+    for jobs in ("auto", "2", "1"):
+        argv = ["verify", "conjecture-f", "--max-order", "48", "--jobs", jobs, "--json"]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert _SerialPool.created == []
+    assert outputs[0] == outputs[1] == outputs[2]
