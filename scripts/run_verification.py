@@ -87,7 +87,8 @@ def main():
     parser.add_argument("--collision-order", type=bound(ENUMERATION_CAP), default=100)
     parser.add_argument("--conjecture-order", type=bound(CONJECTURE_F_CAP), default=96)
     parser.add_argument("--brute-order", type=bound(BRUTE_FORCE_CAP), default=500)
-    parser.add_argument("--jobs", type=positive_int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1,
+                        help="worker processes for the conjecture-f section")
     args = parser.parse_args()
 
     t0 = time.perf_counter()
@@ -101,7 +102,7 @@ def main():
         report(bad == 0, f"p = {p}: strictly increasing for every n (violations: {bad})")
 
     section(f"injectivity of psi' at fixed order, m <= {args.injectivity_order}")
-    sweep = sweep_injectivity(args.injectivity_order, jobs=args.jobs)
+    sweep = sweep_injectivity(args.injectivity_order)
     violations += len(sweep.failures)
     report(sweep.holds, f"{sweep.groups_checked} groups, duplicate psi' orders: {len(sweep.failures)}")
 

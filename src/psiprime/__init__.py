@@ -35,7 +35,6 @@ from .verify import (
     InjectivityReport,
     InjectivitySweep,
     check_conjecture_f,
-    check_injectivity,
     check_theorem_c,
     find_cross_order_collisions,
     sweep_conjecture_f,
@@ -62,7 +61,6 @@ __all__ = [
     "brute_force_spectrum",
     "canonicalize",
     "check_conjecture_f",
-    "check_injectivity",
     "check_theorem_c",
     "enumerate_abelian_groups",
     "find_cross_order_collisions",

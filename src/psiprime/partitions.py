@@ -92,6 +92,8 @@ def _ascending(n: int) -> Iterator[tuple[int, ...]]:
 def _require_partition_size(n: int) -> None:
     """Refuse an n below 0 or above PARTITION_CAP, for a caller that
     streams the partitions of n and must refuse before the first one."""
+    if type(n) is not int:
+        raise DomainError(f"cannot partition {n!r}: must be an int")
     if n < 0:
         raise DomainError(f"cannot partition {n}")
     if n > PARTITION_CAP:
@@ -130,6 +132,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(iter_partitions(n))
 
 
-@lru_cache(maxsize=None)
+# typed, so that 3.0 or True misses the entry of 3 or 1 and is refused
+@lru_cache(maxsize=None, typed=True)
 def _kept_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(iter_partitions(n))

@@ -30,7 +30,10 @@ INJECTIVITY_CAP = 10**12
 
 def _require_max_order(max_order: int, cap: int, cap_name: str) -> None:
     # an empty sweep would report success having checked nothing, and a
-    # bound past the cap would fail only after every order below it ran
+    # bound past the cap would fail only after every order below it ran;
+    # a float or a bool would fail deep inside, or pass as a bound
+    if type(max_order) is not int:
+        raise DomainError(f"max_order = {max_order!r} must be an int")
     if max_order < 1:
         raise DomainError(f"max_order = {max_order} must be >= 1")
     if max_order > cap:
@@ -215,7 +218,8 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
 
 @frozen
 class InjectivitySweep:
-    """check_injectivity over every order 1..max_order."""
+    """Injectivity of psi' at every order 1..max_order: one failure per
+    colliding p^n, at the order p^n alone (see sweep_injectivity)."""
 
     max_order: int
     groups_checked: int
@@ -224,12 +228,6 @@ class InjectivitySweep:
     @property
     def holds(self) -> bool:
         return not self.failures
-
-    @property
-    def prime_powers_only(self) -> bool:
-        """Past ENUMERATION_CAP each failure is one colliding p^n, reported
-        at the order p^n only, not at every order it divides."""
-        return self.max_order > ENUMERATION_CAP
 
 
 @frozen
@@ -318,7 +316,7 @@ def _prime_power_failure(p: int, n: int, exponents: list[int]) -> InjectivityRep
     return InjectivityReport(m=p**n, duplicates=tuple(tuple(gs) for _, gs in shared))
 
 
-def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySweep:
+def sweep_injectivity(max_order: int) -> InjectivitySweep:
     """Injectivity of psi' at every order m <= max_order, checked through
     prime powers instead of by building every group; time and memory grow
     with sqrt(max_order).
@@ -333,14 +331,13 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
 
     groups_checked, the number of abelian groups of order at most
     max_order, is counted over the powerful numbers (:func:`_count_groups`).
-    Up to ENUMERATION_CAP, every order exactly divisible by a p^n on which
-    E_p collides runs the full check_injectivity (across a process pool
-    when jobs > 1), so the result equals check_injectivity run at every
-    order.  Past it, each such p^n is one failure at the order p^n alone,
-    whose classes are the p-groups of order p^n sharing E_p.
+    A p^n on which E_p collides breaks injectivity at every order it
+    exactly divides, and p^n alone describes the collision, so each one
+    is a single failure at the order p^n, whose classes are those of
+    check_injectivity(p**n).  Theorem C, which check_theorem_c tests,
+    says E_p never collides, so a failure is an implementation error.
     """
     _require_max_order(max_order, INJECTIVITY_CAP, "injectivity cap")
-    jobs = _resolve_jobs(jobs)
     primes = _primes_to(isqrt(max_order))
     # types[n] = p(n), the number of abelian p-groups of order p^n; p = 2
     # comes first and reaches every n that a larger prime does
@@ -355,20 +352,10 @@ def sweep_injectivity(max_order: int, *, jobs: int | None = 1) -> InjectivitySwe
             if len(set(exponents)) < len(exponents):
                 colliding.append((p, n, exponents))
             n, pn = n + 1, pn * p
-    groups_checked = _count_groups(max_order, primes, types)
-    if max_order > ENUMERATION_CAP:
-        failures = tuple(_prime_power_failure(*c) for c in colliding)
-    else:
-        suspect = {
-            m
-            for p, n, _ in colliding
-            for m in range(p**n, max_order + 1, p**n)
-            if m % p ** (n + 1)
-        }
-        reports = _fan_out(check_injectivity, sorted(suspect), jobs)
-        failures = tuple(r for r in reports if not r.holds)
     return InjectivitySweep(
-        max_order=max_order, groups_checked=groups_checked, failures=failures
+        max_order=max_order,
+        groups_checked=_count_groups(max_order, primes, types),
+        failures=tuple(_prime_power_failure(*c) for c in colliding),
     )
 
 

@@ -115,8 +115,11 @@ def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
     groups over powerful numbers, kept unchanged but for these imports:
     it holds a list of max_order + 1 group counts, finds the primes by
     trial division and evaluates each p-group exponent by its own call.
-    It shares only check_injectivity and the fan-out with the sweep it
-    checks, so the count, the primes and the exponents are independent.
+    It shares only the bound check with the sweep it checks, so the
+    count, the primes and the exponents are independent.  A collision
+    goes through check_injectivity at every order its p^n exactly
+    divides, as the package once did up to 10^6, where the sweep reports
+    the order p^n alone.
     """
     from math import isqrt
 

@@ -46,7 +46,7 @@ def _injectivity_duplicate(monkeypatch):
         InjectivityReport(m=12, duplicates=((z12, z2z6),)),
     )
     fake = InjectivitySweep(max_order=12, groups_checked=16, failures=reports)
-    monkeypatch.setattr(cli, "sweep_injectivity", lambda m, jobs: fake)
+    monkeypatch.setattr(cli, "sweep_injectivity", lambda m: fake)
 
 
 def _conjecture_f_coincidence(monkeypatch):

@@ -8,17 +8,18 @@ from psiprime import (
     FactoredInteger,
     canonicalize,
     check_conjecture_f,
-    check_injectivity,
     check_theorem_c,
     enumerate_abelian_groups,
     find_cross_order_collisions,
+    iter_partitions,
     order_spectrum,
+    partitions_of,
     psi_prime,
     psi_prime_from_spectrum,
     sweep_conjecture_f,
     sweep_injectivity,
 )
-from psiprime.verify import theorem_c_rows
+from psiprime.verify import check_injectivity, theorem_c_rows
 
 
 def test_theorem_c_2_3():
@@ -134,12 +135,6 @@ def test_sweep_conjecture_f_small():
     assert sweep.pairs_checked > 0
 
 
-def test_sweeps_deterministic_across_jobs():
-    serial = sweep_injectivity(60, jobs=1)
-    parallel = sweep_injectivity(60, jobs=2)
-    assert serial == parallel
-
-
 @pytest.mark.parametrize("bad_n", [0, -3])
 def test_theorem_c_rejects_bad_n(bad_n):
     from psiprime import DomainError
@@ -212,6 +207,34 @@ def test_sweeps_reject_empty_bound(sweep, bad_max):
 
     with pytest.raises(DomainError, match="must be >= 1"):
         sweep(bad_max)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: sweep_injectivity(20000.0), "20000.0"),
+        (lambda: sweep_injectivity(True), "True"),
+        (lambda: sweep_conjecture_f(4.0), "4.0"),
+        (lambda: find_cross_order_collisions(10.0), "10.0"),
+        (lambda: check_theorem_c(2, 3.0), "3.0"),
+        (lambda: check_theorem_c(2, True), "True"),
+        (lambda: iter_partitions(3.0), "3.0"),
+        (lambda: partitions_of(3.0), "3.0"),
+        (lambda: partitions_of(True), "True"),
+    ],
+    ids=[
+        "sweep_injectivity-float", "sweep_injectivity-bool", "sweep_conjecture_f-float",
+        "collisions-float", "theorem_c-float", "theorem_c-bool", "iter_partitions-float",
+        "partitions_of-float", "partitions_of-bool",
+    ],
+)
+def test_bounds_that_are_not_plain_ints_are_refused_on_entry(call, value):
+    from psiprime import DomainError
+
+    # the kept lists of 3 and 1 exist, and a float or bool must not hit them
+    partitions_of(3), partitions_of(1)
+    with pytest.raises(DomainError, match=f"{value}.*must be an int"):
+        call()
 
 
 def test_sweep_conjecture_f_refuses_bound_past_cap_before_any_order(monkeypatch):
@@ -393,11 +416,13 @@ def test_check_conjecture_f_refuses_an_order_past_the_cap_before_enumerating(mon
         check_conjecture_f(CONJECTURE_F_CAP + 1)
 
 
-def _reference_injectivity_sweep(max_order):
-    # the full pipeline: every group of every order, psi' of each, grouped
+def _reference_injectivity_sweep(max_order, jobs):
+    # the full pipeline: every group of every order, psi' of each, grouped,
+    # with the orders fanned out over jobs worker processes
     from psiprime import InjectivitySweep
+    from psiprime.verify import _fan_out
 
-    reports = [check_injectivity(m) for m in range(1, max_order + 1)]
+    reports = _fan_out(check_injectivity, range(1, max_order + 1), jobs)
     return InjectivitySweep(
         max_order=max_order,
         groups_checked=sum(len(enumerate_abelian_groups(m)) for m in range(1, max_order + 1)),
@@ -408,7 +433,7 @@ def _reference_injectivity_sweep(max_order):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("max_order", [1, 2, 12, 120, 2000])
 def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
-    assert sweep_injectivity(max_order, jobs=jobs) == _reference_injectivity_sweep(max_order)
+    assert sweep_injectivity(max_order) == _reference_injectivity_sweep(max_order, jobs)
 
 
 def _collide_two_partitions_of_4(monkeypatch):
@@ -435,50 +460,6 @@ def _collide_two_partitions_of_4(monkeypatch):
     monkeypatch.setattr(verify, "pgroup_exponents", fake_rows)
 
 
-def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
-    _collide_two_partitions_of_4(monkeypatch)
-    sweep = sweep_injectivity(200)
-    reference = _reference_injectivity_sweep(200)
-    assert [r.m for r in sweep.failures] == [16, 48, 80, 112, 144, 176]
-    assert sweep == reference
-
-
-def test_cli_injectivity_reports_a_planted_collision(monkeypatch, capsys):
-    from psiprime import cli
-
-    _collide_two_partitions_of_4(monkeypatch)
-    code = cli.main(["verify", "injectivity", "--max-order", "200"])
-    out, err = capsys.readouterr()
-    monkeypatch.setattr(cli, "sweep_injectivity", lambda m, jobs: _reference_injectivity_sweep(m))
-    assert cli.main(["verify", "injectivity", "--max-order", "200"]) == code == 3
-    assert capsys.readouterr() == (out, err)
-    # order 144 = 2^4 * 3^2 carries one duplicate pair per Sylow 3-type
-    assert out.count("DUPLICATE at order ") == 7
-    assert "DUPLICATE at order 16: Z4xZ2^2, Z4^2\n" in out
-
-
-@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-def test_cli_injectivity_reports_a_planted_collision_past_the_cap(monkeypatch, capsys, fmt):
-    from psiprime import cli
-
-    _collide_two_partitions_of_4(monkeypatch)
-    _forbid_full_check(monkeypatch)
-    argv = ["verify", "injectivity", "--max-order", "1000001"]
-    assert cli.main(argv + ([] if fmt == "table" else [f"--{fmt}"])) == 3
-    out, err = capsys.readouterr()
-    assert err == ""
-    note = "past order 1000000 duplicates are listed at their prime-power order only"
-    if fmt == "json":
-        doc = json.loads(out)
-        assert [d["m"] for d in doc["duplicates"]] == ["16"]
-        assert doc["duplicates"][0]["groups"] == [{"2": [2, 1, 1]}, {"2": [2, 2]}]
-        assert doc["note"] == note
-    else:
-        assert out.count("DUPLICATE at order ") == 1
-        assert out.endswith("DUPLICATE at order 16: Z4xZ2^2, Z4^2\nnote: " + note + "\n")
-        assert ("1000001,2284718,1\r\n" if fmt == "csv" else "1000001    2284718") in out
-
-
 def _forbid_full_check(monkeypatch):
     from psiprime import verify
 
@@ -497,21 +478,48 @@ def _forbid_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
-def test_sweep_injectivity_reports_a_planted_collision_past_the_cap_at_its_prime_power(
-    monkeypatch,
+def _without_summary(fmt, out, max_order, groups_checked):
+    # out with its one summary row taken out, which must be there once
+    row = {
+        "table": f"{max_order:<9}  {groups_checked:<14}  1\n",
+        "json": f'"max_order":"{max_order}","groups_checked":"{groups_checked}"',
+        "csv": f"{max_order},{groups_checked},1\r\n",
+    }[fmt]
+    assert out.count(row) == 1, (fmt, out)
+    return out.replace(row, "")
+
+
+@pytest.mark.parametrize("max_order", [200, 10**6, 10**6 + 1])
+def test_injectivity_reports_a_planted_collision_at_its_prime_power(
+    monkeypatch, capsys, max_order
 ):
-    from psiprime.groups import ENUMERATION_CAP
+    from psiprime import cli
 
     _collide_two_partitions_of_4(monkeypatch)
     _forbid_full_check(monkeypatch)
     _forbid_pool(monkeypatch)
-    for jobs in (1, 2):
-        sweep = sweep_injectivity(ENUMERATION_CAP + 1, jobs=jobs)
-        assert sweep.prime_powers_only
-        assert [r.m for r in sweep.failures] == [16]
-        # the classes check_injectivity gives at 16 (the name imported
-        # above is the real one, which the patch does not reach)
-        assert sweep.failures == (check_injectivity(16),)
+    sweep = sweep_injectivity(max_order)
+    # the classes check_injectivity gives at 16 (the name imported above
+    # is the real one, which _forbid_full_check does not reach)
+    assert sweep.failures == (check_injectivity(16),)
+    small = sweep_injectivity(200)
+    for fmt in ("table", "json", "csv"):
+        outs = []
+        for bound in (200, max_order):
+            argv = ["verify", "injectivity", "--max-order", str(bound), "--jobs", "2"]
+            assert cli.main(argv + ([] if fmt == "table" else [f"--{fmt}"])) == 3
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        rest = _without_summary(fmt, outs[0], 200, small.groups_checked)
+        assert _without_summary(fmt, outs[1], max_order, sweep.groups_checked) == rest
+        if fmt == "json":
+            assert json.loads(outs[1])["duplicates"] == [
+                {"m": "16", "groups": [{"2": [2, 1, 1]}, {"2": [2, 2]}]}
+            ]
+        else:
+            assert rest.count("DUPLICATE at order ") == 1
+            assert rest.endswith("DUPLICATE at order 16: Z4xZ2^2, Z4^2\n")
 
 
 def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
@@ -519,12 +527,11 @@ def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
     from psiprime.verify import INJECTIVITY_CAP
 
     _forbid_full_check(monkeypatch)
-    for jobs in (1, 2):
-        with pytest.raises(
-            SizeLimitError,
-            match=f"max_order = {INJECTIVITY_CAP + 1} exceeds the injectivity cap {INJECTIVITY_CAP}",
-        ):
-            sweep_injectivity(INJECTIVITY_CAP + 1, jobs=jobs)
+    with pytest.raises(
+        SizeLimitError,
+        match=f"max_order = {INJECTIVITY_CAP + 1} exceeds the injectivity cap {INJECTIVITY_CAP}",
+    ):
+        sweep_injectivity(INJECTIVITY_CAP + 1)
 
 
 def test_sweep_injectivity_at_cap_needs_no_group(monkeypatch):
@@ -532,7 +539,7 @@ def test_sweep_injectivity_at_cap_needs_no_group(monkeypatch):
 
     _forbid_full_check(monkeypatch)
     _forbid_pool(monkeypatch)
-    sweep = sweep_injectivity(ENUMERATION_CAP, jobs=2)
+    sweep = sweep_injectivity(ENUMERATION_CAP)
     assert sweep.holds
     assert sweep.groups_checked == 2_284_717
 
@@ -541,7 +548,7 @@ def test_sweep_injectivity_at_10_9_needs_no_group(monkeypatch):
     # the count over powerful numbers, pinned where no list of counts fits
     _forbid_full_check(monkeypatch)
     _forbid_pool(monkeypatch)
-    sweep = sweep_injectivity(10**9, jobs=2)
+    sweep = sweep_injectivity(10**9)
     assert sweep.holds
     assert sweep.groups_checked == 2_294_454_056
 
@@ -550,9 +557,7 @@ def test_sweep_injectivity_equals_the_counts_list_sweep_up_to_2000():
     from oracles import counts_list_injectivity_sweep
 
     for max_order in range(1, 2001):
-        expected = counts_list_injectivity_sweep(max_order)
-        for jobs in (1, 2):
-            assert sweep_injectivity(max_order, jobs=jobs) == expected, (max_order, jobs)
+        assert sweep_injectivity(max_order) == counts_list_injectivity_sweep(max_order)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -561,7 +566,7 @@ def test_sweep_injectivity_equals_the_counts_list_sweep(max_order, jobs):
     from oracles import counts_list_injectivity_sweep
 
     expected = counts_list_injectivity_sweep(max_order, jobs=jobs)
-    assert sweep_injectivity(max_order, jobs=jobs) == expected
+    assert sweep_injectivity(max_order) == expected
 
 
 def test_sweep_injectivity_equals_the_counts_list_sweep_with_a_planted_collision(monkeypatch):
@@ -581,7 +586,11 @@ def test_sweep_injectivity_equals_the_counts_list_sweep_with_a_planted_collision
     monkeypatch.setattr(psi, "pgroup_exponent", fake_kernel)
     expected = counts_list_injectivity_sweep(3000)
     assert [r.m for r in expected.failures][:3] == [16, 48, 80]
-    assert sweep_injectivity(3000) == expected
+    # the old sweep reports every order 16 exactly divides; the sweep
+    # reports the order 16 alone, with the same classes
+    sweep = sweep_injectivity(3000)
+    assert sweep.failures == expected.failures[:1]
+    assert sweep.groups_checked == expected.groups_checked
 
 
 def test_sweep_injectivity_count_matches_independent_factorization():
