@@ -478,6 +478,47 @@ def _forbid_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
+def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
+    _collide_two_partitions_of_4(monkeypatch)
+    _forbid_full_check(monkeypatch)
+    _forbid_pool(monkeypatch)
+    sweep = sweep_injectivity(200)
+    # the per-order reference reports every order 16 exactly divides; the
+    # sweep reports the prime power 16 alone, with the same classes
+    reference = _reference_injectivity_sweep(200, 1)
+    assert [r.m for r in reference.failures] == [16, 48, 80, 112, 144, 176]
+    assert sweep.failures == reference.failures[:1] == (check_injectivity(16),)
+    assert sweep.groups_checked == reference.groups_checked
+
+
+def _assert_one_duplicate_at_16(fmt, out):
+    if fmt == "json":
+        assert json.loads(out)["duplicates"] == [
+            {"m": "16", "groups": [{"2": [2, 1, 1]}, {"2": [2, 2]}]}
+        ]
+    else:
+        assert out.count("DUPLICATE at order ") == 1
+        assert out.endswith("DUPLICATE at order 16: Z4xZ2^2, Z4^2\n")
+
+
+def _cli_injectivity(capsys, fmt, max_order):
+    from psiprime import cli
+
+    argv = ["verify", "injectivity", "--max-order", str(max_order), "--jobs", "2"]
+    assert cli.main(argv + ([] if fmt == "table" else [f"--{fmt}"])) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_cli_injectivity_reports_a_planted_collision(monkeypatch, capsys):
+    _collide_two_partitions_of_4(monkeypatch)
+    _forbid_full_check(monkeypatch)
+    _forbid_pool(monkeypatch)
+    for fmt in ("table", "json", "csv"):
+        _assert_one_duplicate_at_16(fmt, _cli_injectivity(capsys, fmt, 200))
+
+
 def _without_summary(fmt, out, max_order, groups_checked):
     # out with its one summary row taken out, which must be there once
     row = {
@@ -489,37 +530,35 @@ def _without_summary(fmt, out, max_order, groups_checked):
     return out.replace(row, "")
 
 
-@pytest.mark.parametrize("max_order", [200, 10**6, 10**6 + 1])
-def test_injectivity_reports_a_planted_collision_at_its_prime_power(
-    monkeypatch, capsys, max_order
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_cli_injectivity_reports_a_planted_collision_past_the_cap(monkeypatch, capsys, fmt):
+    _collide_two_partitions_of_4(monkeypatch)
+    _forbid_full_check(monkeypatch)
+    _forbid_pool(monkeypatch)
+    # the bytes at 200, at the cap 10^6 and past it differ only in the
+    # summary row: one duplicate at 16 and no note
+    small = _cli_injectivity(capsys, fmt, 200)
+    _assert_one_duplicate_at_16(fmt, small)
+    rest = _without_summary(fmt, small, 200, sweep_injectivity(200).groups_checked)
+    for max_order in (10**6, 10**6 + 1):
+        out = _cli_injectivity(capsys, fmt, max_order)
+        groups_checked = sweep_injectivity(max_order).groups_checked
+        assert _without_summary(fmt, out, max_order, groups_checked) == rest
+
+
+def test_sweep_injectivity_reports_a_planted_collision_past_the_cap_at_its_prime_power(
+    monkeypatch,
 ):
-    from psiprime import cli
+    from psiprime.groups import ENUMERATION_CAP
 
     _collide_two_partitions_of_4(monkeypatch)
     _forbid_full_check(monkeypatch)
     _forbid_pool(monkeypatch)
-    sweep = sweep_injectivity(max_order)
-    # the classes check_injectivity gives at 16 (the name imported above
-    # is the real one, which _forbid_full_check does not reach)
-    assert sweep.failures == (check_injectivity(16),)
-    small = sweep_injectivity(200)
-    for fmt in ("table", "json", "csv"):
-        outs = []
-        for bound in (200, max_order):
-            argv = ["verify", "injectivity", "--max-order", str(bound), "--jobs", "2"]
-            assert cli.main(argv + ([] if fmt == "table" else [f"--{fmt}"])) == 3
-            out, err = capsys.readouterr()
-            assert err == ""
-            outs.append(out)
-        rest = _without_summary(fmt, outs[0], 200, small.groups_checked)
-        assert _without_summary(fmt, outs[1], max_order, sweep.groups_checked) == rest
-        if fmt == "json":
-            assert json.loads(outs[1])["duplicates"] == [
-                {"m": "16", "groups": [{"2": [2, 1, 1]}, {"2": [2, 2]}]}
-            ]
-        else:
-            assert rest.count("DUPLICATE at order ") == 1
-            assert rest.endswith("DUPLICATE at order 16: Z4xZ2^2, Z4^2\n")
+    for max_order in (ENUMERATION_CAP, ENUMERATION_CAP + 1):
+        sweep = sweep_injectivity(max_order)
+        # the classes check_injectivity gives at 16 (the name imported
+        # above is the real one, which _forbid_full_check does not reach)
+        assert sweep.failures == (check_injectivity(16),)
 
 
 def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
