@@ -27,6 +27,7 @@ from psiprime import (
     sweep_injectivity,
 )
 from psiprime.arith import require_prime
+from psiprime.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_VIOLATION
 from psiprime.groups import BRUTE_FORCE_CAP, ENUMERATION_CAP
 from psiprime.partitions import PARTITION_CAP
 from psiprime.symmetric import CONJECTURE_F_CAP
@@ -140,10 +141,10 @@ def main():
     print()
     print(f"total time: {time.perf_counter() - t0:.1f}s")
     if coincidences:
-        return 4
+        return EXIT_COUNTEREXAMPLE
     if violations:
-        return 3
-    return 0
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .arith import FACTORIZATION_CAP, bounded_int
-from .errors import NotationError, SizeLimitError
+from .errors import DomainError, NotationError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
 
 _INT = re.compile(r"\d+")
@@ -34,6 +34,8 @@ def parse_group(text: str) -> AbelianGroup:
 
     Raises NotationError carrying the offset of the first bad character.
     """
+    if type(text) is not str:
+        raise DomainError(f"group notation {text!r} must be a str")
     s = text.strip()
     if not s:
         raise NotationError("empty group notation", 0)

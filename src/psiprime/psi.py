@@ -26,11 +26,11 @@ t = k - j, P_t = l_1 + ... + l_t = n - S_j and l_(k+1) = 0 this reads
     E = l_1 * p^n - sum_{t=1}^{k} p^(n - P_t) * (p^(t*l_t) - p^(t*l_(t+1))) / (p^t - 1)
 
 where only the t with l_t > l_(t+1) contribute.  That is what
-:func:`pgroup_exponent` computes, on the parts as stored and in O(k)
-big-integer operations per group instead of O(a_k * k);
-:func:`psi_prime_exponent` takes the same descending parts, checks them by
-:class:`Partition`'s rules, caches, and calls it.  The literal loop over i
-is kept as a test oracle in ``tests/oracles.py``.
+:func:`psi_prime_exponent` computes, on the parts as stored and in O(k)
+big-integer operations per group instead of O(a_k * k), once it has
+checked them by :class:`Partition`'s rules; its cache is typed, so a
+float p never meets an int p's entry.  The literal loop over i is kept
+as a test oracle in ``tests/oracles.py``.
 
 :func:`pgroup_exponents` gives the same E for every partition of one n
 in ascending order, as the Theorem C and injectivity sweeps read them,
@@ -62,8 +62,8 @@ orders, and each p-component recurs m / p^(n_p) times.
 from __future__ import annotations
 
 import math
-from functools import cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping
 
 from .arith import _require_trusted_prime, exact_div, factorize
 from .errors import DomainError, SizeLimitError, frozen
@@ -107,6 +107,8 @@ class FactoredInteger:
         too long; near the limit the value is built and compared with
         10^digit_limit exactly.
         """
+        if type(digit_limit) is not int:
+            raise DomainError(f"digit_limit = {digit_limit!r} must be an int")
         if digit_limit < 1:
             raise DomainError("digit_limit must be positive")
         # the float estimate overflows for an exponent past about 1e308, so
@@ -144,14 +146,22 @@ class FactoredInteger:
         return " * ".join(f"{p}^{e}" if e != 1 else str(p) for p, e in self.factors)
 
 
-def pgroup_exponent(p: int, parts: Sequence[int]) -> int:
-    """E with psi'(p-group) = p^E for the descending, non-empty, positive
-    partition parts l_1 >= ... >= l_k, summed run by run (module docstring).
+@lru_cache(maxsize=None, typed=True)
+def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
+    """E with psi'(p-group) = p^E for the descending partition parts
+    l_1 >= ... >= l_k, as ``Partition.parts`` stores them, summed run by
+    run (module docstring) with every run's division checked exact.
 
-    Neither checked nor cached: psi_prime_exponent checks and caches it,
-    and the tests use it as the single-group reference for the sweeps'
-    prefix-sum pass.  Every run's division is checked exact.
+    parts must pass :class:`Partition`'s checks and be non-empty, and p
+    must be an int prime, trusted from 2**31 on as in group construction.
+    The cache is typed, so p = 3.0 never meets p = 3's entry and is
+    refused.  The checks run on a cache miss only, and the types of the
+    parts themselves are not told apart: (2, True) after (2, 1) gets the
+    cached value.
     """
+    _require_trusted_prime(p)
+    if not Partition(parts).parts:
+        raise DomainError("a p-group's partition must be non-empty")
     # t runs from k down to 1, so rest = n - P_t grows by each part and
     # below is l_(t+1)
     t = len(parts)
@@ -182,13 +192,13 @@ class _RunSums(dict):
 
 
 def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
-    """(text, pgroup_exponent(p, parts)) for the parts of every partition
-    of n >= 1, in ascending order, where text is "[l_1,...,l_k]", the JSON
-    array of the parts.  Lazy, unchecked like pgroup_exponent, and with
+    """(text, psi_prime_exponent(p, parts)) for the parts of every
+    partition of n >= 1, in ascending order, where text is "[l_1,...,l_k]",
+    the JSON array of the parts.  Lazy, unchecked, uncached, and with
     constant work per partition: the prefix-sum pass of the module
     docstring, read from the ZS2 state.  No tuple is made per partition.
     The first partition, all 1s, divides by p^n - 1 first, as
-    pgroup_exponent does.
+    psi_prime_exponent does.
     """
     power = [1]
     for _ in range(n):
@@ -231,23 +241,6 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
         yield head + tail[ones], x[1] * top - s
 
 
-@cache
-def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
-    """E with psi'(p-group) = p^E for the descending partition parts, as
-    ``Partition.parts`` stores them: checked, cached, and computed by
-    :func:`pgroup_exponent`.
-
-    parts must pass :class:`Partition`'s checks and be non-empty, and p
-    must be an int prime, trusted from 2**31 on as in group construction.
-    The checks run on a cache miss only, so a key equal to a cached one,
-    such as (True,) for (1,), gets the cached value.
-    """
-    _require_trusted_prime(p)
-    if not Partition(parts).parts:
-        raise DomainError("a p-group's partition must be non-empty")
-    return pgroup_exponent(p, parts)
-
-
 def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:
     """Closed form for cyclic p-groups:
     psi'(Z_{p^a}) = p^((a*p^(a+1) - (a+1)*p^a + 1) / (p - 1)).
@@ -255,6 +248,8 @@ def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:
     The division must be exact; a remainder means the formula was
     transcribed wrong, so it raises ConsistencyError.
     """
+    if type(alpha) is not int:
+        raise DomainError(f"alpha = {alpha!r} must be an int")
     if alpha < 1:
         raise DomainError(f"alpha = {alpha} must be >= 1")
     numerator = alpha * p ** (alpha + 1) - (alpha + 1) * p**alpha + 1
@@ -266,6 +261,8 @@ def psi_prime_rank2_closed_form(p: int, alpha: int, beta: int) -> FactoredIntege
     """Closed form for rank-two abelian p-groups Z_{p^a} x Z_{p^b}, a <= b:
     exponent (b*p^(a+b+2) - p^(a+b+1) - (b+1)*p^(a+b) + p^(2a+1) + 1) / (p^2 - 1),
     with the division checked exact."""
+    if type(alpha) is not int or type(beta) is not int:
+        raise DomainError(f"alpha = {alpha!r} and beta = {beta!r} must be ints")
     if not 1 <= alpha <= beta:
         raise DomainError(f"need 1 <= alpha <= beta, got {alpha}, {beta}")
     numerator = (

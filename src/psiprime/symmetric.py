@@ -79,10 +79,9 @@ class OrderPolynomial:
             power = "" if j == 0 else ("X" if j == 1 else f"X^{j}")
             coeff = str(mag) if (j == 0 or mag != 1) else ""
             body = coeff + ("*" if coeff and power else "") + power
+            # the first term is the monic leading X^n, so it takes no sign
             terms.append(body if not terms else f"{sign} {body}")
-            if len(terms) == 1 and c < 0:
-                terms[0] = "-" + terms[0]
-        return " ".join(terms) if terms else "0"
+        return " ".join(terms)
 
 
 def _check_cap(G: AbelianGroup, cap: int, cap_name: str = "symmetric-function cap") -> int:
@@ -157,6 +156,8 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
 
 def psi_k(G: AbelianGroup, k: int) -> int:
     """Single elementary symmetric value psi_k, 1 <= k <= |G| <= SYMMETRIC_CAP."""
+    if type(k) is not int:
+        raise DomainError(f"k = {k!r} must be an int")
     n = _check_cap(G, SYMMETRIC_CAP)
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} out of range 1..{n}")

@@ -91,6 +91,8 @@ def theorem_c_rows(p: int, n: int) -> Iterator[tuple[str, int]]:
     keeps only the run sums and text prefixes of one partition, so memory
     stays flat however large p(n) is.
     """
+    if type(n) is not int:
+        raise DomainError(f"n = {n!r} must be an int")
     if n < 1:
         raise DomainError(f"n = {n} must be >= 1")
     require_prime(p)
@@ -250,6 +252,8 @@ def _resolve_jobs(jobs: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
+    if type(jobs) is not int:
+        raise DomainError(f"jobs = {jobs!r} must be an int")
     if jobs < 1:
         raise DomainError(f"jobs = {jobs} must be >= 1")
     return jobs

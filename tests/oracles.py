@@ -114,7 +114,8 @@ def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
     """The injectivity sweep as the package ran it before it counted
     groups over powerful numbers, kept unchanged but for these imports:
     it holds a list of max_order + 1 group counts, finds the primes by
-    trial division and evaluates each p-group exponent by its own call.
+    trial division and evaluates each p-group exponent by its own
+    psi_prime_exponent call.
     It shares only the bound check with the sweep it checks, so the
     count, the primes and the exponents are independent.  A collision
     goes through check_injectivity at every order its p^n exactly
@@ -126,7 +127,7 @@ def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
     from psiprime.arith import is_prime
     from psiprime.groups import ENUMERATION_CAP
     from psiprime.partitions import partitions_of
-    from psiprime.psi import pgroup_exponent
+    from psiprime.psi import psi_prime_exponent
     from psiprime.verify import (
         InjectivitySweep,
         _fan_out,
@@ -145,7 +146,7 @@ def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
         n, pn = 2, p * p
         while pn <= max_order:
             types = partitions_of(n)
-            exponents = {pgroup_exponent(p, q.parts) for q in types}
+            exponents = {psi_prime_exponent(p, q.parts) for q in types}
             exact = [m for m in range(pn, max_order + 1, pn) if m % (pn * p)]
             for m in exact:
                 counts[m] *= len(types)

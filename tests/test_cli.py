@@ -283,13 +283,13 @@ def test_theorem_c_streams_the_bytes_of_the_report(capsys, p, fmt):
 @pytest.mark.parametrize("p, n", [(2, 30), (3, 24), (5, 13), (7, 1), (11, 2)])
 def test_theorem_c_bytes_match_the_kernel_row_by_row(capsys, p, n, fmt):
     # the test above builds its bytes from theorem_c_rows itself; these
-    # come from pgroup_exponent on each partition, independent of the
+    # come from psi_prime_exponent on each partition, independent of the
     # prefix-sum pass the CLI streams
     from psiprime.partitions import iter_partitions
-    from psiprime.psi import pgroup_exponent
+    from psiprime.psi import psi_prime_exponent
 
     rows = [
-        ("[" + ",".join(map(str, q.parts)) + "]", pgroup_exponent(p, q.parts))
+        ("[" + ",".join(map(str, q.parts)) + "]", psi_prime_exponent(p, q.parts))
         for q in iter_partitions(n)
     ]
     violations = [(i, i + 1) for i in range(len(rows) - 1) if rows[i][1] >= rows[i + 1][1]]

@@ -25,7 +25,7 @@ from psiprime import (
 )
 from psiprime.arith import exact_div
 from psiprime.partitions import iter_partitions
-from psiprime.psi import pgroup_exponent, pgroup_exponents
+from psiprime.psi import pgroup_exponents
 from psiprime.verify import check_theorem_c, sweep_injectivity
 from oracles import f_eval, psi_prime_exponent_loop
 
@@ -190,11 +190,10 @@ def test_f_eval_branch_boundaries_agree(p, raw):
 )
 @settings(max_examples=300)
 def test_psi_prime_exponent_matches_loop_oracle(p, raw):
-    # the cached public name and the sweeps' kernel on descending parts,
-    # the paper's literal loop on the same exponents ascending
+    # the run-by-run sum on descending parts, the paper's literal loop on
+    # the same exponents ascending
     parts = tuple(sorted(raw, reverse=True))
-    expected = psi_prime_exponent_loop(p, parts[::-1])
-    assert psi_prime_exponent(p, parts) == expected == pgroup_exponent(p, parts)
+    assert psi_prime_exponent(p, parts) == psi_prime_exponent_loop(p, parts[::-1])
 
 
 def _text(q):
@@ -203,10 +202,11 @@ def _text(q):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
 def test_pgroup_exponents_equal_the_kernel_on_every_partition_up_to_30(p):
-    # the prefix-sum pass, read from the ZS2 state, against pgroup_exponent
-    # called row by row on the partitions iter_partitions makes
+    # the prefix-sum pass, read from the ZS2 state, against
+    # psi_prime_exponent called row by row on the partitions
+    # iter_partitions makes
     for n in range(1, 31):
-        want = [(_text(q), pgroup_exponent(p, q.parts)) for q in iter_partitions(n)]
+        want = [(_text(q), psi_prime_exponent(p, q.parts)) for q in iter_partitions(n)]
         assert list(pgroup_exponents(p, n)) == want, n
 
 
@@ -244,6 +244,15 @@ def test_psi_prime_exponent_validation(p, alphas):
     psi_prime_exponent.cache_clear()
     with pytest.raises(DomainError):
         psi_prime_exponent(p, alphas)
+
+
+def test_psi_prime_exponent_refuses_a_float_prime_after_the_int_prime():
+    # the cache is typed, so 3.0 misses the entry 3 left and is checked
+    psi_prime_exponent.cache_clear()
+    assert psi_prime_exponent(3, (2, 1)) == 44
+    with pytest.raises(DomainError, match=r"prime 3\.0 must be an int"):
+        psi_prime_exponent(3.0, (2, 1))
+    assert psi_prime_exponent.cache_parameters() == {"maxsize": None, "typed": True}
 
 
 # ---------------------------------------------------------------- psi' for p-groups

@@ -13,9 +13,13 @@ from psiprime import (
     find_cross_order_collisions,
     iter_partitions,
     order_spectrum,
+    parse_group,
     partitions_of,
+    psi_k,
     psi_prime,
+    psi_prime_cyclic_closed_form,
     psi_prime_from_spectrum,
+    psi_prime_rank2_closed_form,
     sweep_conjecture_f,
     sweep_injectivity,
 )
@@ -237,6 +241,41 @@ def test_bounds_that_are_not_plain_ints_are_refused_on_entry(call, value):
         call()
 
 
+_Z4xZ3_2 = canonicalize([4, 3, 3])
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: psi_k(_Z4xZ3_2, True), "True"),
+        (lambda: psi_k(_Z4xZ3_2, 2.0), "2.0"),
+        (lambda: FactoredInteger({2: 3}).materialize(True), "True"),
+        (lambda: FactoredInteger({2: 3}).materialize(2.5), "2.5"),
+        (lambda: psi_prime_cyclic_closed_form(2, True), "True"),
+        (lambda: psi_prime_rank2_closed_form(2, True, 2), "True"),
+        (lambda: sweep_conjecture_f(8, jobs=True), "True"),
+        (lambda: sweep_conjecture_f(8, jobs=2.5), "2.5"),
+        (lambda: sweep_conjecture_f(8, jobs="2"), "'2'"),
+        (lambda: theorem_c_rows(2, "3"), "'3'"),
+        (lambda: check_theorem_c(2, None), "None"),
+        (lambda: parse_group(42), "42"),
+    ],
+    ids=[
+        "psi_k-bool", "psi_k-float", "materialize-bool", "materialize-float",
+        "cyclic_closed_form-bool", "rank2_closed_form-bool", "conjecture_f-jobs-bool",
+        "conjecture_f-jobs-float", "conjecture_f-jobs-str", "theorem_c_rows-str",
+        "theorem_c-none", "parse_group-int",
+    ],
+)
+def test_arguments_that_are_not_plain_ints_are_refused_on_entry(call, value):
+    from psiprime import DomainError
+
+    # each case is a bool, float, str or None where an int is asked for,
+    # or an int where the notation string is
+    with pytest.raises(DomainError, match=f"{value}.*must be (a|ints)"):
+        call()
+
+
 def test_sweep_conjecture_f_refuses_bound_past_cap_before_any_order(monkeypatch):
     from psiprime import SizeLimitError, verify
     from psiprime.symmetric import CONJECTURE_F_CAP
@@ -437,9 +476,10 @@ def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
 
 
 def _collide_two_partitions_of_4(monkeypatch):
-    # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in the
-    # cached public name (psi_prime, so the reference sweep) and in the
-    # prefix-sum pass the fast sweep reads its exponents from
+    # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in
+    # psi_prime_exponent (read by psi_prime, so the reference sweep, and
+    # by the counts-list oracle) and in the prefix-sum pass the fast sweep
+    # reads its exponents from
     from psiprime import psi, verify
 
     real_exponent = psi.psi_prime_exponent
@@ -453,7 +493,7 @@ def _collide_two_partitions_of_4(monkeypatch):
     def fake_rows(p, n):
         for text, e in real_rows(p, n):
             if p == 2 and text == "[2,2]":
-                e = psi.pgroup_exponent(2, (2, 1, 1))
+                e = real_exponent(2, (2, 1, 1))
             yield text, e
 
     monkeypatch.setattr(psi, "psi_prime_exponent", fake_exponent)
@@ -611,18 +651,9 @@ def test_sweep_injectivity_equals_the_counts_list_sweep(max_order, jobs):
 def test_sweep_injectivity_equals_the_counts_list_sweep_with_a_planted_collision(monkeypatch):
     from oracles import counts_list_injectivity_sweep
 
-    from psiprime import psi
-
+    # the old sweep reads its exponents from psi_prime_exponent, one call
+    # per group, so the planted collision reaches it too
     _collide_two_partitions_of_4(monkeypatch)
-    # the old sweep reads its exponents from the kernel, one call per group
-    real_kernel = psi.pgroup_exponent
-
-    def fake_kernel(p, parts):
-        if p == 2 and tuple(parts) == (2, 2):
-            parts = (2, 1, 1)
-        return real_kernel(p, parts)
-
-    monkeypatch.setattr(psi, "pgroup_exponent", fake_kernel)
     expected = counts_list_injectivity_sweep(3000)
     assert [r.m for r in expected.failures][:3] == [16, 48, 80]
     # the old sweep reports every order 16 exactly divides; the sweep
