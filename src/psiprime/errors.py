@@ -29,6 +29,23 @@ class FrozenInstanceError(AttributeError):
     """An attempt to set or delete a field of a frozen record."""
 
 
+def require_int(value, name: str, low: int | None = 1, cap: int | None = None, cap_name: str = ""):
+    """Return value if it is a plain int from low (None: unbounded) to cap
+    (None: uncapped); otherwise raise DomainError naming it, or
+    SizeLimitError if it is past cap.  Callers check before any cache or
+    work: a bad value must not meet a cached result, an empty sweep would
+    report success having checked nothing, and a bound past a cap would
+    fail only after every order below it ran."""
+    # a float or bool would fail deep inside, or pass as a bound
+    if type(value) is not int:
+        raise DomainError(f"{name} = {value!r} must be an int")
+    if low is not None and value < low:
+        raise DomainError(f"{name} = {value} must be >= {low}")
+    if cap is not None and value > cap:
+        raise SizeLimitError(f"{name} = {value} exceeds the {cap_name} {cap}")
+    return value
+
+
 def frozen(cls):
     """``dataclass(frozen=True)`` without importing ``dataclasses`` (and so
     inspect, ast and dis): its __eq__, __hash__ and __repr__ over the fields

@@ -25,7 +25,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .arith import _require_trusted_prime, factorize
-from .errors import DomainError, SizeLimitError, frozen
+from .errors import DomainError, SizeLimitError, frozen, require_int
 from .partitions import Partition, partitions_of
 
 # Largest group order enumerate_abelian_groups accepts.
@@ -107,8 +107,7 @@ def canonicalize(cyclic_orders: Sequence[int]) -> AbelianGroup:
     """
     per_prime: dict[int, list[int]] = {}
     for q in cyclic_orders:
-        if q < 2:
-            raise DomainError(f"cyclic order {q} must be >= 2")
+        require_int(q, "cyclic order", 2)
         for p, e in factorize(q).items():
             per_prime.setdefault(p, []).append(e)
     components = tuple(
@@ -124,6 +123,7 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
     partitions ascend lexicographically, combined lexicographically with
     primes ascending.
     """
+    require_int(m, "group order", None)
     if m < 1:
         raise DomainError(f"group order {m} must be >= 1")
     if m > ENUMERATION_CAP:

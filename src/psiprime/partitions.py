@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DomainError, SizeLimitError, frozen
+from .errors import DomainError, frozen, require_int
 
 # Largest n that iter_partitions, partitions_of and the theorem-c rows
 # accept.  Streaming holds no rows, so the cap bounds two things: the
@@ -89,17 +89,6 @@ def _ascending(n: int) -> Iterator[tuple[int, ...]]:
     return (tuple(x[1 : m + 1]) for x, _, m in _zs2(n))
 
 
-def _require_partition_size(n: int) -> None:
-    """Refuse an n below 0 or above PARTITION_CAP, for a caller that
-    streams the partitions of n and must refuse before the first one."""
-    if type(n) is not int:
-        raise DomainError(f"cannot partition {n!r}: must be an int")
-    if n < 0:
-        raise DomainError(f"cannot partition {n}")
-    if n > PARTITION_CAP:
-        raise SizeLimitError(f"n = {n} exceeds the partition cap {PARTITION_CAP}")
-
-
 def _trusted(parts: tuple[int, ...]) -> Partition:
     # a Partition without the O(k) checks of Partition.__init__, for parts
     # that _ascending made weakly decreasing and positive by construction
@@ -113,7 +102,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
     n is checked when this is called, before the first partition is made.
     """
-    _require_partition_size(n)
+    require_int(n, "n", 0, PARTITION_CAP, "partition cap")
     return map(_trusted, _ascending(n))
 
 
@@ -125,6 +114,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     p(40) = 37338 and p(64) above 1.7 million (the cap).  Only the lists
     for n < 24 are kept between calls; larger ones are rebuilt each time.
     """
+    require_int(n, "n", 0, PARTITION_CAP, "partition cap")
     # group enumeration asks for n <= 19 only (2^20 > ENUMERATION_CAP),
     # and constantly
     if n < 24:
@@ -132,7 +122,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(iter_partitions(n))
 
 
-# typed, so that 3.0 or True misses the entry of 3 or 1 and is refused
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _kept_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(iter_partitions(n))

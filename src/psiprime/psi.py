@@ -27,10 +27,11 @@ t = k - j, P_t = l_1 + ... + l_t = n - S_j and l_(k+1) = 0 this reads
 
 where only the t with l_t > l_(t+1) contribute.  That is what
 :func:`psi_prime_exponent` computes, on the parts as stored and in O(k)
-big-integer operations per group instead of O(a_k * k), once it has
-checked them by :class:`Partition`'s rules; its cache is typed, so a
-float p never meets an int p's entry.  The literal loop over i is kept
-as a test oracle in ``tests/oracles.py``.
+big-integer operations per group instead of O(a_k * k).  It checks p
+and the parts on every call, before its cache; :func:`psi_prime` reads
+the cached kernel directly, as a group's components were checked when it
+was built.  The literal loop over i is kept as a test oracle in
+``tests/oracles.py``.
 
 :func:`pgroup_exponents` gives the same E for every partition of one n
 in ascending order, as the Theorem C and injectivity sweeps read them,
@@ -66,7 +67,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .arith import _require_trusted_prime, exact_div, factorize
-from .errors import DomainError, SizeLimitError, frozen
+from .errors import DomainError, SizeLimitError, frozen, require_int
 from .groups import AbelianGroup, OrderSpectrum, order_spectrum
 from .partitions import Partition, _zs2
 
@@ -107,10 +108,7 @@ class FactoredInteger:
         too long; near the limit the value is built and compared with
         10^digit_limit exactly.
         """
-        if type(digit_limit) is not int:
-            raise DomainError(f"digit_limit = {digit_limit!r} must be an int")
-        if digit_limit < 1:
-            raise DomainError("digit_limit must be positive")
+        require_int(digit_limit, "digit_limit")
         # the float estimate overflows for an exponent past about 1e308, so
         # such a value is refused first, by exact ints: log10(p) > 0.3, so
         # it has over 0.3 * 2^1000 > 10^300 digits, more than any memory holds
@@ -146,7 +144,6 @@ class FactoredInteger:
         return " * ".join(f"{p}^{e}" if e != 1 else str(p) for p, e in self.factors)
 
 
-@lru_cache(maxsize=None, typed=True)
 def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
     """E with psi'(p-group) = p^E for the descending partition parts
     l_1 >= ... >= l_k, as ``Partition.parts`` stores them, summed run by
@@ -154,14 +151,19 @@ def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
 
     parts must pass :class:`Partition`'s checks and be non-empty, and p
     must be an int prime, trusted from 2**31 on as in group construction.
-    The cache is typed, so p = 3.0 never meets p = 3's entry and is
-    refused.  The checks run on a cache miss only, and the types of the
-    parts themselves are not told apart: (2, True) after (2, 1) gets the
-    cached value.
+    Both are checked on every call, before the cache, so p = 3.0 or the
+    parts (2, True) are refused even when (3, (2, 1)) is cached.
     """
     _require_trusted_prime(p)
-    if not Partition(parts).parts:
+    parts = Partition(parts).parts
+    if not parts:
         raise DomainError("a p-group's partition must be non-empty")
+    return _exponent(p, parts)
+
+
+@lru_cache(maxsize=None)
+def _exponent(p: int, parts: tuple[int, ...]) -> int:
+    # psi_prime_exponent without its checks, for checked p and parts
     # t runs from k down to 1, so rest = n - P_t grows by each part and
     # below is l_(t+1)
     t = len(parts)
@@ -174,6 +176,11 @@ def psi_prime_exponent(p: int, parts: tuple[int, ...]) -> int:
         below = part
         t -= 1
     return parts[0] * p**rest - total
+
+
+# the cache statistics of psi_prime_exponent are those of its kernel
+psi_prime_exponent.cache_info = _exponent.cache_info
+psi_prime_exponent.cache_clear = _exponent.cache_clear
 
 
 class _RunSums(dict):
@@ -248,10 +255,7 @@ def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:
     The division must be exact; a remainder means the formula was
     transcribed wrong, so it raises ConsistencyError.
     """
-    if type(alpha) is not int:
-        raise DomainError(f"alpha = {alpha!r} must be an int")
-    if alpha < 1:
-        raise DomainError(f"alpha = {alpha} must be >= 1")
+    require_int(alpha, "alpha")
     numerator = alpha * p ** (alpha + 1) - (alpha + 1) * p**alpha + 1
     e = exact_div(numerator, p - 1, "cyclic closed form")
     return FactoredInteger({p: e})
@@ -281,7 +285,7 @@ def psi_prime(G: AbelianGroup) -> FactoredInteger:
     exponents E_p (module docstring).  The trivial group gives 1."""
     m = G.order
     return FactoredInteger(
-        (p, psi_prime_exponent(p, q.parts) * (m // p**q.n)) for p, q in G.components
+        (p, _exponent(p, q.parts) * (m // p**q.n)) for p, q in G.components
     )
 
 

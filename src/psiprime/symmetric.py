@@ -32,7 +32,7 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, SizeLimitError, frozen
+from .errors import DomainError, SizeLimitError, frozen, require_int
 from .groups import AbelianGroup, order_spectrum
 
 # Ceiling on |G| for exact psi_k and the order polynomial; psi_|G| already
@@ -94,7 +94,7 @@ def _check_cap(G: AbelianGroup, cap: int, cap_name: str = "symmetric-function ca
 def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
     """[psi_1, ..., psi_n]: all elementary symmetric functions of the
     order multiset.  psi_1 is the order sum, psi_n the order product."""
-    n = _check_cap(G, cap)
+    n = _check_cap(G, require_int(cap, "cap"))
     acc = [1]
     for d, m in order_spectrum(G).entries:
         factor = [comb(m, j) * d**j for j in range(m + 1)]
@@ -156,8 +156,7 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
 
 def psi_k(G: AbelianGroup, k: int) -> int:
     """Single elementary symmetric value psi_k, 1 <= k <= |G| <= SYMMETRIC_CAP."""
-    if type(k) is not int:
-        raise DomainError(f"k = {k!r} must be an int")
+    require_int(k, "k", None)
     n = _check_cap(G, SYMMETRIC_CAP)
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} out of range 1..{n}")

@@ -17,27 +17,15 @@ from math import isqrt
 from typing import Iterable, Iterator
 
 from .arith import require_prime
-from .errors import DomainError, SizeLimitError, frozen
+from .errors import frozen, require_int
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
-from .partitions import _require_partition_size, iter_partitions
+from .partitions import PARTITION_CAP, iter_partitions
 from .psi import FactoredInteger, pgroup_exponents, psi_prime
 from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
 
 # Largest max_order that sweep_injectivity accepts.  Its time and memory
 # grow with the square root of the bound, not with the bound.
 INJECTIVITY_CAP = 10**12
-
-
-def _require_max_order(max_order: int, cap: int, cap_name: str) -> None:
-    # an empty sweep would report success having checked nothing, and a
-    # bound past the cap would fail only after every order below it ran;
-    # a float or a bool would fail deep inside, or pass as a bound
-    if type(max_order) is not int:
-        raise DomainError(f"max_order = {max_order!r} must be an int")
-    if max_order < 1:
-        raise DomainError(f"max_order = {max_order} must be >= 1")
-    if max_order > cap:
-        raise SizeLimitError(f"max_order = {max_order} exceeds the {cap_name} {cap}")
 
 
 def _group_sort_key(G: AbelianGroup):
@@ -91,12 +79,8 @@ def theorem_c_rows(p: int, n: int) -> Iterator[tuple[str, int]]:
     keeps only the run sums and text prefixes of one partition, so memory
     stays flat however large p(n) is.
     """
-    if type(n) is not int:
-        raise DomainError(f"n = {n!r} must be an int")
-    if n < 1:
-        raise DomainError(f"n = {n} must be >= 1")
+    require_int(n, "n", 1, PARTITION_CAP, "partition cap")
     require_prime(p)
-    _require_partition_size(n)
     return pgroup_exponents(p, n)
 
 
@@ -156,7 +140,7 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     These exist: with max_order >= 48 the scan contains the order-36 /
     order-48 pair Z4 x Z3^2 and Z2^4 x Z3 with shared value 2^45 * 3^32.
     """
-    _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
+    require_int(max_order, "max_order", 1, ENUMERATION_CAP, "enumeration cap")
     groups = (G for m in range(1, max_order + 1) for G in enumerate_abelian_groups(m))
     pairs = [
         (a, b, value)
@@ -179,10 +163,7 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
     either prime are different, so only the survivors get the exact
     psi_all of both groups, and only exact equalities are reported:
     pairs (i < j) in enumeration order, then k ascending."""
-    if m > CONJECTURE_F_CAP:
-        raise SizeLimitError(
-            f"m = {m} exceeds the conjecture-f fingerprint cap {CONJECTURE_F_CAP}"
-        )
+    require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     groups = enumerate_abelian_groups(m)
     g = len(groups)
     if g < 2:
@@ -252,11 +233,7 @@ def _resolve_jobs(jobs: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if type(jobs) is not int:
-        raise DomainError(f"jobs = {jobs!r} must be an int")
-    if jobs < 1:
-        raise DomainError(f"jobs = {jobs} must be >= 1")
-    return jobs
+    return require_int(jobs, "jobs")
 
 
 def _fan_out(fn, args, jobs):
@@ -341,7 +318,7 @@ def sweep_injectivity(max_order: int) -> InjectivitySweep:
     check_injectivity(p**n).  Theorem C, which check_theorem_c tests,
     says E_p never collides, so a failure is an implementation error.
     """
-    _require_max_order(max_order, INJECTIVITY_CAP, "injectivity cap")
+    require_int(max_order, "max_order", 1, INJECTIVITY_CAP, "injectivity cap")
     primes = _primes_to(isqrt(max_order))
     # types[n] = p(n), the number of abelian p-groups of order p^n; p = 2
     # comes first and reaches every n that a larger prime does
@@ -368,7 +345,7 @@ def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSw
 
     Every group of order m > CONJECTURE_F_CAP is past the fingerprint cap,
     so a larger bound is refused before any order is computed."""
-    _require_max_order(max_order, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
+    require_int(max_order, "max_order", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     reports = _fan_out(check_conjecture_f, range(1, max_order + 1), _resolve_jobs(jobs))
     pairs = sum(r.pair_count for r in reports)
     failures = tuple(r for r in reports if not r.holds)

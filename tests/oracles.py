@@ -125,18 +125,18 @@ def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
     from math import isqrt
 
     from psiprime.arith import is_prime
+    from psiprime.errors import require_int
     from psiprime.groups import ENUMERATION_CAP
     from psiprime.partitions import partitions_of
     from psiprime.psi import psi_prime_exponent
     from psiprime.verify import (
         InjectivitySweep,
         _fan_out,
-        _require_max_order,
         _resolve_jobs,
         check_injectivity,
     )
 
-    _require_max_order(max_order, ENUMERATION_CAP, "enumeration cap")
+    require_int(max_order, "max_order", 1, ENUMERATION_CAP, "enumeration cap")
     jobs = _resolve_jobs(jobs)
     # counts[m] becomes prod_p p(v_p(m)), the number of groups of order m;
     # slot 0 stays 1 and is subtracted from the total

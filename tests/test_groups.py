@@ -162,19 +162,19 @@ def test_a_float_prime_is_refused(make):
 
 
 @pytest.mark.parametrize(
-    "make, shown",
+    "make, message",
     [
-        (lambda: factorize(10.0), "10.0"),
-        (lambda: factorize(True), "True"),
-        (lambda: enumerate_abelian_groups(12.0), "12.0"),
-        (lambda: enumerate_abelian_groups(10.0), "10.0"),
+        (lambda: factorize(10.0), r"cannot factorize 10\.0: must be an int"),
+        (lambda: factorize(True), r"cannot factorize True: must be an int"),
+        (lambda: enumerate_abelian_groups(12.0), r"group order = 12\.0 must be an int"),
+        (lambda: enumerate_abelian_groups(10.0), r"group order = 10\.0 must be an int"),
     ],
     ids=["factorize-float", "factorize-bool", "enumerate-12.0", "enumerate-10.0"],
 )
-def test_a_non_int_order_is_refused_by_its_value(make, shown):
+def test_a_non_int_order_is_refused_by_its_value(make, message):
     # factorize(10.0) would give {2: 1, 5.0: 1} and enumerate_abelian_groups(12.0)
     # the groups of order 12; (10.0) would fail only on the prime 5.0
-    with pytest.raises(DomainError, match=rf"cannot factorize {shown}: must be an int"):
+    with pytest.raises(DomainError, match=message):
         make()
 
 

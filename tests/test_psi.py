@@ -240,19 +240,26 @@ def test_psi_prime_exponent_matches_loop_oracle_on_all_partitions_of_14():
      (2, (True,)), (2, (2, True)), (2, (3.0, 1)), (4, (2, 1)), (6, (1,)), (2.0, (2, 1))],
 )
 def test_psi_prime_exponent_validation(p, alphas):
-    # the checks run on a cache miss, and (True,) equals a cached (1,)
     psi_prime_exponent.cache_clear()
     with pytest.raises(DomainError):
         psi_prime_exponent(p, alphas)
+    # the checks run before the cache, so a float or bool case is refused
+    # after its int twin is cached too, although (2, True) == (2, 1)
+    if type(p) is not int or any(type(a) is not int for a in alphas):
+        psi_prime_exponent(int(p), tuple(map(int, alphas)))
+        with pytest.raises(DomainError):
+            psi_prime_exponent(p, alphas)
 
 
 def test_psi_prime_exponent_refuses_a_float_prime_after_the_int_prime():
-    # the cache is typed, so 3.0 misses the entry 3 left and is checked
+    # the checks run before the cache, so neither 3.0 nor the part True
+    # reaches the entry that 3 and (2, 1) left
     psi_prime_exponent.cache_clear()
     assert psi_prime_exponent(3, (2, 1)) == 44
     with pytest.raises(DomainError, match=r"prime 3\.0 must be an int"):
         psi_prime_exponent(3.0, (2, 1))
-    assert psi_prime_exponent.cache_parameters() == {"maxsize": None, "typed": True}
+    with pytest.raises(DomainError, match=r"partition part True is not a positive integer"):
+        psi_prime_exponent(3, (2, True))
 
 
 # ---------------------------------------------------------------- psi' for p-groups

@@ -1,10 +1,12 @@
 """Smoke tests for the scripts in ``scripts/``: each runs in a subprocess
 against the package under ``src``, so a name the scripts import cannot
 leave the package without a test failing.  The benchmark's child script,
-which looks package names up by string, gets the same guard."""
+which looks package names up by string, gets the same guard and one
+small run in each of its timed modes."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -117,3 +119,20 @@ def test_benchmark_child_names_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     for _, module, attr in child.CACHES:
         assert callable(getattr(importlib.import_module(module), attr).cache_info), (module, attr)
+
+
+@pytest.mark.parametrize("mode", ["plain", "trace"])
+def test_benchmark_child_runs_a_small_census(mode):
+    # one real run through the child's spans and cache counters, such as
+    # psi_prime_exponent.cache_info, which reads its kernel's cache
+    path = ROOT / "perfbench" / "child.py"
+    result = subprocess.run(
+        [sys.executable, str(path), mode, "verify", "collisions", "--max-order", "20", "--json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stderr.splitlines()[-1])
+    assert report["code"] == 0
+    if mode == "trace":
+        _, misses = report["caches"]["psi.psi_prime_exponent"]
+        assert misses > 0

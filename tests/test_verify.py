@@ -15,6 +15,7 @@ from psiprime import (
     order_spectrum,
     parse_group,
     partitions_of,
+    psi_all,
     psi_k,
     psi_prime,
     psi_prime_cyclic_closed_form,
@@ -225,11 +226,20 @@ def test_sweeps_reject_empty_bound(sweep, bad_max):
         (lambda: iter_partitions(3.0), "3.0"),
         (lambda: partitions_of(3.0), "3.0"),
         (lambda: partitions_of(True), "True"),
+        (lambda: partitions_of("5"), "'5'"),
+        (lambda: check_conjecture_f("5"), "'5'"),
+        (lambda: check_conjecture_f(4.0), "4.0"),
+        (lambda: psi_all(canonicalize([2]), cap=2.5), "2.5"),
+        (lambda: psi_all(canonicalize([2]), cap=True), "True"),
+        (lambda: enumerate_abelian_groups("5"), "'5'"),
+        (lambda: canonicalize(["5"]), "'5'"),
     ],
     ids=[
         "sweep_injectivity-float", "sweep_injectivity-bool", "sweep_conjecture_f-float",
         "collisions-float", "theorem_c-float", "theorem_c-bool", "iter_partitions-float",
-        "partitions_of-float", "partitions_of-bool",
+        "partitions_of-float", "partitions_of-bool", "partitions_of-str",
+        "conjecture_f-str", "conjecture_f-float", "psi_all-cap-float", "psi_all-cap-bool",
+        "enumerate-str", "canonicalize-str",
     ],
 )
 def test_bounds_that_are_not_plain_ints_are_refused_on_entry(call, value):
@@ -476,13 +486,14 @@ def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
 
 
 def _collide_two_partitions_of_4(monkeypatch):
-    # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in
-    # psi_prime_exponent (read by psi_prime, so the reference sweep, and
-    # by the counts-list oracle) and in the prefix-sum pass the fast sweep
-    # reads its exponents from
+    # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in the
+    # cached kernel behind psi_prime_exponent (read by psi_prime, so the
+    # reference sweep, and through psi_prime_exponent by the counts-list
+    # oracle) and in the prefix-sum pass the fast sweep reads its
+    # exponents from
     from psiprime import psi, verify
 
-    real_exponent = psi.psi_prime_exponent
+    real_exponent = psi._exponent
     real_rows = psi.pgroup_exponents
 
     def fake_exponent(p, parts):
@@ -496,7 +507,7 @@ def _collide_two_partitions_of_4(monkeypatch):
                 e = real_exponent(2, (2, 1, 1))
             yield text, e
 
-    monkeypatch.setattr(psi, "psi_prime_exponent", fake_exponent)
+    monkeypatch.setattr(psi, "_exponent", fake_exponent)
     monkeypatch.setattr(verify, "pgroup_exponents", fake_rows)
 
 
