@@ -14,13 +14,15 @@ default format prints ``text`` if one is given (a bare scalar, a factored
 psi', a polynomial), else ``headers`` and ``rows`` as an aligned table;
 then the ``notes`` lines.
 
-``verify theorem-c`` streams: its rows come from a generator, and the JSON
-and CSV are written as the rows are made, so memory does not grow with
-p(n).  An exactness failure partway through therefore leaves the output
-written so far on stdout, truncated, and exits 3.  The table makes the
+Rows are written in chunks of ``_CHUNK`` (1,024): each chunk of table,
+CSV or JSON rows is one write to stdout.  ``verify theorem-c`` streams:
+its rows come from a generator, and the JSON and CSV are written chunk by
+chunk as the rows are made, so memory holds at most one chunk however
+large p(n) is.  An exactness failure partway through therefore leaves the
+whole chunks written so far on stdout, and exits 3.  The table makes the
 rows twice, once for its column widths and once to print them, so it
-holds none either; an exactness failure there comes in the first pass,
-before anything is written.
+holds at most one chunk either; an exactness failure there comes in the
+first pass, before anything is written.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Items per write when a JSON array is written as it streams.
-_JSON_CHUNK = 1024
+# Rows per write: table and CSV rows, and the items of a streamed JSON
+# array, are written this many at a time.
+_CHUNK = 1024
 
 
 def _styled(text: str) -> str:
@@ -92,39 +95,53 @@ def _render(
     consumed only for the table or CSV.  CSV rows and the values of the
     dict ``obj()`` returns are written in order.  An iterator among those
     values must yield the JSON text of each item, and is written as a
-    JSON array of them while it is consumed; ``notes`` is read after the
-    rows.  ``again()``, if given, makes the same rows afresh: the table
-    then reads ``rows`` for its column widths alone and prints the rows
-    of ``again()``, so it holds none of them.
+    JSON array of them while it is consumed.  Table and CSV rows and the
+    items of such an array are written ``_CHUNK`` per write; ``notes`` is
+    read after the rows.  ``again()``, if given,
+    makes the same rows afresh: the table then reads ``rows`` for its
+    column widths alone and prints the rows of ``again()``, so it holds
+    at most one chunk of them.
     """
     if args.fmt == "json":
         _write_json(obj())
         return
     if args.fmt == "csv":
         import csv  # here, not at the top: only --csv needs it
-        writer = csv.writer(sys.stdout)
-        writer.writerow(headers)
-        writer.writerows(rows)
+        import io
+        for chunk in itertools.chain([[headers]], _chunks(rows)):
+            buf = io.StringIO()
+            csv.writer(buf).writerows(chunk)
+            sys.stdout.write(buf.getvalue())
     elif text is not None:
         print(text)
     else:
         if again is None:
-            rows = [[str(c) for c in row] for row in rows]
+            rows = [list(map(str, row)) for row in rows]
         widths = [len(h) for h in headers]
-        for row in rows:
-            widths = [max(w, len(str(c))) for w, c in zip(widths, row)]
-        print(_styled("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()))
-        for row in rows if again is None else again():
-            print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
+        for chunk in _chunks(rows):
+            widths = [max(w, max(map(len, map(str, column))))
+                      for w, column in zip(widths, zip(*chunk))]
+        # "!s" pads str(c) like str(c).ljust(w), whatever the cell's type
+        fmt = "  ".join(f"{{!s:<{w}}}" for w in widths)
+        print(_styled(fmt.format(*headers).rstrip()))
+        for chunk in _chunks(rows if again is None else again()):
+            print("\n".join(map(str.rstrip, itertools.starmap(fmt.format, chunk))))
     for line in notes:
         print(line)
+
+
+def _chunks(rows: Iterable[Sequence]) -> Iterator[list[Sequence]]:
+    # the rows in lists of _CHUNK, the last one shorter
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        yield chunk
 
 
 def _write_json(doc: object) -> None:
     # the bytes of print(json.dumps(doc, separators=(",", ":"))), written
     # one value of a top-level dict (string keys) at a time.  An iterator
     # value yields the compact JSON text of each item, and those texts are
-    # joined with "," in chunks of _JSON_CHUNK items
+    # joined with "," in chunks of _CHUNK items
     write = sys.stdout.write
     if not isinstance(doc, dict):
         write(json.dumps(doc, separators=(",", ":")) + "\n")
@@ -135,8 +152,8 @@ def _write_json(doc: object) -> None:
         if isinstance(value, Iterator):
             write("[")
             comma = ""
-            while chunk := ",".join(itertools.islice(value, _JSON_CHUNK)):
-                write(comma + chunk)
+            for chunk in _chunks(value):
+                write(comma + ",".join(chunk))
                 comma = ","
             write("]")
         else:
@@ -295,7 +312,7 @@ def _cmd_theorem_c(args) -> int:
         lambda: {
             "p": str(args.prime),
             "n": str(args.n),
-            "rows": ('{"partition":' + t + ',"exponent":"' + str(e) + '"}' for t, e in rows),
+            "rows": (f'{{"partition":{t},"exponent":"{e}"}}' for t, e in rows),
             # filled while "rows" streams, and written after it
             "violations": violations,
         },

@@ -248,9 +248,34 @@ def test_consistency_error_midway_leaves_the_rows_before_it(monkeypatch, capsys)
     assert out.count('"partition"') == 1024 < good[1].count('"partition"') == 1575
 
 
+def test_consistency_error_midway_in_csv_leaves_whole_chunks(monkeypatch, capsys):
+    # the --csv twin of the test above: CSV is written 1,024 rows at a time,
+    # so the header and the first chunk are out when row 1,575 fails; the
+    # table meets the failure while sizing its columns and writes nothing
+    argv = ("verify", "theorem-c", "--prime", "3", "--n", "24")
+    good, (code, out, err) = _inexact_theorem_c(
+        monkeypatch, capsys, (*argv, "--csv"), lambda a, b: int((a, b) == (3**24 - 1, 2))
+    )
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "not divisible" in err
+    assert good[1].startswith(out) and out.endswith("\r\n")
+    assert out.count("\r\n") == 1 + 1024 < good[1].count("\r\n") == 1 + 1575
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "not divisible" in err
+
+
 def _theorem_c_bytes(p, n, rows, violations, fmt):
-    # the whole report, as one json.dumps or csv.writer would write it
-    if fmt == "--json":
+    # the whole report, as one json.dumps or csv.writer would write it, or
+    # as the table's print of each str(c).ljust(w) row wrote it
+    if not fmt:
+        lines = [["partition", "psi_prime_exponent"], *rows]
+        widths = [max(len(str(c)) for c in column) for column in zip(*lines)]
+        return "".join(
+            "  ".join(str(c).ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
+            for line in lines
+        ) + f"violations: {len(violations)}\n"
+    if fmt == ["--json"]:
         return json.dumps(
             {
                 "p": str(p),
@@ -267,19 +292,26 @@ def _theorem_c_bytes(p, n, rows, violations, fmt):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+_FORMATS = [
+    pytest.param([], id="table"),
+    pytest.param(["--json"], id="--json"),
+    pytest.param(["--csv"], id="--csv"),
+]
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_theorem_c_streams_the_bytes_of_the_report(capsys, p, fmt):
     from psiprime.verify import check_theorem_c, theorem_c_rows
 
     for n in range(1, 13):
         want = _theorem_c_bytes(p, n, list(theorem_c_rows(p, n)), check_theorem_c(p, n), fmt)
-        assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (
+        assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), *fmt) == (
             0, want, ""
         )
 
 
-@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("fmt", _FORMATS)
 @pytest.mark.parametrize("p, n", [(2, 30), (3, 24), (5, 13), (7, 1), (11, 2)])
 def test_theorem_c_bytes_match_the_kernel_row_by_row(capsys, p, n, fmt):
     # the test above builds its bytes from theorem_c_rows itself; these
@@ -294,9 +326,32 @@ def test_theorem_c_bytes_match_the_kernel_row_by_row(capsys, p, n, fmt):
     ]
     violations = [(i, i + 1) for i in range(len(rows) - 1) if rows[i][1] >= rows[i + 1][1]]
     want = _theorem_c_bytes(p, n, rows, violations, fmt)
-    assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), fmt) == (
+    assert run(capsys, "verify", "theorem-c", "--prime", str(p), "--n", str(n), *fmt) == (
         0, want, ""
     )
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_chunk_size_does_not_change_the_bytes(monkeypatch, capsys, p, fmt):
+    # table, CSV and JSON rows are written _CHUNK at a time; a chunk of one
+    # row, of 7, and one row short of, equal to and past the whole output
+    # must all write the bytes of the default chunk size
+    from oracles import partition_count
+    from psiprime import cli as cli_module
+
+    cases = [
+        (("verify", "theorem-c", "--prime", str(p), "--n", str(n), *fmt), partition_count(n))
+        for n in range(1, 15)
+    ]
+    argv = ("verify", "collisions", "--max-order", "200")
+    cases.append(((*argv, *fmt), run(capsys, *argv, "--csv")[1].count("\r\n") - 1))
+    for argv, rows in cases:
+        want = run(capsys, *argv)
+        for size in sorted({1, 7, rows - 1, rows, rows + 1} - {0}):
+            monkeypatch.setattr(cli_module, "_CHUNK", size)
+            assert run(capsys, *argv) == want, (argv, size)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
