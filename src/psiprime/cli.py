@@ -46,6 +46,7 @@ from .groups import (
 )
 from .notation import format_group, group_to_json_dict, parse_group, spectrum_to_json_dict
 from .psi import (
+    FactoredInteger,
     psi_prime,
     psi_prime_cyclic_closed_form,
     psi_prime_from_spectrum,
@@ -413,45 +414,40 @@ def _oracle_checks(G: AbelianGroup) -> list[tuple[str, str, str]]:
     checks: list[tuple[str, str, str]] = []
     spectrum = order_spectrum(G)
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, "pass" if ok else "fail", detail))
+    def check(name: str, skip_reason: str, test: Callable[[], bool]) -> None:
+        if skip_reason:
+            checks.append((name, "skipped", skip_reason))
+        else:
+            checks.append((name, "pass" if test() else "fail", ""))
 
-    if G.order <= BRUTE_FORCE_CAP:
-        brute = brute_force_spectrum(G)
-        record("spectrum counting vs brute enumeration", spectrum == brute)
-        record(
-            "psi sum vs brute spectrum",
-            psi_sum(G) == sum(d * m for d, m in brute.entries),
-        )
-    else:
-        checks.append(("spectrum counting vs brute enumeration", "skipped",
-                       f"|G| > {BRUTE_FORCE_CAP}"))
-    # the spectrum product trial-divides every element order
-    if spectrum.entries[-1][0] <= FACTORIZATION_CAP:
-        record(
-            "psi' formula vs spectrum product",
-            psi_prime(G) == psi_prime_from_spectrum(spectrum),
-        )
-    else:
-        checks.append(("psi' formula vs spectrum product", "skipped",
-                       f"element order > {FACTORIZATION_CAP}"))
-    if len(G.components) == 1 and len(G.components[0][1]) <= 2:
+    def closed_form() -> FactoredInteger:
         p, q = G.components[0]
-        closed = (
-            psi_prime_cyclic_closed_form(p, q.parts[0])
-            if len(q) == 1
-            else psi_prime_rank2_closed_form(p, q.parts[1], q.parts[0])
-        )
-        record("closed form vs exponent formula", closed == psi_prime(G))
-    else:
-        checks.append(("closed form vs exponent formula", "skipped",
-                       "only for p-groups of rank <= 2"))
-    if G.order <= 256:
+        if len(q) == 1:
+            return psi_prime_cyclic_closed_form(p, q.parts[0])
+        return psi_prime_rank2_closed_form(p, q.parts[1], q.parts[0])
+
+    def psi_k_endpoints_hold() -> bool:
         values = psi_all(G)
-        ok = values[0] == psi_sum(G) and values[-1] == psi_prime(G).materialize(10**6)
-        record("psi_k endpoints (psi_1 = psi, psi_n = psi')", ok)
-    else:
-        checks.append(("psi_k endpoints (psi_1 = psi, psi_n = psi')", "skipped", "|G| > 256"))
+        return values[0] == psi_sum(G) and values[-1] == psi_prime(G).materialize(10**6)
+
+    brute = brute_force_spectrum(G) if G.order <= BRUTE_FORCE_CAP else None
+    check("spectrum counting vs brute enumeration",
+          "" if brute is not None else f"|G| > {BRUTE_FORCE_CAP}",
+          lambda: spectrum == brute)
+    if brute is not None:
+        check("psi sum vs brute spectrum", "",
+              lambda: psi_sum(G) == sum(d * m for d, m in brute.entries))
+    # the spectrum product trial-divides every element order
+    check("psi' formula vs spectrum product",
+          "" if spectrum.entries[-1][0] <= FACTORIZATION_CAP
+          else f"element order > {FACTORIZATION_CAP}",
+          lambda: psi_prime(G) == psi_prime_from_spectrum(spectrum))
+    check("closed form vs exponent formula",
+          "" if len(G.components) == 1 and len(G.components[0][1]) <= 2
+          else "only for p-groups of rank <= 2",
+          lambda: closed_form() == psi_prime(G))
+    check("psi_k endpoints (psi_1 = psi, psi_n = psi')",
+          "" if G.order <= 256 else "|G| > 256", psi_k_endpoints_hold)
     return checks
 
 

@@ -90,11 +90,8 @@ class OrderSpectrum:
             if total % d != 0:
                 raise DomainError(f"order {d} does not divide the group order {total}")
         object.__setattr__(self, "entries", entries)
-
-    @cached_property
-    def total(self) -> int:
-        """Sum of multiplicities = the group order."""
-        return sum(m for _, m in self.entries)
+        # the group order; not a field, so equality, hash and repr ignore it
+        object.__setattr__(self, "total", total)
 
 
 def canonicalize(cyclic_orders: Sequence[int]) -> AbelianGroup:
@@ -137,10 +134,9 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
     ]
 
 
-# Both private caches are bounded: their keys recur across the groups of a
-# sweep, but a long-lived process must not keep every one.  1024 spectra
-# hold all 938 p-group types of order <= 4096 (the conjecture-f cap); the
-# element-order tables hold at most 16 * BRUTE_FORCE_CAP ints.
+# The p-group spectra recur across the groups of a sweep, but a long-lived
+# process must not keep every one: 1024 spectra hold all 938 p-group types
+# of order <= 4096 (the conjecture-f cap).
 @lru_cache(maxsize=1024)
 def _pgroup_spectrum(p: int, parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     # Spectrum of the abelian p-group with the given exponent multiset:
@@ -165,19 +161,14 @@ def order_spectrum(G: AbelianGroup) -> OrderSpectrum:
     return OrderSpectrum(acc.items())
 
 
-@lru_cache(maxsize=16)
-def _cyclic_element_orders(q: int) -> tuple[int, ...]:
-    # order of r in the additive group Z_q
-    return tuple(q // gcd(r, q) for r in range(q))
-
-
 def brute_force_spectrum(G: AbelianGroup) -> OrderSpectrum:
     """Literal oracle: walk every element tuple, tally lcm's of component
     orders.  Capped at BRUTE_FORCE_CAP because it is Theta(|G|) with a real
     constant."""
     if G.order > BRUTE_FORCE_CAP:
         raise SizeLimitError(f"|G| = {G.order} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    order_lists = [_cyclic_element_orders(q) for q in G.cyclic_factors()]
+    # the order of r in the additive group Z_q is q // gcd(r, q)
+    order_lists = [[q // gcd(r, q) for r in range(q)] for q in G.cyclic_factors()]
     tally = Counter(itertools.starmap(lcm, itertools.product(*order_lists)))
     return OrderSpectrum(tally.items())
 

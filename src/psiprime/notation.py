@@ -6,6 +6,7 @@ written for the CLI's ``--json`` output.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .arith import FACTORIZATION_CAP, bounded_int
@@ -108,19 +109,9 @@ def format_group(G: AbelianGroup) -> str:
     """Canonical multiplicative notation, e.g. ``Z4xZ3^2`` (trivial -> ``1``)."""
     if not G.components:
         return "1"
-    pieces = []
-    for p, q in G.components:
-        run_value, run_len = None, 0
-        for a in q.parts:
-            v = p**a
-            if v == run_value:
-                run_len += 1
-            else:
-                if run_value is not None:
-                    pieces.append((run_value, run_len))
-                run_value, run_len = v, 1
-        pieces.append((run_value, run_len))
-    return "x".join(f"Z{v}" if k == 1 else f"Z{v}^{k}" for v, k in pieces)
+    # runs never cross two primes: powers of different primes differ
+    runs = [(v, len(list(k))) for v, k in itertools.groupby(G.cyclic_factors())]
+    return "x".join(f"Z{v}" if k == 1 else f"Z{v}^{k}" for v, k in runs)
 
 
 def group_to_json_dict(G: AbelianGroup) -> dict[str, list[int]]:

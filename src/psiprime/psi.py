@@ -255,6 +255,7 @@ def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:
     The division must be exact; a remainder means the formula was
     transcribed wrong, so it raises ConsistencyError.
     """
+    _require_trusted_prime(p)
     require_int(alpha, "alpha")
     numerator = alpha * p ** (alpha + 1) - (alpha + 1) * p**alpha + 1
     e = exact_div(numerator, p - 1, "cyclic closed form")
@@ -265,10 +266,9 @@ def psi_prime_rank2_closed_form(p: int, alpha: int, beta: int) -> FactoredIntege
     """Closed form for rank-two abelian p-groups Z_{p^a} x Z_{p^b}, a <= b:
     exponent (b*p^(a+b+2) - p^(a+b+1) - (b+1)*p^(a+b) + p^(2a+1) + 1) / (p^2 - 1),
     with the division checked exact."""
-    if type(alpha) is not int or type(beta) is not int:
-        raise DomainError(f"alpha = {alpha!r} and beta = {beta!r} must be ints")
-    if not 1 <= alpha <= beta:
-        raise DomainError(f"need 1 <= alpha <= beta, got {alpha}, {beta}")
+    _require_trusted_prime(p)
+    require_int(alpha, "alpha")
+    require_int(beta, "beta", alpha)
     numerator = (
         beta * p ** (alpha + beta + 2)
         - p ** (alpha + beta + 1)

@@ -110,6 +110,27 @@ def successor_partitions(n: int) -> Iterator[tuple[int, ...]]:
         x += [1] * rest
 
 
+def format_group_loop(G) -> str:
+    """Multiplicative notation as format_group wrote it before it ran
+    groupby over cyclic_factors: one run-length loop per prime, deriving
+    each p^a itself."""
+    if not G.components:
+        return "1"
+    pieces = []
+    for p, q in G.components:
+        run_value, run_len = None, 0
+        for a in q.parts:
+            v = p**a
+            if v == run_value:
+                run_len += 1
+            else:
+                if run_value is not None:
+                    pieces.append((run_value, run_len))
+                run_value, run_len = v, 1
+        pieces.append((run_value, run_len))
+    return "x".join(f"Z{v}" if k == 1 else f"Z{v}^{k}" for v, k in pieces)
+
+
 def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
     """The injectivity sweep as the package ran it before it counted
     groups over powerful numbers, kept unchanged but for these imports:

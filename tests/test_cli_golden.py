@@ -102,6 +102,7 @@ COMMANDS = (
     ("conjecture-f", ["verify", "conjecture-f", "--max-order", "12"]),
     ("oracle", ["oracle", "Z4xZ9"]),
     ("oracle-cyclic", ["oracle", "Z8"]),
+    ("oracle-rank2", ["oracle", "Z4xZ2"]),
     ("oracle-large", ["oracle", "Z2^17"]),
 )
 

@@ -244,12 +244,35 @@ def test_cyclic_factors_matches_list_notation():
     assert AbelianGroup(()).cyclic_factors() == []
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: AbelianGroup([(2, (1,))]), "prime 2 needs a non-empty partition"),
+        (lambda: AbelianGroup([(2, Partition(()))]), "prime 2 needs a non-empty partition"),
+        (lambda: AbelianGroup([(3, Partition((1,))), (2, Partition((1,)))]),
+         "primes must be strictly increasing"),
+        (lambda: OrderSpectrum([(2, 1)]), r"must contain the identity: m_1 = 1"),
+        (lambda: OrderSpectrum([(1, 1), (2, 0)]), "multiplicity of order 2 must be positive"),
+        (lambda: OrderSpectrum([(1, 1), (2, 1), (2, 1)]), "duplicate order 2"),
+        (lambda: OrderSpectrum([(1, 1), (3, 1)]), "order 3 does not divide the group order 2"),
+        (lambda: factorize(0), "cannot factorize 0: must be >= 1"),
+    ],
+    ids=[
+        "group-tuple-parts", "group-empty-partition", "group-primes-out-of-order",
+        "spectrum-no-identity", "spectrum-zero-multiplicity", "spectrum-duplicate-order",
+        "spectrum-order-not-dividing", "factorize-zero",
+    ],
+)
+def test_malformed_values_are_refused(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 def test_private_spectrum_caches_are_bounded():
     from psiprime import groups
 
-    for cached in (groups._pgroup_spectrum, groups._cyclic_element_orders):
-        maxsize = cached.cache_parameters()["maxsize"]
-        assert isinstance(maxsize, int) and maxsize > 0
+    maxsize = groups._pgroup_spectrum.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 @pytest.mark.parametrize(

@@ -56,11 +56,27 @@ def test_parse_errors_carry_position(bad, position):
     assert f"position {position}" in str(exc.value)
 
 
+def test_a_zero_repeat_count_is_refused():
+    with pytest.raises(NotationError, match="position 3: exponent must be >= 1"):
+        parse_group("Z2^0")
+
+
 def test_format_group_examples():
     assert format_group(parse_group("[4,3,3]")) == "Z4xZ3^2"
     assert format_group(parse_group("[2,2,2,2,3]")) == "Z2^4xZ3"
     assert format_group(AbelianGroup(())) == "1"
     assert format_group(parse_group("[8,8,2]")) == "Z8^2xZ2"
+
+
+def test_format_group_matches_the_loop_reference():
+    from oracles import format_group_loop
+
+    extra = [parse_group(t) for t in ("Z2^17", "Z8^2xZ2xZ9^3", "[99991,99991]")]
+    for m in range(1, 2001):
+        for G in enumerate_abelian_groups(m):
+            assert format_group(G) == format_group_loop(G)
+    for G in extra:
+        assert format_group(G) == format_group_loop(G)
 
 
 def test_format_parse_round_trip():

@@ -353,10 +353,18 @@ def test_closed_forms_match_exponent_formula():
 
 
 def test_closed_form_preconditions():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="alpha = 0 must be >= 1"):
         psi_prime_cyclic_closed_form(2, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="alpha = 0 must be >= 1"):
+        psi_prime_rank2_closed_form(2, 0, 1)
+    with pytest.raises(DomainError, match="beta = 1 must be >= 2"):
         psi_prime_rank2_closed_form(2, 2, 1)
+    # p is checked before any arithmetic: 1 and -1 would divide by zero
+    for p in (0, 1, -1, 4):
+        with pytest.raises(DomainError, match=f"{p} is not a prime"):
+            psi_prime_cyclic_closed_form(p, 2)
+        with pytest.raises(DomainError, match=f"{p} is not a prime"):
+            psi_prime_rank2_closed_form(p, 1, 1)
 
 
 def test_exact_div_raises_on_remainder():

@@ -169,3 +169,5 @@ def test_order_polynomial_requires_monic():
 def test_polynomial_str():
     assert str(order_polynomial(canonicalize([2]))) == "X^2 - 3*X + 2"
     assert str(order_polynomial(canonicalize([3]))) == "X^3 - 7*X^2 + 15*X - 9"
+    assert str(OrderPolynomial((0, 1))) == "X"
+    assert str(OrderPolynomial((-2, 0, 1))) == "X^2 - 2"

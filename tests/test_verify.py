@@ -263,6 +263,10 @@ _Z4xZ3_2 = canonicalize([4, 3, 3])
         (lambda: FactoredInteger({2: 3}).materialize(2.5), "2.5"),
         (lambda: psi_prime_cyclic_closed_form(2, True), "True"),
         (lambda: psi_prime_rank2_closed_form(2, True, 2), "True"),
+        (lambda: psi_prime_cyclic_closed_form(True, 2), "True"),
+        (lambda: psi_prime_cyclic_closed_form(2.0, 2), "2.0"),
+        (lambda: psi_prime_rank2_closed_form(True, 1, 1), "True"),
+        (lambda: psi_prime_rank2_closed_form(2.0, 1, 1), "2.0"),
         (lambda: sweep_conjecture_f(8, jobs=True), "True"),
         (lambda: sweep_conjecture_f(8, jobs=2.5), "2.5"),
         (lambda: sweep_conjecture_f(8, jobs="2"), "'2'"),
@@ -272,7 +276,9 @@ _Z4xZ3_2 = canonicalize([4, 3, 3])
     ],
     ids=[
         "psi_k-bool", "psi_k-float", "materialize-bool", "materialize-float",
-        "cyclic_closed_form-bool", "rank2_closed_form-bool", "conjecture_f-jobs-bool",
+        "cyclic_closed_form-bool", "rank2_closed_form-bool", "cyclic_closed_form-p-bool",
+        "cyclic_closed_form-p-float", "rank2_closed_form-p-bool", "rank2_closed_form-p-float",
+        "conjecture_f-jobs-bool",
         "conjecture_f-jobs-float", "conjecture_f-jobs-str", "theorem_c_rows-str",
         "theorem_c-none", "parse_group-int",
     ],
@@ -282,7 +288,7 @@ def test_arguments_that_are_not_plain_ints_are_refused_on_entry(call, value):
 
     # each case is a bool, float, str or None where an int is asked for,
     # or an int where the notation string is
-    with pytest.raises(DomainError, match=f"{value}.*must be (a|ints)"):
+    with pytest.raises(DomainError, match=f"{value}.*must be an? (int|str)"):
         call()
 
 
