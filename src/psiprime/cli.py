@@ -7,22 +7,20 @@ error, 2 size/cap error, 3 theorem violation detected or an internal
 exactness check failed (``ConsistencyError``), 4 conjecture counterexample
 found.
 
-All output goes through one renderer, ``_render(args, headers, rows, obj,
-text=..., notes=...)``.  ``--json`` prints ``obj()`` and nothing else.
-``--csv`` prints ``headers`` and ``rows``, then the ``notes`` lines.  The
-default format prints ``text`` if one is given (a bare scalar, a factored
-psi', a polynomial), else ``headers`` and ``rows`` as an aligned table;
-then the ``notes`` lines.
+Every result that fits in memory goes through one renderer,
+``_render(args, headers, rows, obj, text=..., notes=...)``.  ``--json``
+prints ``obj()`` and nothing else.  ``--csv`` prints ``headers`` and
+``rows``, then the ``notes`` lines.  The default format prints ``text`` if
+one is given (a bare scalar, a factored psi', a polynomial), else
+``headers`` and ``rows`` as an aligned table; then the ``notes`` lines.
 
-Rows are written in chunks of ``_CHUNK`` (1,024): each chunk of table,
-CSV or JSON rows is one write to stdout.  ``verify theorem-c`` streams:
-its rows come from a generator, and the JSON and CSV are written chunk by
-chunk as the rows are made, so memory holds at most one chunk however
-large p(n) is.  An exactness failure partway through therefore leaves the
-whole chunks written so far on stdout, and exits 3.  The table makes the
-rows twice, once for its column widths and once to print them, so it
-holds at most one chunk either; an exactness failure there comes in the
-first pass, before anything is written.
+``verify theorem-c`` has p(n) rows, over 1.7 million at the cap, so it
+writes its own output as the rows are made: ``_CHUNK`` (1,024) rows per
+write to stdout, so memory holds at most one chunk however large p(n) is.
+An exactness failure partway through leaves the whole chunks written so
+far on stdout, and exits 3.  Its table makes the rows twice, once for the
+column widths and once to print them, so an exactness failure there comes
+in the first pass and leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Rows per write: table and CSV rows, and the items of a streamed JSON
-# array, are written this many at a time.
+# Rows per write: table and CSV rows, and verify theorem-c's JSON rows,
+# are written this many at a time.
 _CHUNK = 1024
 
 
@@ -87,46 +85,24 @@ def _render(
     *,
     text: str | None = None,
     notes: Iterable[str] = (),
-    again: Callable[[], Iterable[Sequence]] | None = None,
 ) -> None:
     """Print one result in the format chosen by ``args.fmt``.
 
     Only the chosen format is built: ``obj()`` is called for ``--json``
-    alone, and ``rows`` (any iterable, cells passed through ``str``) is
-    consumed only for the table or CSV.  CSV rows and the values of the
-    dict ``obj()`` returns are written in order.  An iterator among those
-    values must yield the JSON text of each item, and is written as a
-    JSON array of them while it is consumed.  Table and CSV rows and the
-    items of such an array are written ``_CHUNK`` per write; ``notes`` is
-    read after the rows.  ``again()``, if given,
-    makes the same rows afresh: the table then reads ``rows`` for its
-    column widths alone and prints the rows of ``again()``, so it holds
-    at most one chunk of them.
+    alone and printed as one compact ``json.dumps``, and ``rows`` (any
+    iterable, cells passed through ``str``) is consumed only for the
+    table or CSV, which then print the ``notes`` lines.
     """
     if args.fmt == "json":
-        _write_json(obj())
+        print(json.dumps(obj(), separators=(",", ":")))
         return
     if args.fmt == "csv":
-        import csv  # here, not at the top: only --csv needs it
-        import io
-        for chunk in itertools.chain([[headers]], _chunks(rows)):
-            buf = io.StringIO()
-            csv.writer(buf).writerows(chunk)
-            sys.stdout.write(buf.getvalue())
+        _write_csv(headers, rows)
     elif text is not None:
         print(text)
     else:
-        if again is None:
-            rows = [list(map(str, row)) for row in rows]
-        widths = [len(h) for h in headers]
-        for chunk in _chunks(rows):
-            widths = [max(w, max(map(len, map(str, column))))
-                      for w, column in zip(widths, zip(*chunk))]
-        # "!s" pads str(c) like str(c).ljust(w), whatever the cell's type
-        fmt = "  ".join(f"{{!s:<{w}}}" for w in widths)
-        print(_styled(fmt.format(*headers).rstrip()))
-        for chunk in _chunks(rows if again is None else again()):
-            print("\n".join(map(str.rstrip, itertools.starmap(fmt.format, chunk))))
+        rows = [list(map(str, row)) for row in rows]
+        _write_table(headers, rows, rows)
     for line in notes:
         print(line)
 
@@ -138,28 +114,29 @@ def _chunks(rows: Iterable[Sequence]) -> Iterator[list[Sequence]]:
         yield chunk
 
 
-def _write_json(doc: object) -> None:
-    # the bytes of print(json.dumps(doc, separators=(",", ":"))), written
-    # one value of a top-level dict (string keys) at a time.  An iterator
-    # value yields the compact JSON text of each item, and those texts are
-    # joined with "," in chunks of _CHUNK items
-    write = sys.stdout.write
-    if not isinstance(doc, dict):
-        write(json.dumps(doc, separators=(",", ":")) + "\n")
-        return
-    write("{")
-    for i, (key, value) in enumerate(doc.items()):
-        write(("," if i else "") + json.dumps(key) + ":")
-        if isinstance(value, Iterator):
-            write("[")
-            comma = ""
-            for chunk in _chunks(value):
-                write(comma + ",".join(chunk))
-                comma = ","
-            write("]")
-        else:
-            write(json.dumps(value, separators=(",", ":")))
-    write("}\n")
+def _write_csv(headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+    import csv  # here, not at the top: only --csv needs it
+    import io
+    for chunk in itertools.chain([[headers]], _chunks(rows)):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(chunk)
+        sys.stdout.write(buf.getvalue())
+
+
+def _write_table(
+    headers: Sequence[str], sized: Iterable[Sequence], printed: Iterable[Sequence]
+) -> None:
+    # column widths from the rows of sized, then the rows of printed,
+    # which must be the same rows
+    widths = [len(h) for h in headers]
+    for chunk in _chunks(sized):
+        widths = [max(w, max(map(len, map(str, column))))
+                  for w, column in zip(widths, zip(*chunk))]
+    # "!s" pads str(c) like str(c).ljust(w), whatever the cell's type
+    fmt = "  ".join(f"{{!s:<{w}}}" for w in widths)
+    print(_styled(fmt.format(*headers).rstrip()))
+    for chunk in _chunks(printed):
+        print("\n".join(map(str.rstrip, itertools.starmap(fmt.format, chunk))))
 
 
 def _jobs_arg(value: str) -> int | None:
@@ -297,31 +274,26 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_theorem_c(args) -> int:
+    headers = ["partition", "psi_prime_exponent"]
     violations: list[tuple[int, int]] = []
     # theorem_c_rows checks p, n and the cap when called, before anything
     # is written
     rows = record_violations(theorem_c_rows(args.prime, args.n), violations)
-
-    def count():
-        # read after the rows, so every violation is counted
-        yield f"violations: {len(violations)}"
-
-    _render(
-        args,
-        ["partition", "psi_prime_exponent"],
-        rows,
-        lambda: {
-            "p": str(args.prime),
-            "n": str(args.n),
-            "rows": (f'{{"partition":{t},"exponent":"{e}"}}' for t, e in rows),
-            # filled while "rows" streams, and written after it
-            "violations": violations,
-        },
-        notes=() if args.fmt == "csv" else count(),
-        # the table's widths pass over rows records the violations, and
-        # an exactness failure there leaves stdout empty
-        again=lambda: theorem_c_rows(args.prime, args.n),
-    )
+    if args.fmt == "json":
+        write = sys.stdout.write
+        write(f'{{"p":"{args.prime}","n":"{args.n}","rows":[')
+        comma = ""
+        for chunk in _chunks(rows):
+            write(comma + ",".join(f'{{"partition":{t},"exponent":"{e}"}}' for t, e in chunk))
+            comma = ","
+        write(f'],"violations":{json.dumps(violations, separators=(",", ":"))}}}\n')
+    elif args.fmt == "csv":
+        _write_csv(headers, rows)
+    else:
+        # the widths pass over rows records the violations, and an
+        # exactness failure there leaves stdout empty
+        _write_table(headers, rows, theorem_c_rows(args.prime, args.n))
+        print(f"violations: {len(violations)}")
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -483,7 +455,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     if saved_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # here, so that a reader gone before the buffer is written is caught
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: end quietly with the exit 1 an
+        # uncaught exception gave, with /dev/null under stdout so that the
+        # interpreter's flush at exit cannot raise it a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except NotationError as exc:
         print(f"error: unparseable group notation: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -354,6 +354,41 @@ def test_chunk_size_does_not_change_the_bytes(monkeypatch, capsys, p, fmt):
             monkeypatch.undo()
 
 
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_theorem_c_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
+    # p(n) rows do not fit in memory at the cap: before row i is made, all
+    # but the last two chunks of the rows before it must be on stdout.  The
+    # table's first call of theorem_c_rows sizes its columns and writes none
+    from psiprime import cli as cli_module
+    from psiprime.verify import check_theorem_c, theorem_c_rows
+
+    monkeypatch.setattr(cli_module, "_CHUNK", 4)
+    out = io.StringIO()
+    # rows on stdout: JSON rows by their key, table and CSV rows by their
+    # lines after the header
+    marker, header = ('"partition"', 0) if fmt == ["--json"] else ("\n", 1)
+    calls = []
+
+    def guarded(p, n):
+        rows = theorem_c_rows(p, n)
+        calls.append((p, n))
+        sizing = not fmt and len(calls) == 1
+
+        def checked():
+            for i, row in enumerate(rows):
+                written = out.getvalue().count(marker) - header
+                assert sizing or written >= i - 2 * 4, (i, written)
+                yield row
+        return checked()
+
+    monkeypatch.setattr(cli_module, "theorem_c_rows", guarded)
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "theorem-c", "--prime", "2", "--n", "12", *fmt])
+    rows = list(theorem_c_rows(2, 12))
+    assert (code, out.getvalue()) == (0, _theorem_c_bytes(2, 12, rows, check_theorem_c(2, 12), fmt))
+    assert len(calls) == (1 if fmt else 2)
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
 @pytest.mark.parametrize(
     "prime, n, code",
@@ -399,13 +434,15 @@ def test_conjecture_counterexample_exit_code(monkeypatch, capsys):
 
 
 def test_no_color_strips_ansi(monkeypatch, capsys):
+    # the shared renderer's table and theorem-c's own table
     monkeypatch.setattr("sys.stdout.isatty", lambda: True)
-    monkeypatch.delenv("NO_COLOR", raising=False)
-    _, out_styled, _ = run(capsys, "enumerate", "12")
-    monkeypatch.setenv("NO_COLOR", "1")
-    _, out_plain, _ = run(capsys, "enumerate", "12")
-    assert "\x1b[" in out_styled
-    assert "\x1b[" not in out_plain
+    for argv in (["enumerate", "12"], ["verify", "theorem-c", "--prime", "2", "--n", "3"]):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        _, out_styled, _ = run(capsys, *argv)
+        monkeypatch.setenv("NO_COLOR", "1")
+        _, out_plain, _ = run(capsys, *argv)
+        assert "\x1b[" in out_styled, argv
+        assert "\x1b[" not in out_plain, argv
 
 
 def test_help_exits_zero(capsys):
@@ -604,3 +641,41 @@ def test_fresh_interpreter_csv_bytes_match_the_golden_case():
     assert _fresh_cli(*case["argv"]) == (
         case["code"], case["stdout"].encode(), case["stderr"].encode()
     )
+
+
+@pytest.mark.parametrize(
+    "argv, nbytes",
+    [
+        (["verify", "theorem-c", "--prime", "2", "--n", "30"], 100),
+        (["verify", "theorem-c", "--prime", "2", "--n", "30", "--json"], 100),
+        (["verify", "theorem-c", "--prime", "2", "--n", "30", "--csv"], 100),
+        (["compute", "Z4", "--psi"], 0),
+    ],
+    ids=["theorem-c-table", "theorem-c-json", "theorem-c-csv", "compute-psi"],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(argv, nbytes):
+    # stdout is a pipe whose reader leaves after nbytes (theorem-c at n = 30
+    # writes far more than a pipe holds) or before the CLI starts: exit 1,
+    # as an uncaught BrokenPipeError gave, but no traceback
+    import os
+    import subprocess
+
+    import psiprime
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psiprime.__file__)))
+    read_end, write_end = os.pipe()
+    reader = open(read_end, "rb")
+    if not nbytes:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psiprime.cli", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    os.close(write_end)
+    if nbytes:
+        assert len(reader.read(nbytes)) == nbytes
+        reader.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
