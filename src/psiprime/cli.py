@@ -15,12 +15,12 @@ one is given (a bare scalar, a factored psi', a polynomial), else
 ``headers`` and ``rows`` as an aligned table; then the ``notes`` lines.
 
 ``verify theorem-c`` has p(n) rows, over 1.7 million at the cap, so it
-writes its own output as the rows are made: ``_CHUNK`` (1,024) rows per
-write to stdout, so memory holds at most one chunk however large p(n) is.
-An exactness failure partway through leaves the whole chunks written so
-far on stdout, and exits 3.  Its table makes the rows twice, once for the
-column widths and once to print them, so an exactness failure there comes
-in the first pass and leaves stdout empty.
+writes them ``_CHUNK`` (1,024) at a time as they are made, scanning each
+chunk for exponent drops, and holds at most one chunk.  An exactness
+failure partway through leaves the whole chunks written so far on
+stdout, and exits 3.  Its table makes the rows twice, once for the column
+widths and once to print them, so an exactness failure there comes in
+the first pass and leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 from collections.abc import Iterator
@@ -53,8 +54,8 @@ from .psi import (
 )
 from .symmetric import order_polynomial, psi_all, psi_k
 from .verify import (
+    drops,
     find_cross_order_collisions,
-    record_violations,
     sweep_conjecture_f,
     sweep_injectivity,
     theorem_c_rows,
@@ -97,12 +98,12 @@ def _render(
         print(json.dumps(obj(), separators=(",", ":")))
         return
     if args.fmt == "csv":
-        _write_csv(headers, rows)
+        _write_csv(headers, _chunks(rows))
     elif text is not None:
         print(text)
     else:
         rows = [list(map(str, row)) for row in rows]
-        _write_table(headers, rows, rows)
+        _write_table(headers, _chunks(rows), _chunks(rows))
     for line in notes:
         print(line)
 
@@ -114,28 +115,28 @@ def _chunks(rows: Iterable[Sequence]) -> Iterator[list[Sequence]]:
         yield chunk
 
 
-def _write_csv(headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(headers: Sequence[str], chunks: Iterable[list[Sequence]]) -> None:
     import csv  # here, not at the top: only --csv needs it
     import io
-    for chunk in itertools.chain([[headers]], _chunks(rows)):
+    for chunk in itertools.chain([[headers]], chunks):
         buf = io.StringIO()
         csv.writer(buf).writerows(chunk)
         sys.stdout.write(buf.getvalue())
 
 
 def _write_table(
-    headers: Sequence[str], sized: Iterable[Sequence], printed: Iterable[Sequence]
+    headers: Sequence[str], sized: Iterable[list[Sequence]], printed: Iterable[list[Sequence]]
 ) -> None:
-    # column widths from the rows of sized, then the rows of printed,
-    # which must be the same rows
+    # column widths from the chunks of sized, then the chunks of printed,
+    # which must hold the same rows
     widths = [len(h) for h in headers]
-    for chunk in _chunks(sized):
+    for chunk in sized:
         widths = [max(w, max(map(len, map(str, column))))
                   for w, column in zip(widths, zip(*chunk))]
     # "!s" pads str(c) like str(c).ljust(w), whatever the cell's type
     fmt = "  ".join(f"{{!s:<{w}}}" for w in widths)
     print(_styled(fmt.format(*headers).rstrip()))
-    for chunk in _chunks(printed):
+    for chunk in printed:
         print("\n".join(map(str.rstrip, itertools.starmap(fmt.format, chunk))))
 
 
@@ -273,26 +274,38 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _scanned(rows: Iterable[tuple[str, int]], violations: list[tuple[int, int]]):
+    # the rows in _CHUNK chunks, each chunk's exponent drops appended to
+    # violations; a chunk is scanned after the last row of the one before
+    start, last = 0, []
+    for chunk in _chunks(rows):
+        exponents = map(operator.itemgetter(1), last + chunk)
+        violations.extend((i, i + 1) for i in drops(exponents, start - len(last)))
+        start += len(chunk)
+        last = chunk[-1:]
+        yield chunk
+
+
 def _cmd_theorem_c(args) -> int:
     headers = ["partition", "psi_prime_exponent"]
     violations: list[tuple[int, int]] = []
     # theorem_c_rows checks p, n and the cap when called, before anything
     # is written
-    rows = record_violations(theorem_c_rows(args.prime, args.n), violations)
+    chunks = _scanned(theorem_c_rows(args.prime, args.n), violations)
     if args.fmt == "json":
         write = sys.stdout.write
         write(f'{{"p":"{args.prime}","n":"{args.n}","rows":[')
         comma = ""
-        for chunk in _chunks(rows):
+        for chunk in chunks:
             write(comma + ",".join(f'{{"partition":{t},"exponent":"{e}"}}' for t, e in chunk))
             comma = ","
         write(f'],"violations":{json.dumps(violations, separators=(",", ":"))}}}\n')
     elif args.fmt == "csv":
-        _write_csv(headers, rows)
+        _write_csv(headers, chunks)
     else:
-        # the widths pass over rows records the violations, and an
-        # exactness failure there leaves stdout empty
-        _write_table(headers, rows, theorem_c_rows(args.prime, args.n))
+        # the widths pass records the violations, and an exactness
+        # failure there leaves stdout empty
+        _write_table(headers, chunks, _chunks(theorem_c_rows(args.prime, args.n)))
         print(f"violations: {len(violations)}")
     return EXIT_VIOLATION if violations else EXIT_OK
 

@@ -46,9 +46,9 @@ are unchanged and S_(i-1) is reused; only T_i and T_(i+1) are new, and
 the tail of 1s adds g(k, 1).  There n - P_i is part i plus the number of
 1s and n - P_(i+1) is the number of 1s, so no part sum is needed.  Each
 g(t, d) is divided, checked exact, on first use and kept for the rest of
-the sweep.  The partition's text is kept by prefix in the same way: the
-text of the parts before i is reused, and part i and a tabled run of
-",1"s end it.
+the sweep in a list table runs[t][d], t * d <= n, read by index.  The
+partition's text is kept by prefix in the same way: the text of the parts
+before i is reused, and part i and a tabled run of ",1"s end it.
 
 A group of order m with Sylow p-subgroups of order p^(n_p) and exponents
 E_p has
@@ -183,42 +183,33 @@ psi_prime_exponent.cache_info = _exponent.cache_info
 psi_prime_exponent.cache_clear = _exponent.cache_clear
 
 
-class _RunSums(dict):
-    """g(t, d) = (p^(t*d) - 1) / (p^t - 1), keyed by (t, d) and computed
-    from the table power[j] = p^j on first use, its division checked exact."""
-
-    def __init__(self, power: list[int]):
-        super().__init__()
-        self.power = power
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        t, d = key
-        power = self.power
-        value = self[key] = exact_div(power[t * d] - 1, power[t] - 1, "psi' exponent run")
-        return value
-
-
 def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
     """(text, psi_prime_exponent(p, parts)) for the parts of every
     partition of n >= 1, in ascending order, where text is "[l_1,...,l_k]",
     the JSON array of the parts.  Lazy, unchecked, uncached, and with
     constant work per partition: the prefix-sum pass of the module
-    docstring, read from the ZS2 state.  No tuple is made per partition.
-    The first partition, all 1s, divides by p^n - 1 first, as
-    psi_prime_exponent does.
+    docstring, read from the ZS2 state, its g(t, d) in the list table
+    runs[t][d].  No tuple is made per partition.  The first partition,
+    all 1s, divides by p^n - 1 first, as psi_prime_exponent does.
     """
     power = [1]
     for _ in range(n):
         power.append(power[-1] * p)
     top = power[n]
-    runs = _RunSums(power)
+    # runs[t][d] = g(t, d) for t * d <= n, 0 until its first use
+    runs = [[]] + [[0] * (n // t + 1) for t in range(1, n + 1)]
+
+    def run(t: int, d: int) -> int:
+        g = runs[t][d] = exact_div(power[t * d] - 1, power[t] - 1, "psi' exponent run")
+        return g
+
     # every part is at most n, and a row after the first ends in at most
     # n - 2 ones; tail[k] closes a row that ends in k ones
     part_text = [str(x) for x in range(n + 1)]
     tail = [",1" * k + "]" for k in range(n)]
     states = _zs2(n)
     next(states)
-    yield "[1" + tail[n - 1], top - runs[n, 1]
+    yield "[1" + tail[n - 1], top - run(n, 1)
     # x[1..m] holds the parts, h - 1 is the raised index i and m - h the
     # number of 1s.  sums[t] = S_t, which reads l_1..l_(t+1), and pre[t]
     # is the text "[l_1,...,l_t," of the first t parts.  A row with index
@@ -235,14 +226,14 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
             s = sums[i - 1]
             d = x[i] - part
             if d:
-                s += power[h * part + ones] * runs[i, d]
+                s += power[h * part + ones] * (runs[i][d] or run(i, d))
             sums[i] = s
         else:
             s = 0
         if ones:
-            s += power[ones + h] * runs[h, part - 1] + runs[m, 1]
+            s += power[ones + h] * (runs[h][part - 1] or run(h, part - 1)) + (runs[m][1] or run(m, 1))
         else:
-            s += runs[h, part]
+            s += runs[h][part] or run(h, part)
         head = pre[i] + part_text[part]
         pre[h] = head + ","
         yield head + tail[ones], x[1] * top - s

@@ -11,6 +11,7 @@ asserted away.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from bisect import bisect_right
 from math import isqrt
@@ -84,30 +85,24 @@ def theorem_c_rows(p: int, n: int) -> Iterator[tuple[str, int]]:
     return pgroup_exponents(p, n)
 
 
-def record_violations(
-    rows: Iterable[tuple[str, int]], violations: list[tuple[int, int]]
-) -> Iterator[tuple[str, int]]:
-    """Pass rows through, appending (i, i + 1) to ``violations`` whenever
-    row i + 1's exponent is not above row i's."""
-    previous = None
-    for i, row in enumerate(rows):
-        if previous is not None and previous >= row[1]:
-            violations.append((i - 1, i))
-        previous = row[1]
-        yield row
+def drops(exponents: Iterable[int], start: int = 0) -> Iterator[int]:
+    """Every i where exponent i is not below exponent i + 1, the
+    exponents numbered from ``start``; a C-level scan, with no Python
+    frame per exponent."""
+    a, b = itertools.tee(exponents)
+    next(b, None)
+    return itertools.compress(itertools.count(start), map(operator.ge, a, b))
 
 
 def check_theorem_c(p: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every (i, i + 1) where row i + 1 of :func:`theorem_c_rows` has an
     exponent not above row i's; empty when Theorem C holds at p^n.
 
-    The rows are streamed and none is kept, so memory stays flat however
-    large p(n) is (p(64) is over 1.7 million).
+    The rows are streamed through :func:`drops` and none is kept, so
+    memory stays flat however large p(n) is (p(64) is over 1.7 million).
     """
-    violations: list[tuple[int, int]] = []
-    for _ in record_violations(theorem_c_rows(p, n), violations):
-        pass
-    return tuple(violations)
+    rows = theorem_c_rows(p, n)
+    return tuple((i, i + 1) for i in drops(map(operator.itemgetter(1), rows)))
 
 
 def _shared_psi_prime(

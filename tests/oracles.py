@@ -4,8 +4,9 @@ Everything here is deliberately naive (recursion, literal enumeration,
 subset sums, plain trial division) and shares no code with the package
 internals it checks; only the package's ``DomainError`` is borrowed, so
 validation tests can expect the same exception from oracle and fast path.
-The one exception is :func:`counts_list_injectivity_sweep`, a former fast
-path kept whole as the reference for the one that replaced it.
+The exceptions are :func:`counts_list_injectivity_sweep` and
+:func:`record_violations`, former fast paths kept whole as the
+references for the ones that replaced them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from psiprime.errors import DomainError
 
@@ -108,6 +109,20 @@ def successor_partitions(n: int) -> Iterator[tuple[int, ...]]:
         x[i] += 1
         del x[i + 1 :]
         x += [1] * rest
+
+
+def record_violations(
+    rows: Iterable[tuple[str, int]], violations: list[tuple[int, int]]
+) -> Iterator[tuple[str, int]]:
+    """Pass rows through, appending (i, i + 1) to ``violations`` whenever
+    row i + 1's exponent is not above row i's: the Theorem C check as the
+    package ran it, one row at a time, before it scanned for drops."""
+    previous = None
+    for i, row in enumerate(rows):
+        if previous is not None and previous >= row[1]:
+            violations.append((i - 1, i))
+        previous = row[1]
+        yield row
 
 
 def format_group_loop(G) -> str:

@@ -1,10 +1,13 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiprime import (
     enumerate_abelian_groups,
@@ -387,6 +390,90 @@ def test_theorem_c_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
     rows = list(theorem_c_rows(2, 12))
     assert (code, out.getvalue()) == (0, _theorem_c_bytes(2, 12, rows, check_theorem_c(2, 12), fmt))
     assert len(calls) == (1 if fmt else 2)
+
+
+def test_scanned_passes_rows_through():
+    from psiprime.cli import _scanned
+
+    rows = [("[1,1,1]", 7), ("[2,1]", 7), ("[3]", 5)]
+    violations = []
+    assert [row for chunk in _scanned(rows, violations) for row in chunk] == rows
+    assert violations == [(0, 1), (1, 2)]
+
+
+# row 0, the rows about the first 1,024-row chunk boundary, and the last
+_PLANTED_ROWS = [0, 1022, 1023, 1024, 1025, -1]
+
+
+@st.composite
+def _exponent_lists(draw):
+    # up to 2,100 exponents rising by a repeated run of steps, some of
+    # them 0 or negative, and at the planted rows the draw picks, an
+    # equal neighbour or a drop below the row before
+    length = draw(st.integers(1, 2100))
+    steps = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=12))
+    exponents = list(itertools.accumulate(steps[i % len(steps)] for i in range(length)))
+    for r in draw(st.sets(st.sampled_from(_PLANTED_ROWS))):
+        r %= length
+        if r:
+            exponents[r] = exponents[r - 1] - draw(st.integers(0, 2))
+        elif length > 1:
+            exponents[0] = exponents[1] + draw(st.integers(0, 2))
+    return exponents
+
+
+@given(st.one_of(st.lists(st.integers()), _exponent_lists()))
+@settings(max_examples=150, deadline=None)
+def test_drop_scan_matches_the_per_row_check(exponents):
+    # verify.drops over the whole stream, as check_theorem_c runs it, and
+    # cli._scanned chunk by chunk, against the per-row check it replaced
+    from unittest import mock
+
+    from oracles import record_violations
+    from psiprime import cli as cli_module
+    from psiprime.verify import drops
+
+    rows = [(str(i), e) for i, e in enumerate(exponents)]
+    want = []
+    assert list(record_violations(rows, want)) == rows
+    assert [(i, i + 1) for i in drops(iter(exponents))] == want
+    for size in (1, 7, 1024):
+        with mock.patch.object(cli_module, "_CHUNK", size):
+            got = []
+            assert [row for chunk in cli_module._scanned(rows, got) for row in chunk] == rows
+            assert got == want, size
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_theorem_c_reports_drops_at_a_chunk_boundary(monkeypatch, capsys, fmt):
+    # rows 1,023 and 1,024 planted at 0: row 1,023 drops below row 1,022,
+    # the last row of the first chunk, and row 1,024, the first row of the
+    # second, equals it.  p(24) = 1,575 rows, so there are two chunks
+    from psiprime import verify
+    from psiprime.verify import check_theorem_c, theorem_c_rows
+
+    real = verify.pgroup_exponents
+
+    def planted(p, n):
+        for i, (text, e) in enumerate(real(p, n)):
+            yield text, 0 if i in (1023, 1024) else e
+
+    monkeypatch.setattr(verify, "pgroup_exponents", planted)
+    violations = check_theorem_c(2, 24)
+    assert violations == ((1022, 1023), (1023, 1024))
+    want = _theorem_c_bytes(2, 24, list(theorem_c_rows(2, 24)), violations, fmt)
+    assert run(capsys, "verify", "theorem-c", "--prime", "2", "--n", "24", *fmt) == (3, want, "")
+
+
+def test_theorem_c_n_38_json_keeps_the_benchmarked_bytes(capsys):
+    # the SHA-256 that perfbench pins for its theorem-c-deep workload
+    import hashlib
+
+    code, out, err = run(capsys, "verify", "theorem-c", "--prime", "2", "--n", "38", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "65a1999da1b039dcfe51ec5d6e0cc61c18a86c051c4df9c5e5b6e8825c3a06b6"
+    )
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])

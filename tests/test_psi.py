@@ -217,6 +217,39 @@ def test_pgroup_exponents_text_is_the_parts_joined_up_to_40():
         assert [text for text, _ in pgroup_exponents(2, n)] == want, n
 
 
+def test_pgroup_exponents_on_the_packed_base_2_to_16():
+    # the pass never checks that p is prime, and on the base 2^16 its
+    # exponents are the kernel's, which a certificate packing several
+    # rows into one integer reads
+    from psiprime.psi import _exponent
+
+    for n in range(1, 21):
+        want = [_exponent(2**16, q.parts) for q in iter_partitions(n)]
+        assert [e for _, e in pgroup_exponents(2**16, n)] == want, n
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pgroup_exponents_divide_each_run_sum_once(monkeypatch, p):
+    # each g(t, d) = (p^(t*d) - 1) / (p^t - 1) is divided, checked exact,
+    # at its first use and read from the table after that
+    from collections import Counter
+
+    from psiprime import psi
+
+    calls = Counter()
+
+    def counting(numerator, denominator, what="division"):
+        calls[numerator, denominator] += 1
+        return exact_div(numerator, denominator, what)
+
+    monkeypatch.setattr(psi, "exact_div", counting)
+    for n in range(1, 31):
+        calls.clear()
+        for _ in pgroup_exponents(p, n):
+            pass
+        assert calls and max(calls.values()) == 1, n
+
+
 def test_sweeps_store_no_exponent_cache_entry():
     before = psi_prime_exponent.cache_info()
     assert check_theorem_c(3, 12) == ()

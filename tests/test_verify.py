@@ -167,15 +167,6 @@ def test_theorem_c_rows_refuse_on_call(p, n):
         theorem_c_rows(p, n)
 
 
-def test_record_violations_passes_rows_through():
-    from psiprime.verify import record_violations
-
-    rows = [("[1,1,1]", 7), ("[2,1]", 7), ("[3]", 5)]
-    violations = []
-    assert list(record_violations(rows, violations)) == rows
-    assert violations == [(0, 1), (1, 2)]
-
-
 def test_check_theorem_c_returns_a_planted_drop(monkeypatch):
     from psiprime import verify
 
