@@ -165,8 +165,7 @@ def brute_force_spectrum(G: AbelianGroup) -> OrderSpectrum:
     """Literal oracle: walk every element tuple, tally lcm's of component
     orders.  Capped at BRUTE_FORCE_CAP because it is Theta(|G|) with a real
     constant."""
-    if G.order > BRUTE_FORCE_CAP:
-        raise SizeLimitError(f"|G| = {G.order} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
+    require_int(G.order, "|G|", None, BRUTE_FORCE_CAP, "brute-force cap")
     # the order of r in the additive group Z_q is q // gcd(r, q)
     order_lists = [[q // gcd(r, q) for r in range(q)] for q in G.cyclic_factors()]
     tally = Counter(itertools.starmap(lcm, itertools.product(*order_lists)))

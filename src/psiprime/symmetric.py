@@ -32,7 +32,7 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, SizeLimitError, frozen, require_int
+from .errors import DomainError, frozen, require_int
 from .groups import AbelianGroup, order_spectrum
 
 # Ceiling on |G| for exact psi_k and the order polynomial; psi_|G| already
@@ -84,17 +84,10 @@ class OrderPolynomial:
         return " ".join(terms)
 
 
-def _check_cap(G: AbelianGroup, cap: int, cap_name: str = "symmetric-function cap") -> int:
-    n = G.order
-    if n > cap:
-        raise SizeLimitError(f"|G| = {n} exceeds the {cap_name} {cap}")
-    return n
-
-
 def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
     """[psi_1, ..., psi_n]: all elementary symmetric functions of the
     order multiset.  psi_1 is the order sum, psi_n the order product."""
-    n = _check_cap(G, require_int(cap, "cap"))
+    n = require_int(G.order, "|G|", None, require_int(cap, "cap"), "symmetric-function cap")
     acc = [1]
     for d, m in order_spectrum(G).entries:
         factor = [comb(m, j) * d**j for j in range(m + 1)]
@@ -148,7 +141,7 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
     # a float equal to a prime would pass the membership test alone
     if type(P) is not int or P not in FINGERPRINT_PRIMES:
         raise DomainError(f"P = {P} is not one of the fingerprint primes {FINGERPRINT_PRIMES}")
-    n = _check_cap(G, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
+    n = require_int(G.order, "|G|", None, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     residues = _expand_mod(order_spectrum(G).entries, P)
     assert len(residues) == n + 1
     return residues[1:]
@@ -157,7 +150,7 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
 def psi_k(G: AbelianGroup, k: int) -> int:
     """Single elementary symmetric value psi_k, 1 <= k <= |G| <= SYMMETRIC_CAP."""
     require_int(k, "k", None)
-    n = _check_cap(G, SYMMETRIC_CAP)
+    n = require_int(G.order, "|G|", None, SYMMETRIC_CAP, "symmetric-function cap")
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} out of range 1..{n}")
     return psi_all(G)[k - 1]
@@ -166,7 +159,7 @@ def psi_k(G: AbelianGroup, k: int) -> int:
 def order_polynomial(G: AbelianGroup) -> OrderPolynomial:
     """prod_x (X - o(x)) by repeated multiplication with linear factors,
     for |G| <= SYMMETRIC_CAP."""
-    _check_cap(G, SYMMETRIC_CAP)
+    require_int(G.order, "|G|", None, SYMMETRIC_CAP, "symmetric-function cap")
     coeffs = [1]
     for d, m in order_spectrum(G).entries:
         for _ in range(m):

@@ -151,13 +151,15 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
     order m.  A coincidence is reported, not raised: it would be a
     counterexample candidate, not an implementation error.
 
-    The check is a cascade over symmetric.psi_all_mod.  Every group is
-    fingerprinted by psi_k mod P1 at every k; only groups in a P1 residue
-    match are expanded mod P2, and a candidate (i, j, k) stays only if
-    its P2 residues match too.  Two values with different residues mod
-    either prime are different, so only the survivors get the exact
-    psi_all of both groups, and only exact equalities are reported:
-    pairs (i < j) in enumeration order, then k ascending."""
+    The check is a staged filter over candidates (i, j, k), pairs i < j
+    in enumeration order.  Every group is fingerprinted by psi_k mod P1
+    at every k, and the candidates are the pairs whose residues match at
+    k.  Each later stage, psi_all_mod at P2 and then the exact psi_all,
+    computes values only for the groups still in some candidate and
+    keeps the candidates whose values match at k.  Two values with
+    different residues mod either prime are different, so no stage drops
+    an exact equality, and only exact equalities are reported: pairs
+    (i, j), then k ascending."""
     require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     groups = enumerate_abelian_groups(m)
     g = len(groups)
@@ -165,33 +167,23 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
         return ConjectureFReport(m=m, pair_count=0, coincidences=())
     p1, p2 = FINGERPRINT_PRIMES
     first = [psi_all_mod(G, p1) for G in groups]
-    candidates = []
-    for k, column in enumerate(zip(*first), start=1):
-        # nearly every column is all distinct; one set() per column skips
-        # the per-element dict bucketing, about 30 % of the M = 256 sweep
-        if len(set(column)) == g:
-            continue
-        by_residue: dict[int, list[int]] = {}
-        for i, residue in enumerate(column):
-            by_residue.setdefault(residue, []).append(i)
-        for indices in by_residue.values():
-            candidates.extend((i, j, k) for i, j in itertools.combinations(indices, 2))
-    # P1 matches are rare (one order below 4096 has any), so P2 runs for few groups
-    matched = sorted({x for i, j, _ in candidates for x in (i, j)})
-    second = {x: psi_all_mod(groups[x], p2) for x in matched}
-    exact: dict[int, list[int]] = {}
-    coincidences = []
-    for i, j, k in sorted(candidates):
-        if second[i][k - 1] != second[j][k - 1]:
-            continue
-        for x in (i, j):
-            if x not in exact:
-                exact[x] = psi_all(groups[x], cap=CONJECTURE_F_CAP)
-        if exact[i][k - 1] == exact[j][k - 1]:
-            coincidences.append((groups[i], groups[j], k, exact[i][k - 1]))
-    return ConjectureFReport(
-        m=m, pair_count=g * (g - 1) // 2, coincidences=tuple(coincidences)
+    candidates = sorted(
+        (i, j, k)
+        for k, column in enumerate(zip(*first), start=1)
+        # nearly every column is all distinct; one set() per column, in C,
+        # skips its O(g^2) pair scan
+        if len(set(column)) < g
+        for i, j in itertools.combinations(range(g), 2)
+        if column[i] == column[j]
     )
+    # P1 matches are rare (one order below 4096 has any), so the later
+    # stages run for few groups
+    for stage in (lambda G: psi_all_mod(G, p2), lambda G: psi_all(G, cap=CONJECTURE_F_CAP)):
+        live = sorted({x for i, j, _ in candidates for x in (i, j)})
+        values = {x: stage(groups[x]) for x in live}
+        candidates = [(i, j, k) for i, j, k in candidates if values[i][k - 1] == values[j][k - 1]]
+    coincidences = tuple((groups[i], groups[j], k, values[i][k - 1]) for i, j, k in candidates)
+    return ConjectureFReport(m=m, pair_count=g * (g - 1) // 2, coincidences=coincidences)
 
 
 @frozen

@@ -199,7 +199,7 @@ def test_brute_force_spectrum_examples():
 
 def test_brute_force_cap():
     G = canonicalize([2] * 17)  # order 131072
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^\|G\| = 131072 exceeds the brute-force cap 100000$"):
         brute_force_spectrum(G)
 
 

@@ -70,8 +70,12 @@ def test_psi_all_endpoints_up_to_96():
 
 def test_psi_all_cap_and_override():
     G = canonicalize([2] * 10)  # order 1024
-    with pytest.raises(SizeLimitError):
-        psi_all(G)
+    message = "|G| = 1024 exceeds the symmetric-function cap 512"
+    for refused in (psi_all, lambda G: psi_k(G, 1), order_polynomial):
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
+            refused(G)
+    with pytest.raises(SizeLimitError, match=re.escape(message.replace("512", "1000"))):
+        psi_all(G, cap=1000)
     values = psi_all(G, cap=1024)
     assert len(values) == 1024
     assert values[0] == psi_sum(G)

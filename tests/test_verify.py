@@ -339,28 +339,29 @@ def test_sweep_conjecture_f_equals_exact_reference(jobs):
 _A, _B, _K = 3, 1, 5
 
 
-def _plant(monkeypatch, *, residues=(), exact=False):
-    """Copy group _A's psi_K onto group _B of order 16: its residues mod
-    the primes in ``residues``, and its exact value if ``exact``.  Returns
-    the (group, prime) of every psi_all_mod call and the groups whose
-    exact psi_all ran."""
+def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,)):
+    """Copy group _A's psi_K onto each group of order 16 indexed in
+    ``targets``: its residues mod the primes in ``residues``, and its
+    exact value if ``exact``.  Returns the (group, prime) of every
+    psi_all_mod call and the groups whose exact psi_all ran."""
     from psiprime import symmetric, verify
 
     groups = enumerate_abelian_groups(16)
-    source, target = groups[_A], groups[_B]
+    source = groups[_A]
+    planted = [groups[t] for t in targets]
     mod_ran, exact_ran = [], []
 
     def fake_mod(G, P):
         mod_ran.append((G, P))
         values = symmetric.psi_all_mod(G, P)
-        if G == target and P in residues:
+        if G in planted and P in residues:
             values[_K - 1] = symmetric.psi_all_mod(source, P)[_K - 1]
         return values
 
     def fake_exact(G, *, cap):
         exact_ran.append(G)
         values = symmetric.psi_all(G, cap=cap)
-        if G == target and exact:
+        if G in planted and exact:
             values[_K - 1] = symmetric.psi_all(source, cap=cap)[_K - 1]
         return values
 
@@ -390,12 +391,19 @@ def test_conjecture_f_needs_no_exact_value_when_one_prime_differs(monkeypatch, p
 
 
 @pytest.mark.parametrize(
-    "planted, p2_groups, exact_groups",
-    [((), [], []), ((0,), [_B, _A], []), ((1,), [], []), ((0, 1), [_B, _A], [_B, _A])],
-    ids=["unplanted", "p1-only", "p2-only", "both"],
+    "planted, targets, p2_groups, exact_groups",
+    [
+        ((), (_B,), [], []),
+        ((0,), (_B,), [_B, _A], []),
+        ((1,), (_B,), [], []),
+        ((0, 1), (_B,), [_B, _A], [_B, _A]),
+        # a residue class of three groups: the source and two copies
+        ((0, 1), (0, _B), [0, _B, _A], [0, _B, _A]),
+    ],
+    ids=["unplanted", "p1-only", "p2-only", "both", "triple"],
 )
 def test_conjecture_f_cascade_expands_mod_p2_only_for_p1_matches(
-    monkeypatch, planted, p2_groups, exact_groups
+    monkeypatch, planted, targets, p2_groups, exact_groups
 ):
     # every group is fingerprinted mod P1; P2 runs only for the groups of a
     # P1 match, and exact psi_all only for pairs that match at both primes
@@ -403,7 +411,7 @@ def test_conjecture_f_cascade_expands_mod_p2_only_for_p1_matches(
 
     p1, p2 = FINGERPRINT_PRIMES
     residues = tuple(FINGERPRINT_PRIMES[i] for i in planted)
-    mod_ran, exact_ran = _plant(monkeypatch, residues=residues)
+    mod_ran, exact_ran = _plant(monkeypatch, residues=residues, targets=targets)
     groups = enumerate_abelian_groups(16)
     report = check_conjecture_f(16)
     assert [G for G, P in mod_ran if P == p1] == groups
@@ -411,6 +419,32 @@ def test_conjecture_f_cascade_expands_mod_p2_only_for_p1_matches(
     assert len(mod_ran) == len(groups) + len(p2_groups)
     assert sorted(groups.index(G) for G in exact_ran) == sorted(exact_groups)
     assert report == _reference_check_conjecture_f(16)
+
+
+def test_conjecture_f_real_p1_match_at_2187_is_refuted_mod_p2(monkeypatch):
+    # the one order below 4096 with a P1 match: groups 3 and 6 of order
+    # 3^7 share psi_394 mod P1 but not mod P2, so no exact value is needed
+    from psiprime import symmetric, verify
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    groups = enumerate_abelian_groups(2187)
+    p2_ran = []
+
+    def spy(G, P):
+        if P == FINGERPRINT_PRIMES[1]:
+            p2_ran.append(groups.index(G))
+        return symmetric.psi_all_mod(G, P)
+
+    def never(G, *, cap):
+        raise AssertionError(f"psi_all({G}) ran")
+
+    monkeypatch.setattr(verify, "psi_all_mod", spy)
+    monkeypatch.setattr(verify, "psi_all", never)
+    report = check_conjecture_f(2187)
+    assert p2_ran == [3, 6]
+    first = [symmetric.psi_all_mod(groups[x], FINGERPRINT_PRIMES[0]) for x in (3, 6)]
+    assert [k for k, (a, b) in enumerate(zip(*first), start=1) if a == b] == [394]
+    assert report.coincidences == () and report.pair_count == 105
 
 
 def test_conjecture_f_reports_a_planted_coincidence_like_the_reference(monkeypatch):
@@ -424,6 +458,19 @@ def test_conjecture_f_reports_a_planted_coincidence_like_the_reference(monkeypat
     sweep = sweep_conjecture_f(16)
     assert sweep == _reference_conjecture_f_sweep(16)
     assert [r.m for r in sweep.failures] == [16]
+
+
+def test_conjecture_f_reports_three_planted_coincidences_in_pair_order(monkeypatch):
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    _plant(monkeypatch, residues=FINGERPRINT_PRIMES, exact=True, targets=(0, _B))
+    groups = enumerate_abelian_groups(16)
+    report = check_conjecture_f(16)
+    assert report == _reference_check_conjecture_f(16)
+    pairs = [(0, _B), (0, _A), (_B, _A)]
+    assert [(a, b, k) for a, b, k, _ in report.coincidences] == [
+        (groups[i], groups[j], _K) for i, j in pairs
+    ]
 
 
 def test_cli_conjecture_f_reports_a_planted_coincidence(monkeypatch, capsys):
