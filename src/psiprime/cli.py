@@ -169,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
         fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
                          help="CSV output")
 
-    p = sub.add_parser("compute", help="compute invariants of one group")
+    # usage spelled out, as argparse wraps this group differently by version
+    usage = ("\n" + " " * len("usage: psiprime compute ")).join([
+        "%(prog)s [-h]", "(--psi | --psi-prime | --psi-k K | --psi-all | --spectrum | --poly)",
+        "[--materialize] [--digit-limit D] [--json | --csv]", "group"])
+    p = sub.add_parser("compute", help="compute invariants of one group", usage=usage)
     p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--psi", action="store_true", help="sum of element orders")

@@ -5,7 +5,8 @@ cross-order collision census, and the psi_k distinguishability conjecture.
 Monotonicity/injectivity failures would contradict proved statements, so
 the test suite treats them as implementation bugs.  psi_k coincidences are
 conjecture counterexample candidates: they are reported as findings, never
-asserted away.
+asserted away.  Every check that finds groups sharing a value builds its
+classes with one helper, :func:`_shared`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ INJECTIVITY_CAP = 10**12
 
 
 def _group_sort_key(G: AbelianGroup):
+    # order, then type; enumerate_abelian_groups over ascending m follows it
     return (G.order, tuple((p, q.parts) for p, q in G.components))
 
 
@@ -105,43 +107,38 @@ def check_theorem_c(p: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in drops(map(operator.itemgetter(1), rows)))
 
 
-def _shared_psi_prime(
-    groups: Iterable[AbelianGroup],
-) -> list[tuple[FactoredInteger, list[AbelianGroup]]]:
-    """(value, groups) for each psi' value two or more of the groups share,
-    values in first-seen order, each class sorted by order and type."""
-    by_value: dict[FactoredInteger, list[AbelianGroup]] = {}
-    for G in groups:
-        by_value.setdefault(psi_prime(G), []).append(G)
-    return [
-        (value, sorted(gs, key=_group_sort_key))
-        for value, gs in by_value.items()
-        if len(gs) >= 2
-    ]
+def _shared(keyed: Iterable[tuple]) -> dict:
+    """{key: [items]} for each key that two or more of the (key, item)
+    pairs share, keys in first-seen order and each class's items in
+    arrival order; the one class builder of every check below that finds
+    groups sharing a value."""
+    classes: dict = {}
+    for key, item in keyed:
+        classes.setdefault(key, []).append(item)
+    return {key: items for key, items in classes.items() if len(items) >= 2}
 
 
 def check_injectivity(m: int) -> InjectivityReport:
-    """The psi' value classes that two or more abelian groups of order m
-    share, values ascending by their factors."""
-    shared = _shared_psi_prime(enumerate_abelian_groups(m))
-    shared.sort(key=lambda vg: vg[0].factors)
-    return InjectivityReport(m=m, duplicates=tuple(tuple(gs) for _, gs in shared))
+    """The psi' value classes (from :func:`_shared`) that two or more
+    abelian groups of order m share, values ascending by their factors,
+    each class in enumeration order."""
+    shared = _shared((psi_prime(G), G) for G in enumerate_abelian_groups(m))
+    values = sorted(shared, key=operator.attrgetter("factors"))
+    return InjectivityReport(m=m, duplicates=tuple(tuple(shared[v]) for v in values))
 
 
 def find_cross_order_collisions(max_order: int) -> CollisionReport:
     """Group every abelian group of order <= max_order by its exact psi'
-    value and report all cross-type coincidences.
+    value (:func:`_shared`) and report all cross-type coincidences, pairs
+    sorted by order and type.
 
     These exist: with max_order >= 48 the scan contains the order-36 /
     order-48 pair Z4 x Z3^2 and Z2^4 x Z3 with shared value 2^45 * 3^32.
     """
     require_int(max_order, "max_order", 1, ENUMERATION_CAP, "enumeration cap")
     groups = (G for m in range(1, max_order + 1) for G in enumerate_abelian_groups(m))
-    pairs = [
-        (a, b, value)
-        for value, gs in _shared_psi_prime(groups)
-        for a, b in itertools.combinations(gs, 2)
-    ]
+    shared = _shared((psi_prime(G), G) for G in groups)
+    pairs = [(a, b, v) for v, gs in shared.items() for a, b in itertools.combinations(gs, 2)]
     pairs.sort(key=lambda abv: (_group_sort_key(abv[0]), _group_sort_key(abv[1])))
     return CollisionReport(scope=max_order, pairs=tuple(pairs))
 
@@ -153,13 +150,13 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
 
     The check is a staged filter over candidates (i, j, k), pairs i < j
     in enumeration order.  Every group is fingerprinted by psi_k mod P1
-    at every k, and the candidates are the pairs whose residues match at
-    k.  Each later stage, psi_all_mod at P2 and then the exact psi_all,
-    computes values only for the groups still in some candidate and
-    keeps the candidates whose values match at k.  Two values with
-    different residues mod either prime are different, so no stage drops
-    an exact equality, and only exact equalities are reported: pairs
-    (i, j), then k ascending."""
+    at every k, and the candidates are the pairs within each class of
+    groups (:func:`_shared`) whose residues match at k.  Each later
+    stage, psi_all_mod at P2 and then the exact psi_all, computes values
+    only for the groups still in some candidate and keeps the candidates
+    whose values match at k.  Two values with different residues mod
+    either prime are different, so no stage drops an exact equality, and
+    only exact equalities are reported: pairs (i, j), then k ascending."""
     require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     groups = enumerate_abelian_groups(m)
     g = len(groups)
@@ -171,10 +168,10 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
         (i, j, k)
         for k, column in enumerate(zip(*first), start=1)
         # nearly every column is all distinct; one set() per column, in C,
-        # skips its O(g^2) pair scan
+        # skips building its classes
         if len(set(column)) < g
-        for i, j in itertools.combinations(range(g), 2)
-        if column[i] == column[j]
+        for cls in _shared(zip(column, range(g))).values()
+        for i, j in itertools.combinations(cls, 2)
     )
     # P1 matches are rare (one order below 4096 has any), so the later
     # stages run for few groups
@@ -274,14 +271,11 @@ def _count_groups(max_order: int, primes: list[int], types: list[int]) -> int:
 
 
 def _prime_power_failure(p: int, n: int, exponents: list[int]) -> InjectivityReport:
-    # the classes of p-groups of order p^n that share an exponent, as
-    # check_injectivity(p**n) orders them: values ascending, each class
-    # in partition order, which is the order the exponents came in
-    by_exponent: dict[int, list[AbelianGroup]] = {}
-    for q, e in zip(iter_partitions(n), exponents):
-        by_exponent.setdefault(e, []).append(AbelianGroup([(p, q)]))
-    shared = sorted((e, gs) for e, gs in by_exponent.items() if len(gs) >= 2)
-    return InjectivityReport(m=p**n, duplicates=tuple(tuple(gs) for _, gs in shared))
+    # the classes (from _shared) of p-groups of order p^n that share an
+    # exponent, as check_injectivity(p**n) orders them: values ascending,
+    # each class in partition order, which is the order the exponents came in
+    shared = _shared((e, AbelianGroup([(p, q)])) for q, e in zip(iter_partitions(n), exponents))
+    return InjectivityReport(m=p**n, duplicates=tuple(tuple(shared[e]) for e in sorted(shared)))
 
 
 def sweep_injectivity(max_order: int) -> InjectivitySweep:

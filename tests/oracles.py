@@ -4,8 +4,9 @@ Everything here is deliberately naive (recursion, literal enumeration,
 subset sums, plain trial division) and shares no code with the package
 internals it checks; only the package's ``DomainError`` is borrowed, so
 validation tests can expect the same exception from oracle and fast path.
-The exceptions are :func:`counts_list_injectivity_sweep` and
-:func:`record_violations`, former fast paths kept whole as the
+The exceptions are :func:`counts_list_injectivity_sweep`,
+:func:`record_violations`, :func:`successor_partitions` and
+:func:`format_group_loop`, former package paths kept whole as the
 references for the ones that replaced them.
 """
 

@@ -88,6 +88,40 @@ def test_collisions_up_to_10_empty():
     assert find_cross_order_collisions(10).pairs == ()
 
 
+def test_enumeration_over_ascending_orders_follows_the_group_sort_key():
+    # the classes of the shared-value checks keep their groups in arrival
+    # order, which is this order
+    from psiprime.verify import _group_sort_key
+
+    keys = [_group_sort_key(G) for m in range(1, 2001) for G in enumerate_abelian_groups(m)]
+    assert len(keys) == 4278
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_collisions_sort_the_pairs_of_planted_classes_by_group(monkeypatch):
+    # Z2, Z5, Z7 share one planted value and Z3, Z4 another: the second
+    # class's first member arrives after the first's, but its pair sorts
+    # between the first class's pairs
+    from psiprime import verify
+
+    planted = {
+        canonicalize([2]): FactoredInteger({2: 1000}),
+        canonicalize([5]): FactoredInteger({2: 1000}),
+        canonicalize([7]): FactoredInteger({2: 1000}),
+        canonicalize([3]): FactoredInteger({3: 1000}),
+        canonicalize([4]): FactoredInteger({3: 1000}),
+    }
+    real = verify.psi_prime
+    monkeypatch.setattr(verify, "psi_prime", lambda G: planted[G] if G in planted else real(G))
+    Z = {n: canonicalize([n]) for n in (2, 3, 4, 5, 7)}
+    assert find_cross_order_collisions(10).pairs == (
+        (Z[2], Z[5], planted[Z[2]]),
+        (Z[2], Z[7], planted[Z[2]]),
+        (Z[3], Z[4], planted[Z[3]]),
+        (Z[5], Z[7], planted[Z[2]]),
+    )
+
+
 def test_collisions_up_to_48_contain_smallest_known_pair():
     report = find_cross_order_collisions(48)
     expected = (
@@ -529,30 +563,36 @@ def test_sweep_injectivity_equals_full_pipeline(max_order, jobs):
     assert sweep_injectivity(max_order) == _reference_injectivity_sweep(max_order, jobs)
 
 
-def _collide_two_partitions_of_4(monkeypatch):
-    # partitions 2+2 and 2+1+1 share the exponent at p = 2, both in the
-    # cached kernel behind psi_prime_exponent (read by psi_prime, so the
-    # reference sweep, and through psi_prime_exponent by the counts-list
-    # oracle) and in the prefix-sum pass the fast sweep reads its
-    # exponents from
+def _collide_partitions_of_4(monkeypatch, planted):
+    # each partition of 4 in planted takes the exponent, at p = 2, of the
+    # partition it maps to, both in the cached kernel behind
+    # psi_prime_exponent (read by psi_prime, so the reference sweep, and
+    # through psi_prime_exponent by the counts-list oracle) and in the
+    # prefix-sum pass the fast sweep reads its exponents from
     from psiprime import psi, verify
 
     real_exponent = psi._exponent
     real_rows = psi.pgroup_exponents
+    by_text = {"[" + ",".join(map(str, q)) + "]": to for q, to in planted.items()}
 
     def fake_exponent(p, parts):
-        if p == 2 and tuple(parts) == (2, 2):
-            parts = (2, 1, 1)
+        if p == 2:
+            parts = planted.get(tuple(parts), parts)
         return real_exponent(p, parts)
 
     def fake_rows(p, n):
         for text, e in real_rows(p, n):
-            if p == 2 and text == "[2,2]":
-                e = real_exponent(2, (2, 1, 1))
+            if p == 2 and text in by_text:
+                e = real_exponent(2, by_text[text])
             yield text, e
 
     monkeypatch.setattr(psi, "_exponent", fake_exponent)
     monkeypatch.setattr(verify, "pgroup_exponents", fake_rows)
+
+
+def _collide_two_partitions_of_4(monkeypatch):
+    # partitions 2+2 and 2+1+1 share the exponent at p = 2
+    _collide_partitions_of_4(monkeypatch, {(2, 2): (2, 1, 1)})
 
 
 def _forbid_full_check(monkeypatch):
@@ -571,6 +611,20 @@ def _forbid_pool(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def test_injectivity_classes_of_three_planted_partitions_come_in_partition_order(monkeypatch):
+    # 1+1+1+1 and 4 copy 3+1's exponent and 2+2 copies 2+1+1's: two classes
+    # at 16, the first seen holding the larger value; values ascending,
+    # each class in partition order
+    _collide_partitions_of_4(monkeypatch, {(1, 1, 1, 1): (3, 1), (4,): (3, 1), (2, 2): (2, 1, 1)})
+    groups = enumerate_abelian_groups(16)
+    assert [G.components[0][1].parts for G in groups] == [
+        (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)
+    ]
+    report = check_injectivity(16)
+    assert report.duplicates == ((groups[1], groups[2]), (groups[0], groups[3], groups[4]))
+    assert sweep_injectivity(16).failures == (report,)
 
 
 def test_sweep_injectivity_reports_a_planted_collision(monkeypatch):
