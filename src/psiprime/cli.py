@@ -18,9 +18,8 @@ one is given (a bare scalar, a factored psi', a polynomial), else
 writes them ``_CHUNK`` (1,024) at a time as they are made, scanning each
 chunk for exponent drops, and holds at most one chunk.  An exactness
 failure partway through leaves the whole chunks written so far on
-stdout, and exits 3.  Its table makes the rows twice, once for the column
-widths and once to print them, so an exactness failure there comes in
-the first pass and leaves stdout empty.
+stdout, and exits 3.  Its table sizes the columns from the first chunk,
+so a failure inside that chunk leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Rows per write: table and CSV rows, and verify theorem-c's JSON rows,
+# Rows per write: CSV rows, and verify theorem-c's rows in every format,
 # are written this many at a time.
 _CHUNK = 1024
 
@@ -102,8 +101,7 @@ def _render(
     elif text is not None:
         print(text)
     else:
-        rows = [list(map(str, row)) for row in rows]
-        _write_table(headers, _chunks(rows), _chunks(rows))
+        _write_table(headers, [[list(map(str, row)) for row in rows]])
     for line in notes:
         print(line)
 
@@ -124,20 +122,23 @@ def _write_csv(headers: Sequence[str], chunks: Iterable[list[Sequence]]) -> None
         sys.stdout.write(buf.getvalue())
 
 
-def _write_table(
-    headers: Sequence[str], sized: Iterable[list[Sequence]], printed: Iterable[list[Sequence]]
-) -> None:
-    # column widths from the chunks of sized, then the chunks of printed,
-    # which must hold the same rows
-    widths = [len(h) for h in headers]
-    for chunk in sized:
-        widths = [max(w, max(map(len, map(str, column))))
-                  for w, column in zip(widths, zip(*chunk))]
+def _write_table(headers: Sequence[str], chunks: Iterable[list[Sequence]]) -> None:
+    # The column widths come from the header and the first chunk alone.
+    # That is exact for both callers.  _render passes all its rows as one
+    # chunk.  In verify theorem-c every line is rstripped, so the width of
+    # the last column, the exponent, never reaches the output; and row 0,
+    # the partition [1,...,1] of n, has the longest text, 2n + 1
+    # characters: k parts l_i take k + 1 + sum(digits(l_i)) <= 2n + 1,
+    # equal only for k = n.
+    chunks = iter(chunks)
+    first = next(chunks, [])
+    widths = [max(map(len, map(str, column))) for column in zip(headers, *first)]
     # "!s" pads str(c) like str(c).ljust(w), whatever the cell's type
     fmt = "  ".join(f"{{!s:<{w}}}" for w in widths)
     print(_styled(fmt.format(*headers).rstrip()))
-    for chunk in printed:
-        print("\n".join(map(str.rstrip, itertools.starmap(fmt.format, chunk))))
+    for chunk in itertools.chain([first], chunks):
+        if chunk:
+            print("\n".join(map(str.rstrip, itertools.starmap(fmt.format, chunk))))
 
 
 def _jobs_arg(value: str) -> int | None:
@@ -307,9 +308,7 @@ def _cmd_theorem_c(args) -> int:
     elif args.fmt == "csv":
         _write_csv(headers, chunks)
     else:
-        # the widths pass records the violations, and an exactness
-        # failure there leaves stdout empty
-        _write_table(headers, chunks, _chunks(theorem_c_rows(args.prime, args.n)))
+        _write_table(headers, chunks)
         print(f"violations: {len(violations)}")
     return EXIT_VIOLATION if violations else EXIT_OK
 

@@ -13,7 +13,8 @@ from .arith import FACTORIZATION_CAP, bounded_int
 from .errors import DomainError, NotationError, SizeLimitError
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
 
-_INT = re.compile(r"\d+")
+# ASCII digits only: \d and str.isdecimal also take other scripts' digits
+_INT = re.compile(r"[0-9]+")
 
 # Largest number of cyclic factors one notation may spell.  A repeat count
 # expands into one factor per repeat, so ``Z2^N`` is refused above this
@@ -60,7 +61,7 @@ def _parse_list_form(s: str) -> AbelianGroup:
     for token in body.split(","):
         stripped = token.strip()
         at = pos + token.index(stripped) if stripped else pos
-        if not stripped.isdecimal():
+        if not _INT.fullmatch(stripped):
             raise NotationError(f"expected a cyclic order, got {stripped!r}", at)
         q = _order(stripped)
         if q < 2:

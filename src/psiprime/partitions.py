@@ -21,8 +21,8 @@ from .errors import DomainError, frozen, require_int
 # accept.  Streaming holds no rows, so the cap bounds two things: the
 # length of the tuple that partitions_of(n) builds, and the length of one
 # theorem-c run, p(64) = 1,741,630 rows: 2.6-3.7 s for ``verify theorem-c
-# --prime 2 --n 64 --json`` with Python 3.11 on a shared 2-core x86_64
-# host (BENCH_16.json).
+# --prime 2 --n 64 --json`` and 3.7-4.3 s for its table, with Python 3.11
+# on a shared 2-core x86_64 host (BENCH_16.json, README).
 PARTITION_CAP = 64
 
 

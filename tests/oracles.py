@@ -93,6 +93,17 @@ def ascending_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[
             yield (head,) + tail
 
 
+def longest_partition_text(n: int) -> int:
+    """Length of the longest "[l1,...,lk]" text over the partitions of n,
+    by a knapsack over the parts: each part l costs l and adds
+    len(str(l)) + 1 characters (its digits and a comma or the closing
+    bracket), and the opening bracket adds one more."""
+    best = [0]
+    for m in range(1, n + 1):
+        best.append(max(best[m - part] + len(str(part)) + 1 for part in range(1, m + 1)))
+    return best[n] + 1
+
+
 def successor_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """The same sequence as :func:`ascending_partitions`, by a successor
     step: take the rightmost i < len-1 where x[i] can grow without breaking

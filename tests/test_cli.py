@@ -252,9 +252,9 @@ def test_consistency_error_midway_leaves_the_rows_before_it(monkeypatch, capsys)
 
 
 def test_consistency_error_midway_in_csv_leaves_whole_chunks(monkeypatch, capsys):
-    # the --csv twin of the test above: CSV is written 1,024 rows at a time,
-    # so the header and the first chunk are out when row 1,575 fails; the
-    # table meets the failure while sizing its columns and writes nothing
+    # the --csv and table twins of the test above: both are written 1,024
+    # rows at a time, so the header and the first chunk are out when row
+    # 1,575 fails
     argv = ("verify", "theorem-c", "--prime", "3", "--n", "24")
     good, (code, out, err) = _inexact_theorem_c(
         monkeypatch, capsys, (*argv, "--csv"), lambda a, b: int((a, b) == (3**24 - 1, 2))
@@ -263,9 +263,14 @@ def test_consistency_error_midway_in_csv_leaves_whole_chunks(monkeypatch, capsys
     assert len(err.splitlines()) == 1 and "not divisible" in err
     assert good[1].startswith(out) and out.endswith("\r\n")
     assert out.count("\r\n") == 1 + 1024 < good[1].count("\r\n") == 1 + 1575
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, "")
+    monkeypatch.undo()
+    good, (code, out, err) = _inexact_theorem_c(
+        monkeypatch, capsys, argv, lambda a, b: int((a, b) == (3**24 - 1, 2))
+    )
+    assert code == 3
     assert len(err.splitlines()) == 1 and "not divisible" in err
+    assert good[1].startswith(out) and out.endswith("\n")
+    assert out.count("\n") == 1 + 1024 < good[1].count("\n") == 1 + 1575 + 1
 
 
 def _theorem_c_bytes(p, n, rows, violations, fmt):
@@ -357,11 +362,40 @@ def test_chunk_size_does_not_change_the_bytes(monkeypatch, capsys, p, fmt):
             monkeypatch.undo()
 
 
+def test_theorem_c_row_0_has_the_longest_partition_text():
+    # the table sizes its columns from its first chunk, which is exact only
+    # while row 0's text, all 1s, is the longest of every row's
+    from oracles import ascending_partitions, longest_partition_text
+    from psiprime.partitions import PARTITION_CAP
+    from psiprime.verify import theorem_c_rows
+
+    for n in range(1, 21):
+        texts = (json.dumps(list(parts), separators=(",", ":"))
+                 for parts in ascending_partitions(n))
+        assert longest_partition_text(n) == max(map(len, texts)), n
+    for n in range(1, PARTITION_CAP + 1):
+        text, _ = next(theorem_c_rows(2, n))
+        assert len(text) == longest_partition_text(n) == 2 * n + 1, n
+
+
+def test_render_sizes_its_table_over_every_row(monkeypatch, capsys):
+    # every table but theorem-c's comes from _render, whose later rows may
+    # be the wider ones, so it is sized over all of them at any _CHUNK
+    from psiprime import cli as cli_module
+
+    argv = ("verify", "collisions", "--max-order", "2000")
+    want = run(capsys, *argv)
+    lines = want[1].splitlines()
+    assert len(lines[-1]) > len(lines[1])
+    monkeypatch.setattr(cli_module, "_CHUNK", 1)
+    assert run(capsys, *argv) == want
+
+
 @pytest.mark.parametrize("fmt", _FORMATS)
 def test_theorem_c_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
     # p(n) rows do not fit in memory at the cap: before row i is made, all
-    # but the last two chunks of the rows before it must be on stdout.  The
-    # table's first call of theorem_c_rows sizes its columns and writes none
+    # but the last two chunks of the rows before it must be on stdout, and
+    # the rows are made once
     from psiprime import cli as cli_module
     from psiprime.verify import check_theorem_c, theorem_c_rows
 
@@ -375,12 +409,11 @@ def test_theorem_c_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
     def guarded(p, n):
         rows = theorem_c_rows(p, n)
         calls.append((p, n))
-        sizing = not fmt and len(calls) == 1
 
         def checked():
             for i, row in enumerate(rows):
                 written = out.getvalue().count(marker) - header
-                assert sizing or written >= i - 2 * 4, (i, written)
+                assert written >= i - 2 * 4, (i, written)
                 yield row
         return checked()
 
@@ -389,7 +422,7 @@ def test_theorem_c_writes_each_chunk_before_making_the_next(monkeypatch, fmt):
         code = main(["verify", "theorem-c", "--prime", "2", "--n", "12", *fmt])
     rows = list(theorem_c_rows(2, 12))
     assert (code, out.getvalue()) == (0, _theorem_c_bytes(2, 12, rows, check_theorem_c(2, 12), fmt))
-    assert len(calls) == (1 if fmt else 2)
+    assert len(calls) == 1
 
 
 def test_scanned_passes_rows_through():

@@ -158,3 +158,19 @@ def test_non_ascii_digit_characters_are_notation_errors():
     # "²".isdigit() is True but int("²") raises a bare ValueError
     with pytest.raises(NotationError, match="position 1"):
         parse_group("[²]")
+
+
+@pytest.mark.parametrize(
+    "bad, position",
+    [("Z٣", 1), ("Z２", 1), ("Z2^٢", 3), ("[٣,٤]", 1)],
+    ids=["arabic-indic-order", "fullwidth-order", "arabic-indic-repeat", "arabic-indic-list"],
+)
+def test_only_ascii_digits_spell_a_number(capsys, bad, position):
+    # int() reads these digits as 3, 2, 2 and 3, 4, so the notation did too
+    from psiprime.cli import main
+
+    with pytest.raises(NotationError) as exc:
+        parse_group(bad)
+    assert exc.value.position == position
+    assert main(["compute", bad, "--psi"]) == 1
+    assert f"position {position}" in capsys.readouterr().err
