@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConsistencyError, DomainError, SizeLimitError
+from .errors import ConsistencyError, DomainError, SizeLimitError, require_int
 
 # Primality is decided by trial division below this bound; group and
 # factored-value construction trust larger primes without a test.
@@ -41,14 +41,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_trusted_prime(p: int) -> None:
-    """Raise DomainError unless p is a plain int that is prime, or at least
-    2**31: past that, group and factored-value construction trust it."""
+def _require_trusted_prime(p: int) -> int:
+    """Return p if it is a plain int that is prime, or at least 2**31: past
+    that, group and factored-value construction trust it.  Otherwise raise
+    DomainError."""
     # a float or bool would pass the trial division and spread into results
-    if type(p) is not int:
-        raise DomainError(f"prime {p!r} must be an int")
+    require_int(p, "prime", None)
     if p < PRIMALITY_TEST_LIMIT and not is_prime(p):
         raise DomainError(f"{p} is not a prime")
+    return p
 
 
 def require_prime(p: int) -> None:
@@ -74,15 +75,10 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division, primes ascending.
 
     factorize(1) == {}.  Raises SizeLimitError for n above FACTORIZATION_CAP
-    and DomainError for anything but a plain int.
+    and DomainError for anything but a plain int from 1.
     """
     # a float would divide out as floats and leave a float "prime" behind
-    if type(n) is not int:
-        raise DomainError(f"cannot factorize {n!r}: must be an int")
-    if n < 1:
-        raise DomainError(f"cannot factorize {n}: must be >= 1")
-    if n > FACTORIZATION_CAP:
-        raise SizeLimitError(f"{n} exceeds the factorization cap {FACTORIZATION_CAP}")
+    require_int(n, "n", 1, FACTORIZATION_CAP, "factorization cap")
     factors: dict[int, int] = {}
     for d in (2, 3):
         while n % d == 0:

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .arith import _require_trusted_prime, factorize
+from .arith import FACTORIZATION_CAP, _require_trusted_prime, factorize
 from .errors import DomainError, SizeLimitError, frozen, require_int
 from .partitions import Partition, partitions_of
 
@@ -71,18 +71,14 @@ class OrderSpectrum:
     entries: tuple[tuple[int, int], ...]
 
     def __init__(self, entries: Iterable[tuple[int, int]]):
-        pairs = [(d, m) for d, m in entries]
-        for d, m in pairs:
-            # int() would truncate 2.7 to 2; bool is refused too
-            if type(d) is not int or type(m) is not int:
-                raise DomainError(f"order {d!r} and multiplicity {m!r} must be ints")
-        entries = tuple(sorted(pairs))
+        # int() would truncate 2.7 to 2; bool is refused too
+        entries = tuple(sorted(
+            (require_int(d, "order", None), require_int(m, "multiplicity")) for d, m in entries
+        ))
         if not entries or entries[0] != (1, 1):
             raise DomainError("a spectrum must contain the identity: m_1 = 1")
         total = 0
         for i, (d, m) in enumerate(entries):
-            if m < 1:
-                raise DomainError(f"multiplicity of order {d} must be positive")
             if i > 0 and entries[i - 1][0] == d:
                 raise DomainError(f"duplicate order {d}")
             total += m
@@ -104,7 +100,7 @@ def canonicalize(cyclic_orders: Sequence[int]) -> AbelianGroup:
     """
     per_prime: dict[int, list[int]] = {}
     for q in cyclic_orders:
-        require_int(q, "cyclic order", 2)
+        require_int(q, "cyclic order", 2, FACTORIZATION_CAP, "factorization cap")
         for p, e in factorize(q).items():
             per_prime.setdefault(p, []).append(e)
     components = tuple(

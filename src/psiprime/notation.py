@@ -10,7 +10,7 @@ import itertools
 import re
 
 from .arith import FACTORIZATION_CAP, bounded_int
-from .errors import DomainError, NotationError, SizeLimitError
+from .errors import DomainError, NotationError, require_int
 from .groups import AbelianGroup, OrderSpectrum, canonicalize
 
 # ASCII digits only: \d and str.isdecimal also take other scripts' digits
@@ -20,11 +20,6 @@ _INT = re.compile(r"[0-9]+")
 # expands into one factor per repeat, so ``Z2^N`` is refused above this
 # before any list is built; groups below the enumeration cap have rank < 20.
 RANK_CAP = 4096
-
-
-def _require_rank(rank: int) -> None:
-    if rank > RANK_CAP:
-        raise SizeLimitError(f"rank {rank} exceeds the rank cap {RANK_CAP}")
 
 
 def _order(digits: str) -> int:
@@ -56,6 +51,8 @@ def _parse_list_form(s: str) -> AbelianGroup:
     body = s[1:-1]
     if not body.strip():
         return AbelianGroup(())
+    # one factor per comma-separated token, counted before any is converted
+    require_int(body.count(",") + 1, "rank", 0, RANK_CAP, "rank cap")
     orders = []
     pos = 1
     for token in body.split(","):
@@ -68,7 +65,6 @@ def _parse_list_form(s: str) -> AbelianGroup:
             raise NotationError(f"cyclic order {q} must be >= 2", at)
         orders.append(q)
         pos += len(token) + 1
-    _require_rank(len(orders))
     return canonicalize(orders)
 
 
@@ -96,7 +92,7 @@ def _parse_multiplicative_form(s: str) -> AbelianGroup:
             if count < 1:
                 raise NotationError("exponent must be >= 1", pos)
             pos = m.end()
-        _require_rank(len(orders) + count)
+        require_int(len(orders) + count, "rank", 0, RANK_CAP, "rank cap")
         orders.extend([q] * count)
         if pos == len(s):
             break

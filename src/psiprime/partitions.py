@@ -35,8 +35,7 @@ class Partition:
     def __init__(self, parts: Sequence[int] = ()):
         parts = tuple(parts)
         for i, x in enumerate(parts):
-            if type(x) is not int or x < 1:
-                raise DomainError(f"partition part {x!r} is not a positive integer")
+            require_int(x, "partition part")
             if i > 0 and parts[i - 1] < x:
                 raise DomainError(f"partition parts {parts} are not weakly decreasing")
         object.__setattr__(self, "parts", parts)

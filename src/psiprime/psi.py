@@ -76,8 +76,10 @@ from .partitions import Partition, _zs2
 class FactoredInteger:
     """A positive integer as {prime: exponent}, exponents arbitrary size.
 
-    The empty map is 1.  Values are immutable and hashable, so they can key
-    dicts in collision scans.
+    Every pair is checked, zero exponents included: the prime as in group
+    construction, the exponent as an int >= 0, and no prime twice.  Only
+    then are the zero exponents dropped.  The empty map is 1.  Values are
+    immutable and hashable, so they can key dicts in collision scans.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -85,21 +87,14 @@ class FactoredInteger:
     def __init__(self, factors: Iterable[tuple[int, int]] | Mapping[int, int] = ()):
         if isinstance(factors, Mapping):
             factors = factors.items()
-        pairs = []
-        for p, e in factors:
-            # int() would truncate 2.5 to 2 and read "3" as 3; bool is refused too
-            if type(p) is not int or type(e) is not int:
-                raise DomainError(f"prime {p!r} and exponent {e!r} must be ints")
-            if e:
-                pairs.append((p, e))
-        normalized = tuple(sorted(pairs))
-        for i, (p, e) in enumerate(normalized):
-            _require_trusted_prime(p)
-            if e < 0:
-                raise DomainError(f"negative exponent {e} for prime {p}")
-            if i > 0 and normalized[i - 1][0] == p:
-                raise DomainError(f"duplicate prime {p}")
-        object.__setattr__(self, "factors", normalized)
+        # int() would truncate 2.5 to 2 and read "3" as 3; bool is refused too
+        pairs = sorted(
+            (_require_trusted_prime(p), require_int(e, "exponent", 0)) for p, e in factors
+        )
+        for i in range(1, len(pairs)):
+            if pairs[i - 1][0] == pairs[i][0]:
+                raise DomainError(f"duplicate prime {pairs[i][0]}")
+        object.__setattr__(self, "factors", tuple(pair for pair in pairs if pair[1]))
 
     def materialize(self, digit_limit: int) -> int:
         """The plain integer, refused if it has more than digit_limit digits.

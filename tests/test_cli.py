@@ -635,7 +635,7 @@ def test_repeat_count_past_rank_cap_exit_2(capsys):
 
     code, out, err = run(capsys, "compute", "Z2^10000000000", "--psi")
     assert (code, out) == (2, "")
-    assert err == f"error: rank 10000000000 exceeds the rank cap {RANK_CAP}\n"
+    assert err == f"error: rank = 10000000000 exceeds the rank cap {RANK_CAP}\n"
 
 
 LONG_RUN = "1" * 5000

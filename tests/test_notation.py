@@ -103,17 +103,27 @@ def test_multiplicative_form_round_trips(factors):
     assert parse_group(format_group(G)) == G
 
 
-def test_rank_cap_is_checked_before_repeats_expand():
-    from psiprime import SizeLimitError
+def test_rank_cap_is_checked_before_repeats_expand(monkeypatch):
+    from psiprime import SizeLimitError, notation
     from psiprime.notation import RANK_CAP
 
     assert parse_group(f"Z2^{RANK_CAP}").components[0][1].parts == (1,) * RANK_CAP
-    with pytest.raises(SizeLimitError, match=f"rank 10000000000 exceeds the rank cap {RANK_CAP}"):
+    refusal = f"^rank = {{}} exceeds the rank cap {RANK_CAP}$"
+    with pytest.raises(SizeLimitError, match=refusal.format(10000000000)):
         parse_group("Z2^10000000000")
-    with pytest.raises(SizeLimitError, match=f"rank {RANK_CAP + 1} exceeds"):
+    with pytest.raises(SizeLimitError, match=refusal.format(RANK_CAP + 1)):
         parse_group(f"Z3xZ2^{RANK_CAP}")
-    with pytest.raises(SizeLimitError, match=f"rank {RANK_CAP + 1} exceeds"):
+    with pytest.raises(SizeLimitError, match=refusal.format(RANK_CAP + 1)):
         parse_group("[" + ",".join(["2"] * (RANK_CAP + 1)) + "]")
+
+    # a list is counted before any of its entries is converted, so a long
+    # one is refused at once, naming its full length
+    def never(digits):
+        raise AssertionError(f"_order({digits!r}) ran")
+
+    monkeypatch.setattr(notation, "_order", never)
+    with pytest.raises(SizeLimitError, match=refusal.format(10**6)):
+        parse_group("[" + ",".join(["2"] * 10**6) + "]")
 
 
 LONG_RUN = "1" * 5000
@@ -141,10 +151,13 @@ def test_digit_runs_at_the_cap_width_still_convert():
     from psiprime import SizeLimitError
 
     # 13 digits is as wide as the factorization cap: converted, then refused
-    # by factorize with the number itself in the message
-    with pytest.raises(SizeLimitError, match="9999999999999 exceeds the factorization cap"):
+    # with the number itself in the message
+    with pytest.raises(
+        SizeLimitError,
+        match="^cyclic order = 9999999999999 exceeds the factorization cap 1000000000000$",
+    ):
         parse_group("Z9999999999999")
-    with pytest.raises(SizeLimitError, match="rank 9999999999999 exceeds the rank cap"):
+    with pytest.raises(SizeLimitError, match="^rank = 9999999999999 exceeds the rank cap 4096$"):
         parse_group("Z2^9999999999999")
 
 

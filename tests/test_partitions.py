@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from psiprime import (
@@ -83,7 +85,8 @@ def test_partition_validation():
 
 @pytest.mark.parametrize("parts", [(True,), (False,), (2, True), (3, 1.0)])
 def test_partition_refuses_parts_that_are_not_plain_ints(parts):
-    with pytest.raises(DomainError, match="is not a positive integer"):
+    bad = next(x for x in parts if type(x) is not int)
+    with pytest.raises(DomainError, match=re.escape(f"partition part = {bad!r} must be an int")):
         Partition(parts)
 
 

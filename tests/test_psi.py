@@ -103,13 +103,26 @@ def test_materialize_limit_is_exact_for_small_psi_prime():
 
 
 @pytest.mark.parametrize(
-    "factors",
-    [{2.5: 1}, {2: 1.5}, {"3": 1}, {3: True}, {True: 1}, {2.0: 1}],
+    "factors, message",
+    [
+        ({2.5: 1}, r"prime = 2\.5 must be an int"),
+        ({2: 1.5}, r"exponent = 1\.5 must be an int"),
+        ({"3": 1}, "prime = '3' must be an int"),
+        ({3: True}, "exponent = True must be an int"),
+        ({True: 1}, "prime = True must be an int"),
+        ({2.0: 1}, r"prime = 2\.0 must be an int"),
+        # a pair with exponent 0 is checked like any other before it is dropped
+        ({4: 0}, "4 is not a prime"),
+        ([(-3, 0)], "-3 is not a prime"),
+        ([(2, 1), (4, 0)], "4 is not a prime"),
+        ([(2, 1), (2, 0)], "duplicate prime 2"),
+    ],
     ids=["float-prime", "float-exponent", "str-prime", "bool-exponent", "bool-prime",
-         "integral-float-prime"],
+         "integral-float-prime", "composite-zero-exponent", "negative-zero-exponent",
+         "composite-zero-exponent-after-prime", "duplicate-zero-exponent"],
 )
-def test_factored_integer_refuses_non_int_keys_and_exponents(factors):
-    with pytest.raises(DomainError, match="must be ints"):
+def test_factored_integer_refuses_non_int_keys_and_exponents(factors, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         fi(factors)
 
 
@@ -289,9 +302,9 @@ def test_psi_prime_exponent_refuses_a_float_prime_after_the_int_prime():
     # reaches the entry that 3 and (2, 1) left
     psi_prime_exponent.cache_clear()
     assert psi_prime_exponent(3, (2, 1)) == 44
-    with pytest.raises(DomainError, match=r"prime 3\.0 must be an int"):
+    with pytest.raises(DomainError, match=r"^prime = 3\.0 must be an int$"):
         psi_prime_exponent(3.0, (2, 1))
-    with pytest.raises(DomainError, match=r"partition part True is not a positive integer"):
+    with pytest.raises(DomainError, match=r"^partition part = True must be an int$"):
         psi_prime_exponent(3, (2, True))
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from psiprime import (
     FactoredInteger,
+    OrderSpectrum,
+    Partition,
     canonicalize,
     check_conjecture_f,
     check_theorem_c,
@@ -24,6 +26,7 @@ from psiprime import (
     sweep_conjecture_f,
     sweep_injectivity,
 )
+from psiprime.arith import factorize
 from psiprime.verify import check_injectivity, theorem_c_rows
 
 
@@ -298,6 +301,12 @@ _Z4xZ3_2 = canonicalize([4, 3, 3])
         (lambda: theorem_c_rows(2, "3"), "'3'"),
         (lambda: check_theorem_c(2, None), "None"),
         (lambda: parse_group(42), "42"),
+        (lambda: Partition((2, True)), "True"),
+        (lambda: FactoredInteger({2.0: 1}), "2.0"),
+        (lambda: FactoredInteger({2: True}), "True"),
+        (lambda: OrderSpectrum([(1, 1), (2.0, 1)]), "2.0"),
+        (lambda: OrderSpectrum([(1, 1), (2, True)]), "True"),
+        (lambda: factorize(12.0), "12.0"),
     ],
     ids=[
         "psi_k-bool", "psi_k-float", "materialize-bool", "materialize-float",
@@ -305,7 +314,9 @@ _Z4xZ3_2 = canonicalize([4, 3, 3])
         "cyclic_closed_form-p-float", "rank2_closed_form-p-bool", "rank2_closed_form-p-float",
         "conjecture_f-jobs-bool",
         "conjecture_f-jobs-float", "conjecture_f-jobs-str", "theorem_c_rows-str",
-        "theorem_c-none", "parse_group-int",
+        "theorem_c-none", "parse_group-int", "Partition-part-bool", "FactoredInteger-prime-float",
+        "FactoredInteger-exponent-bool", "OrderSpectrum-order-float",
+        "OrderSpectrum-multiplicity-bool", "factorize-float",
     ],
 )
 def test_arguments_that_are_not_plain_ints_are_refused_on_entry(call, value):
