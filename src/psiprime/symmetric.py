@@ -8,14 +8,30 @@ other way, by literally multiplying the linear factors (X - d), so the
 sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
 
-psi_all_mod expands the same product modulo one of the two primes
-P < 2^26 in FINGERPRINT_PRIMES by Kronecker substitution: each
-coefficient list is packed into one integer with one 64-bit slot per
-coefficient, so a polynomial product is a single integer product,
-unpacked and reduced slot by slot.  A product slot sums at most
-ceil((n + 2) / 2) terms below P^2, which stays below 2^64, so no slot
-carries into the next, while n <= CONJECTURE_F_CAP = 4096
-(2049 * 2^52 < 2^64); that bound is proved only for these two primes.
+psi_all_mod expands the same product modulo one of the primes
+P = 2^b - c in FINGERPRINT_PRIMES (b = 26; c = 5 and 27) by Kronecker
+substitution: a coefficient list is packed into one integer with one
+64-bit slot per coefficient, so a polynomial product is a single integer
+product.  The product is built by one left-to-right binary powering over
+the bits of all the multiplicities at once (Knuth, TAOCP vol. 2, 4.6.3).
+For k from the top bit of max m_d down to 0, Q <- Q^2 (skipped while
+Q = 1) and then Q <- Q * L_k, where L_k = prod (1 + dX) over the d whose
+m_d has bit k set, reduced mod P.  After each product every slot z is
+folded twice, z -> (z >> b) * c + (z mod 2^b), which keeps z mod P since
+2^b = c (mod P) (Crandall and Pomerance, Prime Numbers, 9.2.3); one
+shift, two masks and one small product fold all slots at once.
+
+No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
+- a slot below 2^64 folds to below c * 2^(64 - b) + 2^b, and that folds
+  to below B = c * (c * 2^(64 - 2b) + 1) + 2^b, about 1.002 * 2^26 at P1
+  and 1.045 * 2^26 at P2;
+- every product has degree at most n, so a slot sums at most
+  ceil((n + 2) / 2) <= 2049 terms, each below B^2 (the L_k coefficients
+  are below P < B), and 2049 * B^2 < 2^63.2;
+- B < 2P, so one conditional subtraction of P per slot leaves canonical
+  residues.
+The bound is checked for these two primes only; a prime whose B is not
+below 2P, or whose 2049 * B^2 reaches 2^64, would need a third fold.
 
 verify.check_conjecture_f uses the primes as a cascade: every group is
 expanded mod P1, only groups whose residue matches another group's at
@@ -28,7 +44,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -44,10 +59,20 @@ SYMMETRIC_CAP = 512
 # (module docstring); it is fixed by that bound, not a tunable default.
 CONJECTURE_F_CAP = 4096
 
-# The conjecture-f fingerprint moduli P1, P2, both prime and above the cap
-# (every binomial denominator j <= CONJECTURE_F_CAP is invertible): two
-# values that agree modulo both differ by a multiple of P1 * P2, about 2^52.
+# The conjecture-f fingerprint moduli P1, P2: primes 2^b - c with b = 26 and
+# c small enough that two folds keep every slot below 2P (module docstring).
+# Two values that agree modulo both differ by a multiple of P1 * P2, about 2^52.
 FINGERPRINT_PRIMES = (2**26 - 5, 2**26 - 27)
+
+# A 1 in each of the CONJECTURE_F_CAP + 1 slots.  An & of two non-negative
+# ints costs only the shorter one, so its multiples mask a slot's low b bits
+# (low) and its low 64 - b bits (high) at every size.
+_ONES = int.from_bytes((b"\1" + bytes(7)) * (CONJECTURE_F_CAP + 1), "little")
+_FOLDS = {
+    P: (b, (1 << b) - P, ((1 << b) - 1) * _ONES, ((1 << 64 - b) - 1) * _ONES)
+    for P in FINGERPRINT_PRIMES
+    for b in [P.bit_length()]
+}
 
 
 @frozen
@@ -100,38 +125,42 @@ def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
     return acc[1:]
 
 
-@cache
-def _inverses(P: int) -> array:
-    # inv[j] = j^-1 mod P for 1 <= j <= CONJECTURE_F_CAP, by the recurrence
-    # P = (P // j) * j + P % j; 64-bit slots hold it in 32 KiB, not 160
-    inv = array("Q", [0, 1])
-    for j in range(2, CONJECTURE_F_CAP + 1):
-        inv.append(-(P // j) * inv[P % j] % P)
-    return inv
-
-
 def _pack(coeffs: list[int]) -> int:
     # array("Q") bytes are in native order, so read them back in it
     return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
 
 
+def _fold(z: int, P: int) -> int:
+    # z -> (z >> b) * c + z % 2^b in every slot at once, twice: the slots
+    # end below B (module docstring) and keep their residues mod P
+    b, c, low, high = _FOLDS[P]
+    for _ in range(2):
+        z = (z >> b & high) * c + (z & low)
+    return z
+
+
 def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
-    # prod_d (1 + dX)^(m_d) mod P, ascending coefficients
-    inv = _inverses(P)
-    acc = [1]
-    for d, m in entries:
-        # coefficients C(m, j) * d^j of (1 + dX)^m, each reduced mod P
-        factor = [1] * (m + 1)
-        c = 1
-        for j in range(1, m + 1):
-            c = c * ((m - j + 1) * d % P) % P * inv[j] % P
-            factor[j] = c
-        product = array("Q")
-        product.frombytes(
-            (_pack(acc) * _pack(factor)).to_bytes(8 * (len(acc) + m), sys.byteorder)
-        )
-        acc = [x % P for x in product]
-    return acc
+    # prod_d (1 + dX)^(m_d) mod P by one left-to-right binary powering over
+    # the bits of every m_d at once; coefficients of X^1..X^n, canonical
+    q = 1
+    for k in reversed(range(max(m for _, m in entries).bit_length())):
+        if q != 1:
+            q = _fold(q * q, P)
+        # prod (1 + dX) over the d whose m_d has bit k set
+        factor = [1]
+        for d, m in entries:
+            if m >> k & 1:
+                factor.append(0)
+                for i in range(len(factor) - 1, 0, -1):
+                    factor[i] = (factor[i] + d * factor[i - 1]) % P
+        if len(factor) > 1:
+            q = _fold(q * _pack(factor), P)
+    n = sum(m for _, m in entries)
+    ones = _ONES >> 64 * (CONJECTURE_F_CAP - n)
+    # every slot z is below 2P, and bit 32 of z + 2^32 - P is set iff z >= P
+    q -= ((q + ((1 << 32) - P) * ones) >> 32 & ones) * P
+    # the constant term 1 is shifted out before the unpacking
+    return array("Q", (q >> 64).to_bytes(8 * n, sys.byteorder)).tolist()
 
 
 def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
@@ -143,8 +172,8 @@ def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
         raise DomainError(f"P = {P} is not one of the fingerprint primes {FINGERPRINT_PRIMES}")
     n = require_int(G.order, "|G|", None, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     residues = _expand_mod(order_spectrum(G).entries, P)
-    assert len(residues) == n + 1
-    return residues[1:]
+    assert len(residues) == n
+    return residues
 
 
 def psi_k(G: AbelianGroup, k: int) -> int:

@@ -5,15 +5,18 @@ subset sums, plain trial division) and shares no code with the package
 internals it checks; only the package's ``DomainError`` is borrowed, so
 validation tests can expect the same exception from oracle and fast path.
 The exceptions are :func:`counts_list_injectivity_sweep`,
-:func:`record_violations`, :func:`successor_partitions` and
-:func:`format_group_loop`, former package paths kept whole as the
+:func:`record_violations`, :func:`successor_partitions`,
+:func:`format_group_loop` and :func:`per_factor_expand_mod` (with
+:func:`inverse_table`), former package paths kept whole as the
 references for the ones that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+import sys
+from array import array
+from functools import cache, lru_cache
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -206,3 +209,41 @@ def counts_list_injectivity_sweep(max_order: int, *, jobs: int | None = 1):
     return InjectivitySweep(
         max_order=max_order, groups_checked=sum(counts) - 1, failures=failures
     )
+
+
+@cache
+def inverse_table(P: int) -> array:
+    """inv[j] = j^-1 mod P for 1 <= j <= CONJECTURE_F_CAP, by the
+    recurrence P = (P // j) * j + P % j; 64-bit slots hold it in 32 KiB."""
+    from psiprime.symmetric import CONJECTURE_F_CAP
+
+    inv = array("Q", [0, 1])
+    for j in range(2, CONJECTURE_F_CAP + 1):
+        inv.append(-(P // j) * inv[P % j] % P)
+    return inv
+
+
+def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
+    """prod_d (1 + dX)^(m_d) mod P, ascending coefficients from the
+    constant 1, as the package expanded it before its binary powering:
+    one Kronecker product per spectrum entry, whose factor's coefficients
+    C(m, j) * d^j are built one by one from :func:`inverse_table`, and
+    every product unpacked and reduced slot by slot."""
+
+    def pack(coeffs: list[int]) -> int:
+        return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
+
+    inv = inverse_table(P)
+    acc = [1]
+    for d, m in entries:
+        factor = [1] * (m + 1)
+        c = 1
+        for j in range(1, m + 1):
+            c = c * ((m - j + 1) * d % P) % P * inv[j] % P
+            factor[j] = c
+        product = array("Q")
+        product.frombytes(
+            (pack(acc) * pack(factor)).to_bytes(8 * (len(acc) + m), sys.byteorder)
+        )
+        acc = [x % P for x in product]
+    return acc

@@ -13,6 +13,8 @@ from psiprime import (
     canonicalize,
     enumerate_abelian_groups,
     order_polynomial,
+    order_spectrum,
+    parse_group,
     psi_all,
     psi_k,
     psi_prime,
@@ -21,7 +23,7 @@ from psiprime import (
 from psiprime import symmetric
 from psiprime.arith import is_prime
 from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod
-from oracles import spectrum_orders, subset_esp
+from oracles import per_factor_expand_mod, spectrum_orders, subset_esp
 
 
 def test_psi_all_z3():
@@ -100,6 +102,47 @@ def test_psi_all_mod_at_order_1024_with_two_equal_halves():
     values = psi_all(G, cap=1024)
     for P in FINGERPRINT_PRIMES:
         assert psi_all_mod(G, P) == [v % P for v in values]
+
+
+def test_expand_mod_equals_the_per_factor_kernel_up_to_300():
+    for m in range(1, 301):
+        for G in enumerate_abelian_groups(m):
+            entries = order_spectrum(G).entries
+            for P in FINGERPRINT_PRIMES:
+                assert [1] + symmetric._expand_mod(entries, P) == per_factor_expand_mod(entries, P)
+
+
+def test_expand_mod_equals_the_per_factor_kernel_at_the_cap():
+    # the widest cases of order 4096 each square a polynomial of degree 2047
+    # last, 2048 terms in a slot, the most the cap allows. A 2-group's m_d
+    # tile the bits, so a product with a small L_k follows every squaring;
+    # Z3^2xZ5xZ7xZ13 (order 4095) leaves bits unset, so squarings follow
+    # squarings, which a kernel with one fold fewer overflows
+    for notation in ("Z2^12", "Z4096", "Z4xZ2^10", "Z64^2", "Z3^2xZ5xZ7xZ13"):
+        entries = order_spectrum(parse_group(notation)).entries
+        for P in FINGERPRINT_PRIMES:
+            assert [1] + symmetric._expand_mod(entries, P) == per_factor_expand_mod(entries, P)
+
+
+def test_expand_mod_subtracts_p_from_a_slot_folded_to_p_or_above():
+    # two folds leave a slot of Z1373 at P2 + 24 and one of Z8xZ17^2 at
+    # P2 + 24 (slots 651 and 1364), which only the final subtraction reduces
+    P = FINGERPRINT_PRIMES[1]
+    for notation in ("Z1373", "Z8xZ17^2"):
+        entries = order_spectrum(parse_group(notation)).entries
+        assert [1] + symmetric._expand_mod(entries, P) == per_factor_expand_mod(entries, P)
+
+
+def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
+    # B bounds a slot after two folds (symmetric's module docstring), from b
+    # and c as the kernel reads them: one subtraction of P needs B <= 2P,
+    # and the widest product sums ceil((CAP + 2) / 2) terms below B^2
+    for P in FINGERPRINT_PRIMES:
+        b, c = symmetric._FOLDS[P][:2]
+        assert P == 2**b - c
+        B = c * (c * 2 ** (64 - 2 * b) + 1) + 2**b
+        assert B <= 2 * P
+        assert (CONJECTURE_F_CAP + 3) // 2 * B**2 < 2**64
 
 
 def test_fingerprint_primes_are_usable_up_to_the_cap():
