@@ -8,7 +8,7 @@ other way, by literally multiplying the linear factors (X - d), so the
 sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
 
-psi_all_mod expands the same product modulo one of the primes
+psi_packed_mod expands the same product modulo one of the primes
 P = 2^b - c in FINGERPRINT_PRIMES (b = 26; c = 5 and 27) by Kronecker
 substitution: a coefficient list is packed into one integer with one
 64-bit slot per coefficient, so a polynomial product is a single integer
@@ -20,6 +20,9 @@ m_d has bit k set, reduced mod P.  After each product every slot z is
 folded twice, z -> (z >> b) * c + (z mod 2^b), which keeps z mod P since
 2^b = c (mod P) (Crandall and Pomerance, Prime Numbers, 9.2.3); one
 shift, two masks and one small product fold all slots at once.
+psi_packed_mod hands out the packed Q itself, its constant term shifted
+out: slot k - 1 holds psi_k mod P, canonical (below P).  psi_all_mod is
+the list view of Q.
 
 No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
 - a slot below 2^64 folds to below c * 2^(64 - b) + 2^b, and that folds
@@ -34,10 +37,12 @@ The bound is checked for these two primes only; a prime whose B is not
 below 2P, or whose 2049 * B^2 reaches 2^64, would need a third fold.
 
 verify.check_conjecture_f uses the primes as a cascade: every group is
-expanded mod P1, only groups whose residue matches another group's at
-some k are expanded mod P2, and only pairs that match at both primes get
-exact psi_all.  Values with different residues mod either prime differ,
-so no stage can drop an exact equality.
+expanded once mod P1, and two groups are compared by one zero-slot test
+on the XOR of their Q, which canonical slots make exact; only groups
+whose residue matches another group's at some k are expanded mod P2, and
+only pairs that match at both primes get exact psi_all.  Values with
+different residues mod either prime differ, so no stage can drop an
+exact equality.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .groups import AbelianGroup, order_spectrum
 # its cap argument, as check_conjecture_f does for its exact confirmations.
 SYMMETRIC_CAP = 512
 
-# Largest |G| whose residues psi_all_mod packs soundly into 64-bit slots
+# Largest |G| whose residues psi_packed_mod packs soundly into 64-bit slots
 # (module docstring); it is fixed by that bound, not a tunable default.
 CONJECTURE_F_CAP = 4096
 
@@ -130,50 +135,58 @@ def _pack(coeffs: list[int]) -> int:
     return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
 
 
-def _fold(z: int, P: int) -> int:
-    # z -> (z >> b) * c + z % 2^b in every slot at once, twice: the slots
-    # end below B (module docstring) and keep their residues mod P
-    b, c, low, high = _FOLDS[P]
-    for _ in range(2):
-        z = (z >> b & high) * c + (z & low)
-    return z
+def _unpack(q: int, n: int) -> list[int]:
+    # the n 64-bit slots of q, lowest first
+    return array("Q", q.to_bytes(8 * n, sys.byteorder)).tolist()
 
 
-def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
+def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> int:
     # prod_d (1 + dX)^(m_d) mod P by one left-to-right binary powering over
-    # the bits of every m_d at once; coefficients of X^1..X^n, canonical
+    # the bits of every m_d at once; packed, canonical, constant term shifted out
+    b, c, low, high = _FOLDS[P]
     q = 1
     for k in reversed(range(max(m for _, m in entries).bit_length())):
-        if q != 1:
-            q = _fold(q * q, P)
-        # prod (1 + dX) over the d whose m_d has bit k set
+        # L_k = prod (1 + dX) over the d whose m_d has bit k set
         factor = [1]
         for d, m in entries:
             if m >> k & 1:
                 factor.append(0)
                 for i in range(len(factor) - 1, 0, -1):
                     factor[i] = (factor[i] + d * factor[i - 1]) % P
-        if len(factor) > 1:
-            q = _fold(q * _pack(factor), P)
+        # Q <- Q^2, then Q <- Q * L_k, skipping a factor of 1; after each
+        # product every slot z is folded twice, z -> (z >> b) * c + z % 2^b,
+        # which ends below B (module docstring) and keeps z mod P
+        for y in (q, _pack(factor)):
+            if y != 1:
+                q *= y
+                q = (q >> b & high) * c + (q & low)
+                q = (q >> b & high) * c + (q & low)
     n = sum(m for _, m in entries)
     ones = _ONES >> 64 * (CONJECTURE_F_CAP - n)
     # every slot z is below 2P, and bit 32 of z + 2^32 - P is set iff z >= P
     q -= ((q + ((1 << 32) - P) * ones) >> 32 & ones) * P
-    # the constant term 1 is shifted out before the unpacking
-    return array("Q", (q >> 64).to_bytes(8 * n, sys.byteorder)).tolist()
+    return q >> 64
 
 
-def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
-    """[psi_1 mod P, ..., psi_n mod P] for P in FINGERPRINT_PRIMES, by
-    Kronecker substitution (module docstring); equal to
-    [v % P for v in psi_all(G)]."""
+def psi_packed_mod(G: AbelianGroup, P: int) -> int:
+    """psi_1..psi_n mod P for P in FINGERPRINT_PRIMES, packed into one
+    integer Q by Kronecker substitution (module docstring): bits
+    64(k - 1) to 64k - 1 hold psi_k mod P, below P."""
     # a float equal to a prime would pass the membership test alone
     if type(P) is not int or P not in FINGERPRINT_PRIMES:
         raise DomainError(f"P = {P} is not one of the fingerprint primes {FINGERPRINT_PRIMES}")
     n = require_int(G.order, "|G|", None, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    residues = _expand_mod(order_spectrum(G).entries, P)
-    assert len(residues) == n
-    return residues
+    q = _expand_mod(order_spectrum(G).entries, P)
+    # psi_n, the product of orders up to n < P, is prime to P, so slot n - 1
+    # is the top one that is nonzero
+    assert 64 * (n - 1) < q.bit_length() <= 64 * n
+    return q
+
+
+def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
+    """[psi_1 mod P, ..., psi_n mod P], the list view of
+    :func:`psi_packed_mod`; equal to [v % P for v in psi_all(G)]."""
+    return _unpack(psi_packed_mod(G, P), G.order)
 
 
 def psi_k(G: AbelianGroup, k: int) -> int:

@@ -5,8 +5,10 @@ cross-order collision census, and the psi_k distinguishability conjecture.
 Monotonicity/injectivity failures would contradict proved statements, so
 the test suite treats them as implementation bugs.  psi_k coincidences are
 conjecture counterexample candidates: they are reported as findings, never
-asserted away.  Every check that finds groups sharing a value builds its
-classes with one helper, :func:`_shared`.
+asserted away.  The checks that class groups by a shared exact value
+(injectivity, the census and the prime-power failures) build the classes
+with one helper, :func:`_shared`; the psi_k check compares packed
+residues pair by pair instead (:func:`_slot_matches`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ from .errors import frozen, require_int
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import PARTITION_CAP, iter_partitions
 from .psi import FactoredInteger, pgroup_exponents, psi_prime
-from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all, psi_all_mod
+from .symmetric import (
+    _FOLDS,
+    _ONES,
+    CONJECTURE_F_CAP,
+    FINGERPRINT_PRIMES,
+    _unpack,
+    psi_all,
+    psi_all_mod,
+    psi_packed_mod,
+)
 
 # Largest max_order that sweep_injectivity accepts.  Its time and memory
 # grow with the square root of the bound, not with the bound.
@@ -110,8 +121,8 @@ def check_theorem_c(p: int, n: int) -> tuple[tuple[int, int], ...]:
 def _shared(keyed: Iterable[tuple]) -> dict:
     """{key: [items]} for each key that two or more of the (key, item)
     pairs share, keys in first-seen order and each class's items in
-    arrival order; the one class builder of every check below that finds
-    groups sharing a value."""
+    arrival order; the one class builder of every check below that
+    classes groups by a shared exact value."""
     classes: dict = {}
     for key, item in keyed:
         classes.setdefault(key, []).append(item)
@@ -143,36 +154,50 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     return CollisionReport(scope=max_order, pairs=tuple(pairs))
 
 
+def _slot_matches(packed: list[int], n: int, P: int) -> list[tuple[int, int, int]]:
+    """Every (i, j, k), i < j and then k ascending, where packed[i] and
+    packed[j] hold the same residue in slot k - 1 of n, for packed values
+    of :func:`psi_packed_mod` at P.
+
+    Canonical slots are equal iff their XOR z is 0, and z < 2^b, so
+    z + 2^b - 1 sets bit b of its slot iff z != 0, with no carry into the
+    next slot (Warren, Hacker's Delight, 6-1).  A pair whose n slots all
+    set bit b shares no residue; only a pair with a zero slot is unpacked."""
+    b = _FOLDS[P][0]
+    ones = _ONES >> 64 * (CONJECTURE_F_CAP + 1 - n)
+    bias, tops = ((1 << b) - 1) * ones, ones << b
+    return [
+        (i, j, k)
+        for (i, x), (j, y) in itertools.combinations(enumerate(packed), 2)
+        if ((x ^ y) + bias) & tops != tops
+        for k, z in enumerate(_unpack(x ^ y, n), start=1)
+        if not z
+    ]
+
+
 def check_conjecture_f(m: int) -> ConjectureFReport:
     """Test whether each single psi_k separates all abelian groups of
     order m.  A coincidence is reported, not raised: it would be a
     counterexample candidate, not an implementation error.
 
     The check is a staged filter over candidates (i, j, k), pairs i < j
-    in enumeration order.  Every group is fingerprinted by psi_k mod P1
-    at every k, and the candidates are the pairs within each class of
-    groups (:func:`_shared`) whose residues match at k.  Each later
-    stage, psi_all_mod at P2 and then the exact psi_all, computes values
-    only for the groups still in some candidate and keeps the candidates
-    whose values match at k.  Two values with different residues mod
-    either prime are different, so no stage drops an exact equality, and
-    only exact equalities are reported: pairs (i, j), then k ascending."""
+    in enumeration order.  Every group is fingerprinted once, by its
+    packed psi_1..psi_m mod P1 (:func:`psi_packed_mod`), and the
+    candidates are the (i, j, k) where the two packed values agree in
+    slot k - 1, found pair by pair by one zero-slot test on their XOR
+    (:func:`_slot_matches`).  Each later stage, psi_all_mod at P2 and
+    then the exact psi_all, computes values only for the groups still in
+    some candidate and keeps the candidates whose values match at k.  Two
+    values with different residues mod either prime are different, so no
+    stage drops an exact equality, and only exact equalities are
+    reported: pairs (i, j), then k ascending."""
     require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
     groups = enumerate_abelian_groups(m)
     g = len(groups)
     if g < 2:
         return ConjectureFReport(m=m, pair_count=0, coincidences=())
     p1, p2 = FINGERPRINT_PRIMES
-    first = [psi_all_mod(G, p1) for G in groups]
-    candidates = sorted(
-        (i, j, k)
-        for k, column in enumerate(zip(*first), start=1)
-        # nearly every column is all distinct; one set() per column, in C,
-        # skips building its classes
-        if len(set(column)) < g
-        for cls in _shared(zip(column, range(g))).values()
-        for i, j in itertools.combinations(cls, 2)
-    )
+    candidates = _slot_matches([psi_packed_mod(G, p1) for G in groups], m, p1)
     # P1 matches are rare (one order below 4096 has any), so the later
     # stages run for few groups
     for stage in (lambda G: psi_all_mod(G, p2), lambda G: psi_all(G, cap=CONJECTURE_F_CAP)):

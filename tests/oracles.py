@@ -6,9 +6,9 @@ internals it checks; only the package's ``DomainError`` is borrowed, so
 validation tests can expect the same exception from oracle and fast path.
 The exceptions are :func:`counts_list_injectivity_sweep`,
 :func:`record_violations`, :func:`successor_partitions`,
-:func:`format_group_loop` and :func:`per_factor_expand_mod` (with
-:func:`inverse_table`), former package paths kept whole as the
-references for the ones that replaced them.
+:func:`format_group_loop`, :func:`per_factor_expand_mod` (with
+:func:`inverse_table`) and :func:`column_candidates`, former package
+paths kept whole as the references for the ones that replaced them.
 """
 
 from __future__ import annotations
@@ -223,16 +223,24 @@ def inverse_table(P: int) -> array:
     return inv
 
 
+def pack(coeffs: list[int]) -> int:
+    """One integer with coeffs[i] in its 64-bit slot i."""
+    return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
+
+
+def slots(q: int, n: int) -> list[int]:
+    """The n 64-bit slots of q, lowest first, read with ``to_bytes``
+    alone, which refuses a q with a bit past slot n - 1."""
+    raw = q.to_bytes(8 * n, "little")
+    return [int.from_bytes(raw[i : i + 8], "little") for i in range(0, 8 * n, 8)]
+
+
 def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
     """prod_d (1 + dX)^(m_d) mod P, ascending coefficients from the
     constant 1, as the package expanded it before its binary powering:
     one Kronecker product per spectrum entry, whose factor's coefficients
     C(m, j) * d^j are built one by one from :func:`inverse_table`, and
     every product unpacked and reduced slot by slot."""
-
-    def pack(coeffs: list[int]) -> int:
-        return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
-
     inv = inverse_table(P)
     acc = [1]
     for d, m in entries:
@@ -247,3 +255,21 @@ def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[
         )
         acc = [x % P for x in product]
     return acc
+
+
+def column_candidates(residues: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """Every (i, j, k), i < j and then k ascending, where residues[i] and
+    residues[j] agree at k, as the conjecture-f check found its P1
+    candidates before its pairwise zero-slot test: the residue lists
+    transposed into columns, one set() per column, and the groups of a
+    column with a repeated residue classed by value."""
+    g = len(residues)
+    candidates = []
+    for k, column in enumerate(zip(*residues), start=1):
+        if len(set(column)) < g:
+            classes: dict[int, list[int]] = {}
+            for i, x in enumerate(column):
+                classes.setdefault(x, []).append(i)
+            for cls in classes.values():
+                candidates.extend((i, j, k) for i, j in itertools.combinations(cls, 2))
+    return sorted(candidates)

@@ -22,8 +22,8 @@ from psiprime import (
 )
 from psiprime import symmetric
 from psiprime.arith import is_prime
-from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod
-from oracles import per_factor_expand_mod, spectrum_orders, subset_esp
+from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
+from oracles import per_factor_expand_mod, slots, spectrum_orders, subset_esp
 
 
 def test_psi_all_z3():
@@ -104,12 +104,17 @@ def test_psi_all_mod_at_order_1024_with_two_equal_halves():
         assert psi_all_mod(G, P) == [v % P for v in values]
 
 
+def _expanded(entries, P):
+    # the kernel's packed value as ascending coefficients from the constant 1
+    return [1] + slots(symmetric._expand_mod(entries, P), sum(m for _, m in entries))
+
+
 def test_expand_mod_equals_the_per_factor_kernel_up_to_300():
     for m in range(1, 301):
         for G in enumerate_abelian_groups(m):
             entries = order_spectrum(G).entries
             for P in FINGERPRINT_PRIMES:
-                assert [1] + symmetric._expand_mod(entries, P) == per_factor_expand_mod(entries, P)
+                assert _expanded(entries, P) == per_factor_expand_mod(entries, P)
 
 
 def test_expand_mod_equals_the_per_factor_kernel_at_the_cap():
@@ -121,7 +126,7 @@ def test_expand_mod_equals_the_per_factor_kernel_at_the_cap():
     for notation in ("Z2^12", "Z4096", "Z4xZ2^10", "Z64^2", "Z3^2xZ5xZ7xZ13"):
         entries = order_spectrum(parse_group(notation)).entries
         for P in FINGERPRINT_PRIMES:
-            assert [1] + symmetric._expand_mod(entries, P) == per_factor_expand_mod(entries, P)
+            assert _expanded(entries, P) == per_factor_expand_mod(entries, P)
 
 
 def test_expand_mod_subtracts_p_from_a_slot_folded_to_p_or_above():
@@ -130,7 +135,7 @@ def test_expand_mod_subtracts_p_from_a_slot_folded_to_p_or_above():
     P = FINGERPRINT_PRIMES[1]
     for notation in ("Z1373", "Z8xZ17^2"):
         entries = order_spectrum(parse_group(notation)).entries
-        assert [1] + symmetric._expand_mod(entries, P) == per_factor_expand_mod(entries, P)
+        assert _expanded(entries, P) == per_factor_expand_mod(entries, P)
 
 
 def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
@@ -146,19 +151,34 @@ def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
 
 
 def test_fingerprint_primes_are_usable_up_to_the_cap():
-    # each prime has an inverse of every binomial denominator j <= the cap,
-    # and a product slot sums at most ceil((n + 2) / 2) terms below P^2
+    # each P is prime and above the cap, so no element order is 0 mod P and
+    # the top slot, psi_n mod P, is never 0 (psi_packed_mod's length check);
+    # a product of canonical coefficients sums at most ceil((n + 2) / 2)
+    # terms of at most (P - 1)^2 in a slot, below 2^64 as the live bound
+    # on B (test_two_folds_keep_every_slot_below_2p_up_to_the_cap) implies
     for P in FINGERPRINT_PRIMES:
         assert is_prime(P) and P > CONJECTURE_F_CAP
         assert (CONJECTURE_F_CAP + 3) // 2 * (P - 1) ** 2 < 2**64
 
 
+def test_packed_slots_are_canonical():
+    # verify._slot_matches reads two residues as equal iff their slots are
+    # bit for bit equal, so a slot left at z + P would hide a match with z.
+    # Two folds leave Z1373 and Z8xZ17^2 at P2 + 24 in one slot each
+    groups = [G for m in range(1, 301) for G in enumerate_abelian_groups(m)]
+    cases = [(G, P) for G in groups for P in FINGERPRINT_PRIMES]
+    cases += [(parse_group(notation), FINGERPRINT_PRIMES[1]) for notation in ("Z1373", "Z8xZ17^2")]
+    for G, P in cases:
+        assert max(slots(psi_packed_mod(G, P), G.order)) < P
+
+
 def test_psi_all_mod_refuses_order_past_the_cap():
     G = canonicalize([CONJECTURE_F_CAP + 1])  # 4097 = 17 * 241
     message = "|G| = 4097 exceeds the conjecture-f fingerprint cap 4096"
-    for P in FINGERPRINT_PRIMES:
-        with pytest.raises(SizeLimitError, match=re.escape(message)):
-            psi_all_mod(G, P)
+    for entry in (psi_all_mod, psi_packed_mod):
+        for P in FINGERPRINT_PRIMES:
+            with pytest.raises(SizeLimitError, match=re.escape(message)):
+                entry(G, P)
 
 
 # the slot bound is proved only for the two fingerprint primes: a composite,
@@ -171,8 +191,9 @@ def test_psi_all_mod_refuses_a_modulus_that_is_not_a_fingerprint_prime(monkeypat
         raise AssertionError(f"order_spectrum({G}) ran")
 
     monkeypatch.setattr(symmetric, "order_spectrum", never)
-    with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
-        psi_all_mod(canonicalize([4, 2]), P)
+    for entry in (psi_all_mod, psi_packed_mod):
+        with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
+            entry(canonicalize([4, 2]), P)
 
 
 def test_order_polynomial_z2():

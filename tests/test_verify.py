@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psiprime import (
     FactoredInteger,
@@ -28,6 +30,7 @@ from psiprime import (
 )
 from psiprime.arith import factorize
 from psiprime.verify import check_injectivity, theorem_c_rows
+from oracles import column_candidates, pack, slots
 
 
 def test_theorem_c_2_3():
@@ -384,11 +387,13 @@ def test_sweep_conjecture_f_equals_exact_reference(jobs):
 _A, _B, _K = 3, 1, 5
 
 
-def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,)):
-    """Copy group _A's psi_K onto each group of order 16 indexed in
-    ``targets``: its residues mod the primes in ``residues``, and its
-    exact value if ``exact``.  Returns the (group, prime) of every
-    psi_all_mod call and the groups whose exact psi_all ran."""
+def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,), k=_K):
+    """Copy group _A's psi_k onto each group of order 16 indexed in
+    ``targets``: its residues mod the primes in ``residues``, in the list
+    and in the packed values, and its exact value if ``exact``.  The P1
+    stage's (i, j, k) must equal the column oracle's on the planted
+    residues.  Returns the (group, prime) of every psi_all_mod or
+    psi_packed_mod call and the groups whose exact psi_all ran."""
     from psiprime import symmetric, verify
 
     groups = enumerate_abelian_groups(16)
@@ -400,17 +405,28 @@ def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,)):
         mod_ran.append((G, P))
         values = symmetric.psi_all_mod(G, P)
         if G in planted and P in residues:
-            values[_K - 1] = symmetric.psi_all_mod(source, P)[_K - 1]
+            values[k - 1] = symmetric.psi_all_mod(source, P)[k - 1]
         return values
+
+    def fake_packed(G, P):
+        return pack(fake_mod(G, P))
+
+    def checked_matches(packed, n, P):
+        found = slot_matches(packed, n, P)
+        assert found == column_candidates([slots(q, n) for q in packed])
+        return found
 
     def fake_exact(G, *, cap):
         exact_ran.append(G)
         values = symmetric.psi_all(G, cap=cap)
         if G in planted and exact:
-            values[_K - 1] = symmetric.psi_all(source, cap=cap)[_K - 1]
+            values[k - 1] = symmetric.psi_all(source, cap=cap)[k - 1]
         return values
 
+    slot_matches = verify._slot_matches
     monkeypatch.setattr(verify, "psi_all_mod", fake_mod)
+    monkeypatch.setattr(verify, "psi_packed_mod", fake_packed)
+    monkeypatch.setattr(verify, "_slot_matches", checked_matches)
     monkeypatch.setattr(verify, "psi_all", fake_exact)
     return mod_ran, exact_ran
 
@@ -535,11 +551,88 @@ def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
     from psiprime import verify
 
     def never(G, P):
-        raise AssertionError(f"psi_all_mod({G}, {P}) ran")
+        raise AssertionError(f"a fingerprint of {G} mod {P} ran")
 
     monkeypatch.setattr(verify, "psi_all_mod", never)
+    monkeypatch.setattr(verify, "psi_packed_mod", never)
     for m in (1, 2, 97, 15, 30):
         assert check_conjecture_f(m).pair_count == 0
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_conjecture_f_reports_a_coincidence_planted_in_an_edge_slot(monkeypatch, k):
+    # the first and the last slot of order 16: a zero-slot mask one slot too
+    # narrow misses k = 16.  Only the planted pair is unpacked
+    from psiprime import verify
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    _plant(monkeypatch, residues=FINGERPRINT_PRIMES, exact=True, k=k)
+    unpacked = []
+    unpack = verify._unpack
+    monkeypatch.setattr(verify, "_unpack", lambda x, n: unpacked.append(n) or unpack(x, n))
+    groups = enumerate_abelian_groups(16)
+    report = check_conjecture_f(16)
+    assert report == _reference_check_conjecture_f(16)
+    assert [(a, b, j) for a, b, j, _ in report.coincidences] == [(groups[_B], groups[_A], k)]
+    assert unpacked == [16]
+
+
+def test_conjecture_f_unpacks_no_pair_without_a_p1_match(monkeypatch):
+    # no order up to 256 has a P1 match, so no pair's XOR has a zero slot; a
+    # zero-slot mask one slot too wide reads one in every pair and unpacks
+    # all 911, for the same output
+    from psiprime import verify
+
+    def never(x, n):
+        raise AssertionError(f"a pair of order {n} was unpacked")
+
+    monkeypatch.setattr(verify, "_unpack", never)
+    sweep = sweep_conjecture_f(256)
+    assert sweep.holds and sweep.pairs_checked == 911
+
+
+def test_slot_matches_equal_the_column_oracle_up_to_300():
+    from psiprime import verify
+    from psiprime.symmetric import FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
+
+    p1 = FINGERPRINT_PRIMES[0]
+    for m in range(1, 301):
+        groups = enumerate_abelian_groups(m)
+        packed = [psi_packed_mod(G, p1) for G in groups]
+        expected = column_candidates([psi_all_mod(G, p1) for G in groups])
+        assert verify._slot_matches(packed, m, p1) == expected
+
+
+def test_slot_matches_equal_the_column_oracle_at_the_real_p1_match_at_2187():
+    from psiprime import verify
+    from psiprime.symmetric import FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
+
+    p1 = FINGERPRINT_PRIMES[0]
+    groups = enumerate_abelian_groups(2187)
+    packed = [psi_packed_mod(G, p1) for G in groups]
+    expected = column_candidates([psi_all_mod(G, p1) for G in groups])
+    assert verify._slot_matches(packed, 2187, p1) == expected == [(3, 6, 394)]
+
+
+# residues mod P1 = 2^26 - 5 drawn from its edges: 0, 1, the top bit below
+# 2^26 and P1 - 1, so that many pairs agree in some slot and the XORs of
+# the rest run up to P1 = 1 ^ (P1 - 1)
+_EDGE_RESIDUES = st.sampled_from([0, 1, 2**25, 2**26 - 6])
+
+
+@given(
+    st.integers(min_value=1, max_value=70).flatmap(
+        lambda n: st.lists(st.lists(_EDGE_RESIDUES, min_size=n, max_size=n), min_size=2, max_size=6)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_slot_matches_equal_the_column_oracle_on_edge_residues(residues):
+    from psiprime import verify
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    packed = [pack(r) for r in residues]
+    p1 = FINGERPRINT_PRIMES[0]
+    assert verify._slot_matches(packed, len(residues[0]), p1) == column_candidates(residues)
 
 
 def test_check_conjecture_f_refuses_an_order_past_the_cap_before_enumerating(monkeypatch):
