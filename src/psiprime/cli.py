@@ -153,13 +153,21 @@ def _jobs_arg(value: str) -> int | None:
     return jobs
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of argv.  Every command and check is registered with the
+    help that usage, help and error messages read, but only those named by
+    argv's first two non-option words get their arguments."""
+    words = [w for w in argv if not w.startswith("-")][:2]
     parser = argparse.ArgumentParser(
         prog="psiprime",
         description="Exact sums, products, and symmetric functions of "
         "element orders of finite abelian groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(under, path: tuple[str, ...], help: str, **kwargs):
+        p = under.add_parser(path[-1], help=help, **kwargs)
+        return p if tuple(words[: len(path)]) == path else None
 
     def finish_command(p: argparse.ArgumentParser, run) -> None:
         # every command takes the format flags and names its handler
@@ -174,50 +182,47 @@ def build_parser() -> argparse.ArgumentParser:
     usage = ("\n" + " " * len("usage: psiprime compute ")).join([
         "%(prog)s [-h]", "(--psi | --psi-prime | --psi-k K | --psi-all | --spectrum | --poly)",
         "[--materialize] [--digit-limit D] [--json | --csv]", "group"])
-    p = sub.add_parser("compute", help="compute invariants of one group", usage=usage)
-    p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--psi", action="store_true", help="sum of element orders")
-    which.add_argument("--psi-prime", action="store_true", help="product of element orders (factored)")
-    which.add_argument("--psi-k", type=int, metavar="K", help="k-th elementary symmetric function")
-    which.add_argument("--psi-all", action="store_true", help="all psi_k, k = 1..|G|")
-    which.add_argument("--spectrum", action="store_true", help="element-order spectrum")
-    which.add_argument("--poly", action="store_true", help="order polynomial prod (X - o(x))")
-    p.add_argument("--materialize", action="store_true",
-                   help="expand psi' to a decimal integer (requires --digit-limit)")
-    p.add_argument("--digit-limit", type=int, metavar="D",
-                   help="refuse to materialize beyond D decimal digits")
-    finish_command(p, _cmd_compute)
+    if p := command(sub, ("compute",), "compute invariants of one group", usage=usage):
+        p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
+        which = p.add_mutually_exclusive_group(required=True).add_argument
+        which("--psi", action="store_true", help="sum of element orders")
+        which("--psi-prime", action="store_true", help="product of element orders (factored)")
+        which("--psi-k", type=int, metavar="K", help="k-th elementary symmetric function")
+        which("--psi-all", action="store_true", help="all psi_k, k = 1..|G|")
+        which("--spectrum", action="store_true", help="element-order spectrum")
+        which("--poly", action="store_true", help="order polynomial prod (X - o(x))")
+        p.add_argument("--materialize", action="store_true",
+                       help="expand psi' to a decimal integer (requires --digit-limit)")
+        p.add_argument("--digit-limit", type=int, metavar="D",
+                       help="refuse to materialize beyond D decimal digits")
+        finish_command(p, _cmd_compute)
 
-    p = sub.add_parser("enumerate", help="list all abelian groups of one order")
-    p.add_argument("m", type=int, help="group order")
-    finish_command(p, _cmd_enumerate)
+    if p := command(sub, ("enumerate",), "list all abelian groups of one order"):
+        p.add_argument("m", type=int, help="group order")
+        finish_command(p, _cmd_enumerate)
 
-    v = sub.add_parser("verify", help="run an empirical verification sweep")
-    vsub = v.add_subparsers(dest="check", required=True)
+    if v := command(sub, ("verify",), "run an empirical verification sweep"):
+        vsub = v.add_subparsers(dest="check", required=True)
+        if p := command(vsub, ("verify", "theorem-c"),
+                        "psi' strictly increases along the partition order"):
+            p.add_argument("--prime", type=int, required=True)
+            p.add_argument("--n", type=int, required=True)
+            finish_command(p, _cmd_theorem_c)
+        for check, help, run in (
+            ("injectivity", "no two groups of one order share psi'", _cmd_injectivity),
+            ("collisions", "census of cross-order psi' coincidences", _cmd_collisions),
+            ("conjecture-f", "each single psi_k separates groups of one order", _cmd_conjecture_f),
+        ):
+            if p := command(vsub, ("verify", check), help):
+                p.add_argument("--max-order", type=int, required=True)
+                if check != "collisions":
+                    p.add_argument("--jobs", type=_jobs_arg, default=1,
+                                   help="worker processes or 'auto'")
+                finish_command(p, run)
 
-    p = vsub.add_parser("theorem-c", help="psi' strictly increases along the partition order")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    finish_command(p, _cmd_theorem_c)
-
-    p = vsub.add_parser("injectivity", help="no two groups of one order share psi'")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes or 'auto'")
-    finish_command(p, _cmd_injectivity)
-
-    p = vsub.add_parser("collisions", help="census of cross-order psi' coincidences")
-    p.add_argument("--max-order", type=int, required=True)
-    finish_command(p, _cmd_collisions)
-
-    p = vsub.add_parser("conjecture-f", help="each single psi_k separates groups of one order")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes or 'auto'")
-    finish_command(p, _cmd_conjecture_f)
-
-    p = sub.add_parser("oracle", help="cross-check formulas against brute enumeration")
-    p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
-    finish_command(p, _cmd_oracle)
+    if p := command(sub, ("oracle",), "cross-check formulas against brute enumeration"):
+        p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
+        finish_command(p, _cmd_oracle)
 
     return parser
 
@@ -456,9 +461,9 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

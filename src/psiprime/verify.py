@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+from array import array
 from bisect import bisect_right
 from math import isqrt
 from typing import Iterable, Iterator
@@ -38,7 +39,7 @@ from .symmetric import (
 
 # Largest max_order that sweep_injectivity accepts.  Its time and memory
 # grow with the square root of the bound, not with the bound.
-INJECTIVITY_CAP = 10**12
+INJECTIVITY_CAP = 10**14
 
 
 def _group_sort_key(G: AbelianGroup):
@@ -275,75 +276,69 @@ def _count_groups(max_order: int, primes: list[int], types: list[int]) -> int:
 
     a = 1 * b (Dirichlet) with b multiplicative, b(p^k) = p(k) - p(k - 1).
     b(p) = 0, so b lives on the powerful numbers d, and the sum is
-    sum_d b(d) * (max_order // d), about 2.2 * sqrt(max_order) terms.
-    They are walked depth first, primes ascending.
+    sum_d b(d) * (max_order // d), about 2.2 * sqrt(max_order) terms,
+    walked depth first, primes ascending.  At d, with n = max_order // d,
+    a prime with p^4 > n extends d only by p^2 or p^3 (b = 1 for both) and
+    no prime can follow, so those primes add n // p^2 + n // p^3 flat.
     """
     b = [0, 0] + [types[k] - types[k - 1] for k in range(2, len(types))]
+    squares = array("q", map(operator.mul, primes, primes))
+    cubes = array("q", itertools.takewhile(max_order.__ge__, map(operator.mul, squares, primes)))
 
     def walk(n: int, bd: int, i: int) -> int:
-        # the terms for d times a powerful number of the primes from
-        # primes[i] on, where n = max_order // d and bd = b(d)
+        # the terms of d times powerful numbers of primes[i:]; n = max_order // d, bd = b(d)
         total = bd * n
-        for j in range(i, bisect_right(primes, isqrt(n), i)):
+        mid = bisect_right(primes, isqrt(isqrt(n)), i)
+        for j in range(i, mid):
             p = primes[j]
             pk, k = p * p, 2
             while pk <= n:
                 total += walk(n // pk, bd * b[k], j + 1)
                 pk, k = pk * p, k + 1
-        return total
+        top = bisect_right(primes, isqrt(n), mid)
+        ends = squares[mid:top] + cubes[mid : bisect_right(cubes, n, mid)]
+        return total + bd * sum(map(n.__floordiv__, ends))
 
     return walk(max_order, 1, 0)
 
 
-def _prime_power_failure(p: int, n: int, exponents: list[int]) -> InjectivityReport:
-    # the classes (from _shared) of p-groups of order p^n that share an
-    # exponent, as check_injectivity(p**n) orders them: values ascending,
-    # each class in partition order, which is the order the exponents came in
-    shared = _shared((e, AbelianGroup([(p, q)])) for q, e in zip(iter_partitions(n), exponents))
-    return InjectivityReport(m=p**n, duplicates=tuple(tuple(shared[e]) for e in sorted(shared)))
+def _square_exponents(p: int) -> list[int]:
+    # E on [1,1] and [2]: p^2 - 1 elements of order p, or p - 1 of order p and p^2 - p of p^2
+    return [p * p - 1, 2 * p * p - p - 1]
 
 
 def sweep_injectivity(max_order: int) -> InjectivitySweep:
     """Injectivity of psi' at every order m <= max_order, checked through
-    prime powers instead of by building every group; time and memory grow
-    with sqrt(max_order).
+    prime powers, with no group built, in time and memory ~ sqrt(max_order).
 
-    For |G| = m, psi'(G) = prod_p p^(E_p * m / p^(n_p)) with n_p = v_p(m)
-    and E_p the exponent of the Sylow p-subgroup, so two groups of order m
-    share psi' exactly when their Sylow exponents agree at every prime.
-    psi' is thus injective at m iff each E_p is injective on the partitions
-    of n_p.  For every prime p up to sqrt(max_order), found by a sieve, and
-    every n >= 2 with p^n <= max_order, the exponents come from the
-    prefix-sum pass :func:`psi.pgroup_exponents`, p(n) of them.
-
-    groups_checked, the number of abelian groups of order at most
-    max_order, is counted over the powerful numbers (:func:`_count_groups`).
-    A p^n on which E_p collides breaks injectivity at every order it
-    exactly divides, and p^n alone describes the collision, so each one
-    is a single failure at the order p^n, whose classes are those of
-    check_injectivity(p**n).  Theorem C, which check_theorem_c tests,
-    says E_p never collides, so a failure is an implementation error.
+    At |G| = m, psi'(G) = prod_p p^(E_p * m / p^(n_p)) with n_p = v_p(m) and
+    E_p the Sylow p-subgroup's exponent, so psi' is injective at m iff each
+    E_p is injective on the partitions of n_p.  Every p^n <= max_order with
+    n >= 2 is checked: n = 2, the one n of every prime past the cube root,
+    by two closed forms, and larger n by :func:`psi.pgroup_exponents`.
+    groups_checked is counted over the powerful numbers (:func:`_count_groups`).
+    A colliding p^n breaks injectivity at every order it exactly divides
+    and is reported once, at the order p^n, with check_injectivity(p**n)'s
+    classes.  Theorem C says no E_p collides, so a failure is a bug.
     """
     require_int(max_order, "max_order", 1, INJECTIVITY_CAP, "injectivity cap")
     primes = _primes_to(isqrt(max_order))
-    # types[n] = p(n), the number of abelian p-groups of order p^n; p = 2
-    # comes first and reaches every n that a larger prime does
+    # types[n] = p(n); p = 2 comes first and reaches every n a larger p does
     types = [1, 1]
-    colliding = []
+    failures = []
     for p in primes:
         n, pn = 2, p * p
         while pn <= max_order:
-            exponents = [e for _, e in pgroup_exponents(p, n)]
+            exponents = _square_exponents(p) if n == 2 else [e for _, e in pgroup_exponents(p, n)]
             if n == len(types):
                 types.append(len(exponents))
             if len(set(exponents)) < len(exponents):
-                colliding.append((p, n, exponents))
+                groups = (AbelianGroup([(p, q)]) for q in iter_partitions(n))
+                shared = _shared(zip(exponents, groups))
+                classes = tuple(tuple(shared[e]) for e in sorted(shared))
+                failures.append(InjectivityReport(m=pn, duplicates=classes))
             n, pn = n + 1, pn * p
-    return InjectivitySweep(
-        max_order=max_order,
-        groups_checked=_count_groups(max_order, primes, types),
-        failures=tuple(_prime_power_failure(*c) for c in colliding),
-    )
+    return InjectivitySweep(max_order, _count_groups(max_order, primes, types), tuple(failures))
 
 
 def sweep_conjecture_f(max_order: int, *, jobs: int | None = 1) -> ConjectureFSweep:

@@ -7,8 +7,9 @@ validation tests can expect the same exception from oracle and fast path.
 The exceptions are :func:`counts_list_injectivity_sweep`,
 :func:`record_violations`, :func:`successor_partitions`,
 :func:`format_group_loop`, :func:`per_factor_expand_mod` (with
-:func:`inverse_table`) and :func:`column_candidates`, former package
-paths kept whole as the references for the ones that replaced them.
+:func:`inverse_table`), :func:`column_candidates` and
+:func:`recursive_count_groups`, former package paths kept whole as the
+references for the ones that replaced them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
+from bisect import bisect_right
 from functools import cache, lru_cache
-from math import prod
+from math import isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
 from psiprime.errors import DomainError
@@ -273,3 +275,27 @@ def column_candidates(residues: Sequence[Sequence[int]]) -> list[tuple[int, int,
             for cls in classes.values():
                 candidates.extend((i, j, k) for i, j in itertools.combinations(cls, 2))
     return sorted(candidates)
+
+
+def recursive_count_groups(max_order: int, primes: list[int], types: list[int]) -> int:
+    """The number of abelian groups of order at most max_order, as
+    ``verify._count_groups`` counted it before its flat pass over the
+    primes with p^4 > n: sum_d b(d) * (max_order // d) over the powerful
+    numbers d, with b(p^k) = types[k] - types[k - 1], every d reached by
+    one recursive call.  primes runs up to sqrt(max_order) and types[k] is
+    p(k) for every 2^k <= max_order."""
+    b = [0, 0] + [types[k] - types[k - 1] for k in range(2, len(types))]
+
+    def walk(n: int, bd: int, i: int) -> int:
+        # the terms for d times a powerful number of the primes from
+        # primes[i] on, where n = max_order // d and bd = b(d)
+        total = bd * n
+        for j in range(i, bisect_right(primes, isqrt(n), i)):
+            p = primes[j]
+            pk, k = p * p, 2
+            while pk <= n:
+                total += walk(n // pk, bd * b[k], j + 1)
+                pk, k = pk * p, k + 1
+        return total
+
+    return walk(max_order, 1, 0)

@@ -570,6 +570,39 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def _subcommands(parser):
+    # {name: parser} of the parser's subcommands, in the order registered
+    import argparse
+
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _arguments(parser):
+    return [a.dest for a in parser._actions]
+
+
+def test_verify_injectivity_adds_arguments_to_no_other_subparser():
+    # every command and check is registered for the help and usage
+    # messages, but only the invoked one is given its arguments
+    from psiprime.cli import build_parser
+
+    commands = _subcommands(build_parser(["verify", "injectivity", "--max-order", "5"]))
+    assert list(commands) == ["compute", "enumerate", "verify", "oracle"]
+    checks = _subcommands(commands["verify"])
+    assert list(checks) == ["theorem-c", "injectivity", "collisions", "conjecture-f"]
+    assert _arguments(checks["injectivity"]) == ["help", "max_order", "jobs", "fmt", "fmt"]
+    for name, parser in [*commands.items(), *checks.items()]:
+        if name not in ("verify", "injectivity"):
+            assert _arguments(parser) == ["help"], name
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["psiprime", "compute", "--psi", "Z2"])
+    assert main() == 0
+    assert capsys.readouterr() == ("3\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -604,16 +637,18 @@ def test_conjecture_f_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys
 
 
 def test_injectivity_bound_past_cap_exit_2_before_any_order(monkeypatch, capsys):
+    # the sweep's first work is the sieve, then the exponent passes
     from psiprime import verify
 
-    def never(m):
-        raise AssertionError(f"check_injectivity({m}) ran")
+    def never(*args):
+        raise AssertionError(f"sweep work ran on {args}")
 
-    monkeypatch.setattr(verify, "check_injectivity", never)
-    code, out, err = run(capsys, "verify", "injectivity", "--max-order", "1000000000001")
+    monkeypatch.setattr(verify, "_primes_to", never)
+    monkeypatch.setattr(verify, "pgroup_exponents", never)
+    code, out, err = run(capsys, "verify", "injectivity", "--max-order", "100000000000001")
     assert (code, out) == (2, "")
     assert err == (
-        "error: max_order = 1000000000001 exceeds the injectivity cap 1000000000000\n"
+        "error: max_order = 100000000000001 exceeds the injectivity cap 100000000000000\n"
     )
 
 

@@ -2,8 +2,9 @@
 stdout, stderr) must equal the recorded bytes in ``cli_golden.json``.
 
 The cases cover every subcommand in table, ``--json`` and ``--csv`` form,
-every error exit, every ``--help`` page (at a fixed terminal width), and
-the failure renderings, which are reached by substituting fake reports
+every error exit, every ``--help`` page (at a fixed terminal width), the
+argv orders that the parser's command scan must read as argparse does,
+and the failure renderings, which are reached by substituting fake reports
 (or fake rows, for theorem-c) for the sweeps through the module-global
 names in ``psiprime.cli``.
 
@@ -141,6 +142,23 @@ ERRORS = (
     ("jobs-not-int", ["verify", "conjecture-f", "--max-order", "10", "--jobs", "x"]),
 )
 
+# argv orders the parser's scan for the invoked command must read as
+# argparse does: options before, between and after the command words, a
+# second command word, "--", and commands given nothing
+ORDERS = (
+    ("help-before-verify", ["--help", "verify"]),
+    ("help-between-verify-and-check", ["verify", "--help", "injectivity"]),
+    ("option-before-group", ["compute", "--psi-k", "2", "Z3"]),
+    ("json-before-command", ["--json", "verify", "injectivity", "--max-order", "5"]),
+    ("negative-max-order", ["verify", "injectivity", "--max-order", "-5"]),
+    ("two-checks", ["verify", "injectivity", "theorem-c"]),
+    ("unknown-check", ["verify", "nope"]),
+    ("compute-alone", ["compute"]),
+    ("oracle-alone", ["oracle"]),
+    ("dashes-before-order", ["enumerate", "--", "5"]),
+    ("dashes-before-check", ["verify", "--", "injectivity", "--max-order", "5"]),
+)
+
 HELP = (
     [],
     ["compute"],
@@ -160,6 +178,7 @@ CASES = (
     + [("inexact-division", "inexact-division",
         ["verify", "theorem-c", "--prime", "3", "--n", "4"])]
     + [(f"error-{name}", None, argv) for name, argv in ERRORS]
+    + [(f"order-{name}", None, argv) for name, argv in ORDERS]
     + [("help" + "".join(f"-{w}" for w in words), None, words + ["--help"]) for words in HELP]
 )
 

@@ -77,7 +77,7 @@ def test_scripts_refuse_a_bound_below_one(script, args):
     "script, args, cap",
     [
         ("run_verification.py", ["--max-n"], 64),
-        ("run_verification.py", ["--injectivity-order"], 10**12),
+        ("run_verification.py", ["--injectivity-order"], 10**14),
         ("run_verification.py", ["--collision-order"], 10**6),
         ("run_verification.py", ["--conjecture-order"], 4096),
         ("run_verification.py", ["--brute-order"], 10**5),

@@ -815,10 +815,14 @@ def test_sweep_injectivity_reports_a_planted_collision_past_the_cap_at_its_prime
 
 
 def test_sweep_injectivity_refuses_bound_past_cap_before_any_work(monkeypatch):
-    from psiprime import SizeLimitError
+    from psiprime import SizeLimitError, verify
     from psiprime.verify import INJECTIVITY_CAP
 
-    _forbid_full_check(monkeypatch)
+    def never(*args):
+        raise AssertionError(f"sweep work ran on {args}")
+
+    monkeypatch.setattr(verify, "_primes_to", never)
+    monkeypatch.setattr(verify, "pgroup_exponents", never)
     with pytest.raises(
         SizeLimitError,
         match=f"max_order = {INJECTIVITY_CAP + 1} exceeds the injectivity cap {INJECTIVITY_CAP}",
@@ -884,6 +888,74 @@ def test_sweep_injectivity_count_matches_independent_factorization():
         for m in range(1, 10**5 + 1)
     )
     assert sweep_injectivity(10**5).groups_checked == 226_610 == expected
+
+
+def _count_inputs(max_order):
+    # the primes up to sqrt(max_order) by trial division and p(k) for every
+    # 2^k <= max_order by the recurrence, not by the sweep's sieve and pass
+    from oracles import partition_count, trial_division
+
+    primes = [p for p in range(2, math.isqrt(max_order) + 1) if trial_division(p) == {p: 1}]
+    return primes, [partition_count(k) for k in range(max_order.bit_length())]
+
+
+@pytest.mark.parametrize("max_order", [1, 7, 100, 4096, 10**6, 123_456_789])
+def test_count_groups_equals_the_recursion(max_order):
+    # the flat pass over the primes with p^4 > n against one call per
+    # powerful number; from 4096 on it takes p^3 terms (11^3 <= 4096 < 11^4)
+    from oracles import recursive_count_groups
+    from psiprime.verify import _count_groups
+
+    primes, types = _count_inputs(max_order)
+    assert _count_groups(max_order, primes, types) == recursive_count_groups(
+        max_order, primes, types
+    )
+
+
+@given(st.integers(min_value=1, max_value=10**7))
+@settings(max_examples=60, deadline=None)
+def test_count_groups_equals_the_recursion_on_any_bound(max_order):
+    from oracles import recursive_count_groups
+    from psiprime.verify import _count_groups
+
+    primes, types = _count_inputs(max_order)
+    assert _count_groups(max_order, primes, types) == recursive_count_groups(
+        max_order, primes, types
+    )
+
+
+def test_square_exponents_equal_the_prefix_sum_pass():
+    from oracles import trial_division
+    from psiprime.psi import pgroup_exponents
+    from psiprime.verify import _square_exponents
+
+    primes = [p for p in range(2, 10**4 + 1) if trial_division(p) == {p: 1}]
+    for p in primes + [2**31 - 1]:
+        assert _square_exponents(p) == [e for _, e in pgroup_exponents(p, 2)], p
+
+
+def test_sweep_injectivity_reports_a_planted_square_collision_at_p_squared(monkeypatch):
+    # Z9 takes the exponent of Z3^2, both in the kernel that psi_prime
+    # reads and in the closed forms the sweep reads at n = 2
+    from psiprime import psi, verify
+
+    real_exponent, real_squares = psi._exponent, verify._square_exponents
+
+    def fake_exponent(p, parts):
+        return real_exponent(p, (1, 1) if (p, parts) == (3, (2,)) else parts)
+
+    def fake_squares(p):
+        e = real_squares(p)
+        return [e[0], e[0]] if p == 3 else e
+
+    monkeypatch.setattr(psi, "_exponent", fake_exponent)
+    monkeypatch.setattr(verify, "_square_exponents", fake_squares)
+    report = check_injectivity(9)
+    assert report.duplicates == ((parse_group("Z3^2"), parse_group("Z9")),)
+    _forbid_full_check(monkeypatch)
+    for max_order, groups in ((9, 13), (10**6, 2_284_717), (10**9, 2_294_454_056)):
+        sweep = sweep_injectivity(max_order)
+        assert (sweep.failures, sweep.groups_checked) == ((report,), groups)
 
 
 def _forbid_group_enumeration(monkeypatch):
