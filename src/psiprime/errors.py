@@ -1,4 +1,4 @@
-"""Exception types shared by the whole package, and its record decorator."""
+"""Exception types shared by the whole package, and its record helpers."""
 
 from operator import attrgetter
 
@@ -77,3 +77,12 @@ def frozen(cls):
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
     return cls
+
+
+def trusted(cls, **fields):
+    """A cls record of fields, made without cls.__init__'s checks."""
+    record = object.__new__(cls)
+    # record.__dict__ would take twice the memory of compact attributes
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record

@@ -13,7 +13,9 @@ solutions of x^(p^i) = e is p^(sum_j min(a_j, i)), so exact-order counts
 fall out by successive differences, and multiplicities of coprime orders
 multiply across primes.  The literal oracle (:func:`brute_force_spectrum`)
 enumerates every element as a residue tuple and tallies lcm's; it exists
-purely to distrust the counting oracle.
+purely to distrust the counting oracle.  The constructors check every
+input; enumerate_abelian_groups and order_spectrum build valid records
+without them (errors.trusted).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .arith import FACTORIZATION_CAP, _require_trusted_prime, factorize
-from .errors import DomainError, SizeLimitError, frozen, require_int
+from .errors import DomainError, SizeLimitError, frozen, require_int, trusted
 from .partitions import Partition, partitions_of
 
 # Largest group order enumerate_abelian_groups accepts.
@@ -125,7 +127,7 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
     primes = sorted(factors)
     per_prime = [partitions_of(factors[p]) for p in primes]
     return [
-        AbelianGroup(tuple(zip(primes, choice)))
+        trusted(AbelianGroup, components=tuple(zip(primes, choice)))
         for choice in itertools.product(*per_prime)
     ]
 
@@ -154,7 +156,7 @@ def order_spectrum(G: AbelianGroup) -> OrderSpectrum:
         acc = {
             da * db: ma * mb for da, ma in acc.items() for db, mb in comp
         }
-    return OrderSpectrum(acc.items())
+    return trusted(OrderSpectrum, entries=tuple(sorted(acc.items())), total=G.order)
 
 
 def brute_force_spectrum(G: AbelianGroup) -> OrderSpectrum:

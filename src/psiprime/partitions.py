@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DomainError, frozen, require_int
+from .errors import DomainError, frozen, require_int, trusted
 
 # Largest n that iter_partitions, partitions_of and the theorem-c rows
 # accept.  Streaming holds no rows, so the cap bounds two things: the
@@ -84,16 +84,8 @@ def _zs2(n: int) -> Iterator[tuple[list[int], int, int]]:
 
 
 def _ascending(n: int) -> Iterator[tuple[int, ...]]:
-    # descending-part tuples of the partitions of n in ascending lex order
+    # parts of the partitions of n in ascending lex order, valid by construction
     return (tuple(x[1 : m + 1]) for x, _, m in _zs2(n))
-
-
-def _trusted(parts: tuple[int, ...]) -> Partition:
-    # a Partition without the O(k) checks of Partition.__init__, for parts
-    # that _ascending made weakly decreasing and positive by construction
-    q = object.__new__(Partition)
-    object.__setattr__(q, "parts", parts)
-    return q
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
@@ -102,7 +94,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     n is checked when this is called, before the first partition is made.
     """
     require_int(n, "n", 0, PARTITION_CAP, "partition cap")
-    return map(_trusted, _ascending(n))
+    return (trusted(Partition, parts=parts) for parts in _ascending(n))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

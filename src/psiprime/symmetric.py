@@ -14,35 +14,33 @@ substitution: a coefficient list is packed into one integer with one
 64-bit slot per coefficient, so a polynomial product is a single integer
 product.  The product is built by one left-to-right binary powering over
 the bits of all the multiplicities at once (Knuth, TAOCP vol. 2, 4.6.3).
-For k from the top bit of max m_d down to 0, Q <- Q^2 (skipped while
-Q = 1) and then Q <- Q * L_k, where L_k = prod (1 + dX) over the d whose
-m_d has bit k set, reduced mod P.  After each product every slot z is
-folded twice, z -> (z >> b) * c + (z mod 2^b), which keeps z mod P since
-2^b = c (mod P) (Crandall and Pomerance, Prime Numbers, 9.2.3); one
-shift, two masks and one small product fold all slots at once.
-psi_packed_mod hands out the packed Q itself, its constant term shifted
-out: slot k - 1 holds psi_k mod P, canonical (below P).  psi_all_mod is
-the list view of Q.
+For k from the top bit of max m_d down to 0, Q <- Q^2 and then
+Q <- Q * L_k, each skipped for a factor of 1, where L_k = prod (1 + dX)
+over the d whose m_d has bit k set, built packed: L <- L + (L << 64) * d.
+Every slot z of a product is folded twice, z -> (z >> b) * c + z mod 2^b,
+which keeps z mod P since 2^b = c (mod P) (Crandall and Pomerance, Prime
+Numbers, 9.2.3); one shift, two masks and one small product fold all
+slots at once.  psi_packed_mod hands out Q, its constant term shifted
+out: slot k - 1 holds psi_k mod P, canonical (below P); psi_all_mod is
+its list view.
 
 No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
 - a slot below 2^64 folds to below c * 2^(64 - b) + 2^b, and that folds
   to below B = c * (c * 2^(64 - 2b) + 1) + 2^b, about 1.002 * 2^26 at P1
   and 1.045 * 2^26 at P2;
+- L_k is folded twice after every third factor and, past three, after
+  its last: a factor (1 + dX) multiplies a slot by at most 1 + d <= 4097,
+  so three take it from below B to below B * 4097^3 < 2^62.1, and one or
+  two from 1 to below 4097^2 < B; L_k's slots are below B at the product;
 - every product has degree at most n, so a slot sums at most
-  ceil((n + 2) / 2) <= 2049 terms, each below B^2 (the L_k coefficients
-  are below P < B), and 2049 * B^2 < 2^63.2;
-- B < 2P, so one conditional subtraction of P per slot leaves canonical
-  residues.
+  ceil((n + 2) / 2) <= 2049 terms, each below B^2, and 2049 * B^2 < 2^63.2;
+- B < 2P, so one subtraction of P per slot leaves canonical residues.
 The bound is checked for these two primes only; a prime whose B is not
 below 2P, or whose 2049 * B^2 reaches 2^64, would need a third fold.
 
-verify.check_conjecture_f uses the primes as a cascade: every group is
-expanded once mod P1, and two groups are compared by one zero-slot test
-on the XOR of their Q, which canonical slots make exact; only groups
-whose residue matches another group's at some k are expanded mod P2, and
-only pairs that match at both primes get exact psi_all.  Values with
-different residues mod either prime differ, so no stage can drop an
-exact equality.
+verify.check_conjecture_f compares every pair of groups mod P1 by one
+zero-slot test on Q_i XOR Q_j, exact as the slots are canonical, and
+expands only the groups in a match mod P2, then exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from array import array
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, frozen, require_int
+from .errors import ConsistencyError, DomainError, frozen, require_int
 from .groups import AbelianGroup, order_spectrum
 
 # Ceiling on |G| for exact psi_k and the order polynomial; psi_|G| already
@@ -126,13 +124,9 @@ def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
             for j, b in enumerate(factor):
                 out[i + j] += a * b
         acc = out
-    assert len(acc) == n + 1
+    if len(acc) != n + 1:
+        raise ConsistencyError(f"the product has degree {len(acc) - 1}, not |G| = {n}")
     return acc[1:]
-
-
-def _pack(coeffs: list[int]) -> int:
-    # array("Q") bytes are in native order, so read them back in it
-    return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
 
 
 def _unpack(q: int, n: int) -> list[int]:
@@ -144,25 +138,27 @@ def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> int:
     # prod_d (1 + dX)^(m_d) mod P by one left-to-right binary powering over
     # the bits of every m_d at once; packed, canonical, constant term shifted out
     b, c, low, high = _FOLDS[P]
+    fold = lambda z: (z >> b & high) * c + (z & low)
     q = 1
     for k in reversed(range(max(m for _, m in entries).bit_length())):
-        # L_k = prod (1 + dX) over the d whose m_d has bit k set
-        factor = [1]
+        # L_k, packed and folded below B (module docstring)
+        factor, t = 1, 0
         for d, m in entries:
             if m >> k & 1:
-                factor.append(0)
-                for i in range(len(factor) - 1, 0, -1):
-                    factor[i] = (factor[i] + d * factor[i - 1]) % P
-        # Q <- Q^2, then Q <- Q * L_k, skipping a factor of 1; after each
-        # product every slot z is folded twice, z -> (z >> b) * c + z % 2^b,
-        # which ends below B (module docstring) and keeps z mod P
-        for y in (q, _pack(factor)):
+                factor += (factor << 64) * d
+                t += 1
+                if t % 3 == 0:
+                    factor = fold(fold(factor))
+        if t > 3 and t % 3:
+            factor = fold(fold(factor))
+        # Q <- Q^2, then Q <- Q * L_k, skipping a factor of 1, each folded
+        # twice; written out, as calls to fold measured slower on Q
+        for y in (q, factor):
             if y != 1:
                 q *= y
                 q = (q >> b & high) * c + (q & low)
                 q = (q >> b & high) * c + (q & low)
-    n = sum(m for _, m in entries)
-    ones = _ONES >> 64 * (CONJECTURE_F_CAP - n)
+    ones = _ONES >> 64 * (CONJECTURE_F_CAP - sum(m for _, m in entries))
     # every slot z is below 2P, and bit 32 of z + 2^32 - P is set iff z >= P
     q -= ((q + ((1 << 32) - P) * ones) >> 32 & ones) * P
     return q >> 64
@@ -179,7 +175,8 @@ def psi_packed_mod(G: AbelianGroup, P: int) -> int:
     q = _expand_mod(order_spectrum(G).entries, P)
     # psi_n, the product of orders up to n < P, is prime to P, so slot n - 1
     # is the top one that is nonzero
-    assert 64 * (n - 1) < q.bit_length() <= 64 * n
+    if not 64 * (n - 1) < q.bit_length() <= 64 * n:
+        raise ConsistencyError(f"{q.bit_length()} bits do not fill {n} slots of psi_k mod {P}")
     return q
 
 

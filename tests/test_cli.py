@@ -210,6 +210,43 @@ def test_consistency_error_exit_3_with_message(monkeypatch, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_conjecture_f_exits_3_on_a_fingerprint_longer_than_its_slots(monkeypatch, capsys):
+    from psiprime import symmetric
+
+    expand = symmetric._expand_mod
+    monkeypatch.setattr(symmetric, "_expand_mod", lambda entries, P: expand(entries, P) << 64)
+    code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "8", "--jobs", "1")
+    assert (code, out) == (3, "")
+    assert err == f"error: 260 bits do not fill 4 slots of psi_k mod {2**26 - 5}\n"
+
+
+def test_the_fingerprint_length_check_holds_under_python_o():
+    # python -O strips assert statements, so the check must raise instead
+    import os
+    import subprocess
+
+    import psiprime
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psiprime.__file__)))
+    code = (
+        "import sys\n"
+        "from psiprime import cli, symmetric\n"
+        "expand = symmetric._expand_mod\n"
+        "symmetric._expand_mod = lambda entries, P: expand(entries, P) << 64\n"
+        "print(sys.flags.optimize)\n"
+        "sys.exit(cli.main(['verify', 'conjecture-f', '--max-order', '8', '--jobs', '1']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, "1\n")
+    assert done.stderr == f"error: 260 bits do not fill 4 slots of psi_k mod {2**26 - 5}\n"
+
+
 def _inexact_theorem_c(monkeypatch, capsys, argv, wrong):
     # theorem-c output with exact_div made wrong where wrong(numerator,
     # denominator) holds, next to the correct output

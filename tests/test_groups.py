@@ -220,6 +220,17 @@ def test_spectrum_invariants(m):
         assert all(m % order == 0 for order in d)
 
 
+def test_enumerated_groups_and_spectra_equal_the_checked_records_up_to_2000():
+    # enumerate_abelian_groups and order_spectrum skip the constructors'
+    # checks; the constructors must accept what they build, unchanged
+    for m in range(1, 2001):
+        for G in enumerate_abelian_groups(m):
+            assert G == AbelianGroup(G.components)
+            spectrum = order_spectrum(G)
+            checked = OrderSpectrum(spectrum.entries)
+            assert spectrum == checked and spectrum.total == checked.total, G
+
+
 def test_spectrum_multiplicative_convolution():
     # coprime direct factors convolve multiplicatively
     for m1 in range(2, 23):

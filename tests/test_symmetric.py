@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from psiprime import (
     AbelianGroup,
+    ConsistencyError,
     DomainError,
     OrderPolynomial,
+    OrderSpectrum,
     SizeLimitError,
     brute_force_spectrum,
     canonicalize,
@@ -22,6 +24,7 @@ from psiprime import (
 )
 from psiprime import symmetric
 from psiprime.arith import is_prime
+from psiprime.errors import trusted
 from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
 from oracles import per_factor_expand_mod, slots, spectrum_orders, subset_esp
 
@@ -138,16 +141,49 @@ def test_expand_mod_subtracts_p_from_a_slot_folded_to_p_or_above():
         assert _expanded(entries, P) == per_factor_expand_mod(entries, P)
 
 
+def _fold_bound(P):
+    # B, the bound on a slot after two folds (symmetric's module docstring),
+    # from b and c as the kernel reads them
+    b, c = symmetric._FOLDS[P][:2]
+    assert P == 2**b - c
+    return c * (c * 2 ** (64 - 2 * b) + 1) + 2**b
+
+
 def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
-    # B bounds a slot after two folds (symmetric's module docstring), from b
-    # and c as the kernel reads them: one subtraction of P needs B <= 2P,
-    # and the widest product sums ceil((CAP + 2) / 2) terms below B^2
+    # one subtraction of P needs B <= 2P, and the widest product sums
+    # ceil((CAP + 2) / 2) terms below B^2
     for P in FINGERPRINT_PRIMES:
-        b, c = symmetric._FOLDS[P][:2]
-        assert P == 2**b - c
-        B = c * (c * 2 ** (64 - 2 * b) + 1) + 2**b
+        B = _fold_bound(P)
         assert B <= 2 * P
         assert (CONJECTURE_F_CAP + 3) // 2 * B**2 < 2**64
+
+
+def test_three_factors_of_l_k_fit_between_two_folds():
+    # a factor (1 + dX), d <= CAP, multiplies a slot by at most 1 + d, so
+    # three take a slot from below B to below B * 4097^3, and an L_k of at
+    # most two factors, which starts at 1, is below 4097^2 < B unfolded
+    for P in FINGERPRINT_PRIMES:
+        B = _fold_bound(P)
+        assert B * (CONJECTURE_F_CAP + 1) ** 3 < 2**64
+        assert (CONJECTURE_F_CAP + 1) ** 2 < B
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((1, 1),) + tuple((CONJECTURE_F_CAP - i, 1) for i in range(40)),
+        ((1, 1),) + tuple((CONJECTURE_F_CAP - i, 3) for i in range(40)),
+        ((1, 1),) + tuple((4070 - i, 6) for i in range(4)),
+    ],
+    ids=["41-factors", "41-factors-after-a-square", "4-factors-after-a-square"],
+)
+def test_expand_mod_equals_the_per_factor_kernel_on_the_largest_factors(entries):
+    # L_k of linear factors near the cap, each growing a slot almost
+    # 4097-fold, the most a factor can: 41 leave two after the last fold,
+    # and 4 (at bits 1 and 2) leave one. Once L_k multiplies a squared Q,
+    # that growth overflows a slot unless L_k is folded once more first
+    for P in FINGERPRINT_PRIMES:
+        assert _expanded(entries, P) == per_factor_expand_mod(entries, P)
 
 
 def test_fingerprint_primes_are_usable_up_to_the_cap():
@@ -170,6 +206,24 @@ def test_packed_slots_are_canonical():
     cases += [(parse_group(notation), FINGERPRINT_PRIMES[1]) for notation in ("Z1373", "Z8xZ17^2")]
     for G, P in cases:
         assert max(slots(psi_packed_mod(G, P), G.order)) < P
+
+
+def test_psi_packed_mod_refuses_a_q_longer_than_n_slots(monkeypatch):
+    # a carry out of the top slot would lengthen Q by a slot; the check
+    # raises, so it holds under python -O too (test_cli covers that run)
+    expand = symmetric._expand_mod
+    monkeypatch.setattr(symmetric, "_expand_mod", lambda entries, P: expand(entries, P) << 64)
+    for P in FINGERPRINT_PRIMES:
+        with pytest.raises(ConsistencyError, match="bits do not fill 4 slots"):
+            psi_packed_mod(canonicalize([4]), P)
+
+
+def test_psi_all_refuses_a_product_of_the_wrong_degree(monkeypatch):
+    # a spectrum whose multiplicities sum past |G| = 3
+    wrong = trusted(OrderSpectrum, entries=((1, 1), (3, 3)), total=3)
+    monkeypatch.setattr(symmetric, "order_spectrum", lambda G: wrong)
+    with pytest.raises(ConsistencyError, match=r"degree 4, not \|G\| = 3"):
+        psi_all(canonicalize([3]))
 
 
 def test_psi_all_mod_refuses_order_past_the_cap():
