@@ -20,9 +20,10 @@ from .errors import DomainError, frozen, require_int, trusted
 # Largest n that iter_partitions, partitions_of and the theorem-c rows
 # accept.  Streaming holds no rows, so the cap bounds two things: the
 # length of the tuple that partitions_of(n) builds, and the length of one
-# theorem-c run, p(64) = 1,741,630 rows: 2.6-3.7 s for ``verify theorem-c
-# --prime 2 --n 64 --json`` and 3.7-4.3 s for its table, with Python 3.11
-# on a shared 2-core x86_64 host (BENCH_16.json, README).
+# theorem-c run, p(64) = 1,741,630 rows: 1.6-1.8 s for ``verify theorem-c
+# --prime 2 --n 64 --json`` and 2.7-3.6 s for its table, in a fresh
+# process with Python 3.11 on a shared 2-core x86_64 host (BENCH_34.json,
+# README).
 PARTITION_CAP = 64
 
 
@@ -50,42 +51,54 @@ class Partition:
 
 
 def _zs2(n: int) -> Iterator[tuple[list[int], int, int]]:
-    # The state (x, h, m) of ZS2 of Zoghbi and Stojmenovic (1998) after
-    # each step, for the partitions of n in ascending lex order: constant
+    # The states (x, h, m) of ZS2 of Zoghbi and Stojmenovic (1998) that
+    # start a run, for the partitions of n in ascending lex order: constant
     # amortized time per partition.  x[1..m] is the partition and
     # x[m+1..n] stays 1, h is the index of the last part above 1 (0 for
-    # the first, all 1s), and x[0] = -1 ends a scan.  x is one list,
-    # changed in place by the next step, so a reader takes what it needs
-    # from it before asking for the next state.
+    # the first, all 1s), and x[0] = -1 ends a scan.  ZS2's step "the
+    # first 1 after x[h] becomes a 2" repeats while two 1s are left, so
+    # each partition with no part equal to 2 starts a run of (m - h) // 2
+    # such steps: x[1..h], then j 2s and m - h - 2j 1s, j = 1, 2, ....
+    # Only the run starts are yielded, p(n) - p(n - 2) of them (adding a
+    # 2 maps the partitions of n - 2 onto the rest); the reader expands
+    # the run itself, and the next step takes the whole run with one slice
+    # assignment.  x is one list, changed in place by the next step, so a
+    # reader takes what it needs from it before asking for the next state.
     x = [-1] + [1] * n
     h, m = 0, n
-    yield x, h, m
-    while m > 1:  # (n) is the one partition with a single part
-        if m - h > 1:
-            # the first 1 after x[h] becomes a 2
-            h += 1
-            x[h] = 2
-            m -= 1
-        else:
-            # raise the first part equal to x[m-1]; the rest become 1s
-            last = x[m - 1]
-            j = m - 2
-            while x[j] == last:
-                x[j] = 1
-                j -= 1
-            h = j + 1
-            x[h] = last + 1
-            r = x[m] + last * (m - h - 1)
-            x[m] = 1
-            if m - h > 1:
-                x[m - 1] = 1
-            m = h + r - 1
+    while True:
         yield x, h, m
+        j = (m - h) // 2
+        if j:
+            x[h + 1 : h + j + 1] = [2] * j
+            h += j
+            m -= j
+        if m < 2:  # (n) is the one partition with a single part
+            return
+        # at most one 1 is left: raise the first part equal to x[m-1]; the
+        # rest become 1s
+        last = x[m - 1]
+        j = m - 2
+        while x[j] == last:
+            x[j] = 1
+            j -= 1
+        h = j + 1
+        x[h] = last + 1
+        r = x[m] + last * (m - h - 1)
+        x[m] = 1
+        if m - h > 1:
+            x[m - 1] = 1
+        m = h + r - 1
 
 
 def _ascending(n: int) -> Iterator[tuple[int, ...]]:
-    # parts of the partitions of n in ascending lex order, valid by construction
-    return (tuple(x[1 : m + 1]) for x, _, m in _zs2(n))
+    # parts of the partitions of n in ascending lex order, valid by
+    # construction: each ZS2 run start, then its run
+    for x, h, m in _zs2(n):
+        head = tuple(x[1 : h + 1])
+        ones = m - h
+        for j in range(ones // 2 + 1):
+            yield head + (2,) * j + (1,) * (ones - 2 * j)
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:

@@ -35,20 +35,42 @@ was built.  The literal loop over i is kept as a test oracle in
 
 :func:`pgroup_exponents` gives the same E for every partition of one n
 in ascending order, as the Theorem C and injectivity sweeps read them,
-with constant work per partition.  Write T_t for the t-th run term, p^(n - P_t + t*l_(t+1)) *
-g(t, l_t - l_(t+1)) with g(t, d) = (p^(t*d) - 1) / (p^t - 1), and S_t for
-T_1 + ... + T_t.  The successor of a partition keeps every part before
-index i (0-based), raises part i and ends in 1s, so in each new partition
-i is the last part above 1.  The ZS2 successor (``partitions._zs2``)
-holds both in its state (x, h, m): i = h - 1 and the number of 1s is
-m - h, so the pass reads them and never scans the parts.  T_1..T_(i-1)
-are unchanged and S_(i-1) is reused; only T_i and T_(i+1) are new, and
-the tail of 1s adds g(k, 1).  There n - P_i is part i plus the number of
-1s and n - P_(i+1) is the number of 1s, so no part sum is needed.  Each
+with constant work per partition.  Write T_t for the t-th run term,
+p^(n - P_t + t*l_(t+1)) * g(t, l_t - l_(t+1)) with
+g(t, d) = (p^(t*d) - 1) / (p^t - 1), and S_t for T_1 + ... + T_t.  The
+ZS2 generator (``partitions._zs2``) yields only the run starts, the
+partitions [l_1..l_h, 1^r] with no part equal to 2, in its state
+(x, h, m): h is the index of the last part above 1 and r = m - h the
+number of 1s.  Each run start heads a run of rows
+[l_1..l_h, 2^j, 1^(r-2j)], j = 1..r // 2, which the pass writes itself.
+
+A run start is a prefix-sum step.  The successor of a partition keeps
+every part before index i (0-based), raises part i and ends in 1s, so
+i = h - 1 and the pass never scans the parts.  T_1..T_(i-1) are
+unchanged and S_(i-1) is reused; only T_i and T_(i+1) are new, and the
+tail of 1s adds g(k, 1).  There n - P_i is part i plus the number of 1s
+and n - P_(i+1) is the number of 1s, so no part sum is needed.  Each
 g(t, d) is divided, checked exact, on first use and kept for the rest of
 the sweep in a list table runs[t][d], t * d <= n, read by index.  The
 partition's text is kept by prefix in the same way: the text of the parts
 before i is reused, and part i and a tabled run of ",1"s end it.
+
+A run row has a closed form.  Its first h - 1 terms are the run start's,
+S = S_(h-1).  At t = h, l_h > 2 (a run start has no 2) meets the first 2,
+and n - P_h = r, so T_h = p^(2h + r) * g(h, l_h - 2).  Between 2s there
+is no term.  With r' = r - 2j 1s left, the last 2 and the last 1 add
+p^(h+j+r') * g(h+j, 1) + g(k, 1), or g(h+j, 2) when r' = 0: p^(m-j) + 1
+either way, as h + j + r' = m - j is the row's number of parts.  So
+
+    E_j = l_1 * p^n - S - p^(2h + r) * g(h, l_h - 2) - p^(m-j) - 1,
+
+one subtraction per row, and the first run (h = 0, l_1 = 2) gives
+E_j = 2p^n - p^(n-j) - 1.  The row's text is the run start's text of its
+first h parts and ",2"*j + ",1"*r' + "]", from a table per number of 1s
+built on first use and shared by every pass.  Run rows write no entry of the sums S_t or the
+prefix texts: the next run start raises an index of at most h, so it
+reads only S_t for t < h and prefixes of at most h parts, which this run
+start or an earlier one wrote.
 
 A group of order m with Sylow p-subgroups of order p^(n_p) and exponents
 E_p has
@@ -183,9 +205,11 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
     partition of n >= 1, in ascending order, where text is "[l_1,...,l_k]",
     the JSON array of the parts.  Lazy, unchecked, uncached, and with
     constant work per partition: the prefix-sum pass of the module
-    docstring, read from the ZS2 state, its g(t, d) in the list table
-    runs[t][d].  No tuple is made per partition.  The first partition,
-    all 1s, divides by p^n - 1 first, as psi_prime_exponent does.
+    docstring at each ZS2 run start, read from the ZS2 state, its g(t, d)
+    in the list table runs[t][d], and the run of 2s after it from one
+    closed form per row.  No tuple is made per partition.  The first
+    partition, all 1s, divides by p^n - 1 first, as psi_prime_exponent
+    does.
     """
     power = [1]
     for _ in range(n):
@@ -202,15 +226,31 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
     # n - 2 ones; tail[k] closes a row that ends in k ones
     part_text = [str(x) for x in range(n + 1)]
     tail = [",1" * k + "]" for k in range(n)]
+    # twos[k] = _run_tails(k), the ends of the rows in the run of a run
+    # start that ends in k ones, None until its first use: the injectivity
+    # sweep makes many small passes, which share _run_tails
+    twos = [None] * (n + 1)
+
+    def run_tails(k: int) -> tuple[str, ...]:
+        texts = twos[k] = _run_tails(k)
+        return texts
+
     states = _zs2(n)
     next(states)
     yield "[1" + tail[n - 1], top - run(n, 1)
-    # x[1..m] holds the parts, h - 1 is the raised index i and m - h the
-    # number of 1s.  sums[t] = S_t, which reads l_1..l_(t+1), and pre[t]
-    # is the text "[l_1,...,l_t," of the first t parts.  A row with index
-    # i reads S_(i-1) and pre[i]: the last row with index i - 1 wrote
-    # them, and each row since had an index of at least i (it grows by at
-    # most 1 a row), so it left every part before i as it was
+    # the first run, [2^j, 1^(n-2j)]: E_j = 2p^n - p^(n-j) - 1
+    text = "[2"
+    base = 2 * top - 1
+    for j in range(1, n // 2 + 1):
+        yield text + tail[n - 2 * j], base - power[n - j]
+        text += ",2"
+    # x[1..m] holds the parts of a run start, h - 1 is the raised index i
+    # and m - h the number of 1s.  sums[t] = S_t, which reads
+    # l_1..l_(t+1), and pre[t] is the text "[l_1,...,l_t," of the first t
+    # parts.  A run start with index i reads S_(i-1) and pre[i]: the last
+    # row with index i - 1 wrote them, as it keeps the run start's first i
+    # parts, none of them 2, so it is a run start itself; each row since
+    # had an index of at least i, so it left every part before i as it was
     sums = [0] * n
     pre = ["["] * (n + 1)
     for x, h, m in states:
@@ -225,13 +265,33 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
             sums[i] = s
         else:
             s = 0
+        # l_1 * p^n - S_(h-1), shared by the run start and its run
+        lead = x[1] * top - s
         if ones:
-            s += power[ones + h] * (runs[h][part - 1] or run(h, part - 1)) + (runs[m][1] or run(m, 1))
+            e = lead - power[ones + h] * (runs[h][part - 1] or run(h, part - 1))
+            e -= runs[m][1] or run(m, 1)
         else:
-            s += runs[h][part] or run(h, part)
+            e = lead - (runs[h][part] or run(h, part))
         head = pre[i] + part_text[part]
         pre[h] = head + ","
-        yield head + tail[ones], x[1] * top - s
+        yield head + tail[ones], e
+        if ones > 1:
+            # the run [l_1..l_h, 2^j, 1^(ones-2j)], j = 1, 2, ...: part > 2
+            # meets the first 2, and the last 2 and last 1 add p^(m-j) + 1,
+            # m - j being the row's number of parts
+            base = lead - power[2 * h + ones] * (runs[h][part - 2] or run(h, part - 2)) - 1
+            texts = twos[ones] or run_tails(ones)
+            for text in texts:
+                m -= 1
+                yield head + text, base - power[m]
+
+
+@lru_cache(maxsize=None)
+def _run_tails(k: int) -> tuple[str, ...]:
+    # ",2"*j + ",1"*(k-2j) + "]" for j = 1..k // 2, which ends the rows of
+    # the run after a run start that ends in k 1s; the same for every p
+    # and n, and k <= n <= PARTITION_CAP
+    return tuple(",2" * j + ",1" * (k - 2 * j) + "]" for j in range(1, k // 2 + 1))
 
 
 def psi_prime_cyclic_closed_form(p: int, alpha: int) -> FactoredInteger:

@@ -90,9 +90,10 @@ def theorem_c_rows(p: int, n: int) -> Iterator[tuple[str, int]]:
 
     p, n and the partition cap (64) are checked when this is called,
     before any row is made.  The rows come from one prefix-sum pass,
-    :func:`psi.pgroup_exponents`, which adds two new run terms per row and
-    keeps only the run sums and text prefixes of one partition, so memory
-    stays flat however large p(n) is.
+    :func:`psi.pgroup_exponents`, which adds two new run terms per ZS2 run
+    start, writes the run of 2s after it from one closed form, and keeps
+    only the run sums and text prefixes of one partition, so memory stays
+    flat however large p(n) is.
     """
     require_int(n, "n", 1, PARTITION_CAP, "partition cap")
     require_prime(p)

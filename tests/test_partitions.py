@@ -9,7 +9,7 @@ from psiprime import (
     iter_partitions,
     partitions_of,
 )
-from psiprime.partitions import _ascending
+from psiprime.partitions import _ascending, _zs2
 from oracles import ascending_partitions, partition_count, successor_partitions
 
 
@@ -54,6 +54,16 @@ def test_generator_matches_recursive_oracle(n):
 @pytest.mark.parametrize("n", range(41))
 def test_zs2_matches_the_successor_step_it_replaced(n):
     assert list(_ascending(n)) == list(successor_partitions(n))
+
+
+@pytest.mark.parametrize("n", range(45))
+def test_zs2_yields_one_state_per_run_of_2s(n):
+    # a run starts at each partition with no part equal to 2, and adding a
+    # 2 maps the partitions of n - 2 onto the rest; a ZS2 that yielded
+    # every partition would give p(n) states
+    runs = partition_count(n) - (partition_count(n - 2) if n >= 2 else 0)
+    assert sum(1 for _ in _zs2(n)) == runs
+    assert all(2 not in x[1 : m + 1] for x, _, m in _zs2(n))
 
 
 def test_partition_cap():
