@@ -311,7 +311,12 @@ def _cmd_theorem_c(args) -> int:
             comma = ","
         write(f'],"violations":{json.dumps(violations, separators=(",", ":"))}}}\n')
     elif args.fmt == "csv":
-        _write_csv(headers, chunks)
+        # csv.writer's bytes: a partition text holds no quote or line
+        # break, so it is quoted iff it holds a comma, and rows end in \r\n
+        write = sys.stdout.write
+        write(",".join(headers) + "\r\n")
+        for chunk in chunks:
+            write("".join(f'"{t}",{e}\r\n' if "," in t else f"{t},{e}\r\n" for t, e in chunk))
     else:
         _write_table(headers, chunks)
         print(f"violations: {len(violations)}")

@@ -15,7 +15,9 @@ multiply across primes.  The literal oracle (:func:`brute_force_spectrum`)
 enumerates every element as a residue tuple and tallies lcm's; it exists
 purely to distrust the counting oracle.  The constructors check every
 input; enumerate_abelian_groups and order_spectrum build valid records
-without them (errors.trusted).
+without them (errors.trusted), and sylow_spectra builds none: it reads
+each group's spectrum entries straight from its Sylow tables, in the
+enumeration order, for the conjecture-f fingerprints.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from collections import Counter
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import FACTORIZATION_CAP, _require_trusted_prime, factorize
 from .errors import DomainError, SizeLimitError, frozen, require_int, trusted
@@ -123,13 +125,16 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
         raise DomainError(f"group order {m} must be >= 1")
     if m > ENUMERATION_CAP:
         raise SizeLimitError(f"order {m} exceeds the enumeration cap {ENUMERATION_CAP}")
+    return [trusted(AbelianGroup, components=c) for c in _sylow_product(m, lambda p, q: (p, q))]
+
+
+def _sylow_product(m: int, component) -> Iterator[tuple]:
+    # (component(p, q) for each Sylow p-subgroup, primes ascending) for every
+    # abelian group of order m, in enumerate_abelian_groups' order: per-prime
+    # partitions ascending, combined lexicographically
     factors = factorize(m)
-    primes = sorted(factors)
-    per_prime = [partitions_of(factors[p]) for p in primes]
-    return [
-        trusted(AbelianGroup, components=tuple(zip(primes, choice)))
-        for choice in itertools.product(*per_prime)
-    ]
+    per_prime = [[component(p, q) for q in partitions_of(factors[p])] for p in sorted(factors)]
+    return itertools.product(*per_prime)
 
 
 # The p-group spectra recur across the groups of a sweep, but a long-lived
@@ -148,15 +153,27 @@ def _pgroup_spectrum(p: int, parts: tuple[int, ...]) -> tuple[tuple[int, int], .
     return tuple(out)
 
 
+def _convolve(tables: Iterable[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
+    # the spectrum of a product of groups of coprime orders from theirs: the
+    # orders multiply, so no two products of orders are equal; unsorted
+    acc = [(1, 1)]
+    for table in tables:
+        acc = [(da * db, ma * mb) for da, ma in acc for db, mb in table]
+    return acc
+
+
 def order_spectrum(G: AbelianGroup) -> OrderSpectrum:
     """Exact element-order spectrum via per-prime counting + convolution."""
-    acc: dict[int, int] = {1: 1}
-    for p, q in G.components:
-        comp = _pgroup_spectrum(p, q.parts)
-        acc = {
-            da * db: ma * mb for da, ma in acc.items() for db, mb in comp
-        }
-    return trusted(OrderSpectrum, entries=tuple(sorted(acc.items())), total=G.order)
+    entries = _convolve(_pgroup_spectrum(p, q.parts) for p, q in G.components)
+    return trusted(OrderSpectrum, entries=tuple(sorted(entries)), total=G.order)
+
+
+def sylow_spectra(m: int) -> Iterator[list[tuple[int, int]]]:
+    """The spectrum entries of each abelian group of order m, in
+    enumerate_abelian_groups(m)'s order, read from the Sylow subgroups'
+    tables with no group or spectrum record built.  The entries of one
+    group are those of order_spectrum, unsorted; m is not checked."""
+    return map(_convolve, _sylow_product(m, lambda p, q: _pgroup_spectrum(p, q.parts)))
 
 
 def brute_force_spectrum(G: AbelianGroup) -> OrderSpectrum:

@@ -9,70 +9,85 @@ sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
 
 psi_packed_mod expands the same product modulo one of the primes
-P = 2^b - c in FINGERPRINT_PRIMES (b = 26; c = 5 and 27) by Kronecker
+P = 2^b - c in FINGERPRINT_PRIMES (b = 22; c = 3 and 17) by Kronecker
 substitution: a coefficient list is packed into one integer with one
-64-bit slot per coefficient, so a polynomial product is a single integer
-product.  The product is built by one left-to-right binary powering over
-the bits of all the multiplicities at once (Knuth, TAOCP vol. 2, 4.6.3).
-For k from the top bit of max m_d down to 0, Q <- Q^2 and then
-Q <- Q * L_k, each skipped for a factor of 1, where L_k = prod (1 + dX)
-over the d whose m_d has bit k set, built packed: L <- L + (L << 64) * d.
-Every slot z of a product is folded twice, z -> (z >> b) * c + z mod 2^b,
-which keeps z mod P since 2^b = c (mod P) (Crandall and Pomerance, Prime
-Numbers, 9.2.3); one shift, two masks and one small product fold all
-slots at once.  psi_packed_mod hands out Q, its constant term shifted
-out: slot k - 1 holds psi_k mod P, canonical (below P); psi_all_mod is
-its list view.
+W-bit slot per coefficient, W = _W = 56 (7 bytes), so a polynomial
+product is a single integer product.  The cost of that product grows
+with the packing width (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009), so W
+is as narrow as the bound below allows.  The product is built by one
+left-to-right binary powering over the bits of all the multiplicities at
+once (Knuth, TAOCP vol. 2, 4.6.3).  For k from the top bit of max m_d
+down to 0, Q <- Q^2 and then Q <- Q * L_k, each skipped for a factor of
+1, where L_k = prod (1 + dX) over the d whose m_d has bit k set, built
+packed: L <- L + (L << W) * d.  Every slot z of a product is folded
+twice, z -> (z >> b) * c + z mod 2^b, which keeps z mod P since
+2^b = c (mod P) (Crandall and Pomerance, Prime Numbers, 9.2.3); one
+shift, two masks and one small product fold all slots at once.
+psi_packed_mod hands out Q, its constant term shifted out: slot k - 1
+holds psi_k mod P, canonical (below P); psi_all_mod is its list view.
+order_fingerprints gives psi_packed_mod's Q for each group of one order
+from spectrum entries read off the Sylow tables, unsorted: the product
+does not depend on the order of its factors, and the result is
+canonical, so Q does not either.
 
 No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
-- a slot below 2^64 folds to below c * 2^(64 - b) + 2^b, and that folds
-  to below B = c * (c * 2^(64 - 2b) + 1) + 2^b, about 1.002 * 2^26 at P1
-  and 1.045 * 2^26 at P2;
-- L_k is folded twice after every third factor and, past three, after
-  its last: a factor (1 + dX) multiplies a slot by at most 1 + d <= 4097,
-  so three take it from below B to below B * 4097^3 < 2^62.1, and one or
-  two from 1 to below 4097^2 < B; L_k's slots are below B at the product;
+- a slot below 2^W folds to below c * 2^(W - b) + 2^b, and that folds
+  to below B = c * (c * 2^(W - 2b) + 1) + 2^b: B = 4,231,171 at P1 and
+  5,378,065 at P2, about 1.009 * 2^22 and 1.282 * 2^22;
+- L_k is folded twice after every second factor and, past two, once
+  more after its last: a factor (1 + dX) multiplies a slot by at most
+  1 + d <= 4097, so two take it from below B to below B * 4097^2 <
+  2^46.4, and one from 1 to below 4097 < B; L_k's slots are below B at
+  the product (a third factor could reach B * 4097^3, past 2^58);
 - every product has degree at most n, so a slot sums at most
-  ceil((n + 2) / 2) <= 2049 terms, each below B^2, and 2049 * B^2 < 2^63.2;
+  ceil((n + 2) / 2) <= 2049 terms, each below B^2, and 2049 * B^2 <
+  2^55.8 < 2^56;
 - B < 2P, so one subtraction of P per slot leaves canonical residues.
 The bound is checked for these two primes only; a prime whose B is not
-below 2P, or whose 2049 * B^2 reaches 2^64, would need a third fold.
+below 2P, or whose 2049 * B^2 reaches 2^W, would need a third fold.
 
 verify.check_conjecture_f compares every pair of groups mod P1 by one
 zero-slot test on Q_i XOR Q_j, exact as the slots are canonical, and
-expands only the groups in a match mod P2, then exactly.
+expands only the groups in a match mod P2, then exactly.  A P1 of 22
+bits matches by chance about once in 2^22 (pair, k) tests: up to the
+cap, 19 pairs in 18 orders match mod P1 in 68,149,528 tests (about 16
+expected), the smallest at order 324; P2 refutes every one, so no exact
+expansion runs.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from math import comb
 from typing import Sequence
 
 from .errors import ConsistencyError, DomainError, frozen, require_int
-from .groups import AbelianGroup, order_spectrum
+from .groups import AbelianGroup, order_spectrum, sylow_spectra
 
 # Ceiling on |G| for exact psi_k and the order polynomial; psi_|G| already
 # has thousands of digits here.  psi_all alone can raise it per call via
 # its cap argument, as check_conjecture_f does for its exact confirmations.
 SYMMETRIC_CAP = 512
 
-# Largest |G| whose residues psi_packed_mod packs soundly into 64-bit slots
+# Largest |G| whose residues psi_packed_mod packs soundly into _W-bit slots
 # (module docstring); it is fixed by that bound, not a tunable default.
 CONJECTURE_F_CAP = 4096
 
-# The conjecture-f fingerprint moduli P1, P2: primes 2^b - c with b = 26 and
+# The conjecture-f fingerprint moduli P1, P2: primes 2^b - c with b = 22 and
 # c small enough that two folds keep every slot below 2P (module docstring).
-# Two values that agree modulo both differ by a multiple of P1 * P2, about 2^52.
-FINGERPRINT_PRIMES = (2**26 - 5, 2**26 - 27)
+# Two values that agree modulo both differ by a multiple of P1 * P2, about
+# 2^44; a match at both is confirmed exactly all the same.
+FINGERPRINT_PRIMES = (2**22 - 3, 2**22 - 17)
+
+# The width of one packed slot in bits, a whole number of bytes.
+_W = 56
 
 # A 1 in each of the CONJECTURE_F_CAP + 1 slots.  An & of two non-negative
 # ints costs only the shorter one, so its multiples mask a slot's low b bits
-# (low) and its low 64 - b bits (high) at every size.
-_ONES = int.from_bytes((b"\1" + bytes(7)) * (CONJECTURE_F_CAP + 1), "little")
+# (low) and its low _W - b bits (high) at every size.
+_ONES = int.from_bytes((b"\1" + bytes(_W // 8 - 1)) * (CONJECTURE_F_CAP + 1), "little")
 _FOLDS = {
-    P: (b, (1 << b) - P, ((1 << b) - 1) * _ONES, ((1 << 64 - b) - 1) * _ONES)
+    P: (b, (1 << b) - P, ((1 << b) - 1) * _ONES, ((1 << _W - b) - 1) * _ONES)
     for P in FINGERPRINT_PRIMES
     for b in [P.bit_length()]
 }
@@ -130,13 +145,16 @@ def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
 
 
 def _unpack(q: int, n: int) -> list[int]:
-    # the n 64-bit slots of q, lowest first
-    return array("Q", q.to_bytes(8 * n, sys.byteorder)).tolist()
+    # the n _W-bit slots of q, lowest first
+    w = _W // 8
+    raw = q.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w)]
 
 
-def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> int:
+def _expand_mod(entries: Sequence[tuple[int, int]], P: int) -> int:
     # prod_d (1 + dX)^(m_d) mod P by one left-to-right binary powering over
-    # the bits of every m_d at once; packed, canonical, constant term shifted out
+    # the bits of every m_d at once; packed, canonical, constant term shifted
+    # out.  The result does not depend on the order of the entries
     b, c, low, high = _FOLDS[P]
     fold = lambda z: (z >> b & high) * c + (z & low)
     q = 1
@@ -145,11 +163,11 @@ def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> int:
         factor, t = 1, 0
         for d, m in entries:
             if m >> k & 1:
-                factor += (factor << 64) * d
+                factor += (factor << _W) * d
                 t += 1
-                if t % 3 == 0:
+                if not t & 1:
                     factor = fold(fold(factor))
-        if t > 3 and t % 3:
+        if t > 1 and t & 1:
             factor = fold(fold(factor))
         # Q <- Q^2, then Q <- Q * L_k, skipping a factor of 1, each folded
         # twice; written out, as calls to fold measured slower on Q
@@ -158,26 +176,43 @@ def _expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> int:
                 q *= y
                 q = (q >> b & high) * c + (q & low)
                 q = (q >> b & high) * c + (q & low)
-    ones = _ONES >> 64 * (CONJECTURE_F_CAP - sum(m for _, m in entries))
+    ones = _ONES >> _W * (CONJECTURE_F_CAP - sum(m for _, m in entries))
     # every slot z is below 2P, and bit 32 of z + 2^32 - P is set iff z >= P
     q -= ((q + ((1 << 32) - P) * ones) >> 32 & ones) * P
-    return q >> 64
+    return q >> _W
+
+
+def _require_fingerprint_prime(P: int) -> None:
+    # a float equal to a prime would pass the membership test alone
+    if type(P) is not int or P not in FINGERPRINT_PRIMES:
+        raise DomainError(f"P = {P} is not one of the fingerprint primes {FINGERPRINT_PRIMES}")
+
+
+def _checked(q: int, n: int, P: int) -> int:
+    # psi_n, the product of orders up to n < P, is prime to P, so slot n - 1
+    # is the top one that is nonzero
+    if not _W * (n - 1) < q.bit_length() <= _W * n:
+        raise ConsistencyError(f"{q.bit_length()} bits do not fill {n} slots of psi_k mod {P}")
+    return q
 
 
 def psi_packed_mod(G: AbelianGroup, P: int) -> int:
     """psi_1..psi_n mod P for P in FINGERPRINT_PRIMES, packed into one
     integer Q by Kronecker substitution (module docstring): bits
-    64(k - 1) to 64k - 1 hold psi_k mod P, below P."""
-    # a float equal to a prime would pass the membership test alone
-    if type(P) is not int or P not in FINGERPRINT_PRIMES:
-        raise DomainError(f"P = {P} is not one of the fingerprint primes {FINGERPRINT_PRIMES}")
+    _W(k - 1) to _Wk - 1 hold psi_k mod P, below P."""
+    _require_fingerprint_prime(P)
     n = require_int(G.order, "|G|", None, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    q = _expand_mod(order_spectrum(G).entries, P)
-    # psi_n, the product of orders up to n < P, is prime to P, so slot n - 1
-    # is the top one that is nonzero
-    if not 64 * (n - 1) < q.bit_length() <= 64 * n:
-        raise ConsistencyError(f"{q.bit_length()} bits do not fill {n} slots of psi_k mod {P}")
-    return q
+    return _checked(_expand_mod(order_spectrum(G).entries, P), n, P)
+
+
+def order_fingerprints(m: int, P: int) -> list[int]:
+    """[psi_packed_mod(G, P) for G in enumerate_abelian_groups(m)], with
+    no group or spectrum record built: each group's spectrum entries are
+    read from its Sylow tables (groups.sylow_spectra), unsorted, as the
+    packed product does not depend on their order."""
+    _require_fingerprint_prime(P)
+    require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
+    return [_checked(_expand_mod(entries, P), m, P) for entries in sylow_spectra(m)]
 
 
 def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:

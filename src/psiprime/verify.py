@@ -18,23 +18,24 @@ import operator
 import os
 from array import array
 from bisect import bisect_right
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Iterator
 
-from .arith import require_prime
+from .arith import factorize, require_prime
 from .errors import frozen, require_int
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
-from .partitions import PARTITION_CAP, iter_partitions
+from .partitions import PARTITION_CAP, iter_partitions, partitions_of
 from .psi import FactoredInteger, pgroup_exponents, psi_prime
 from .symmetric import (
     _FOLDS,
     _ONES,
+    _W,
     CONJECTURE_F_CAP,
     FINGERPRINT_PRIMES,
     _unpack,
+    order_fingerprints,
     psi_all,
     psi_all_mod,
-    psi_packed_mod,
 )
 
 # Largest max_order that sweep_injectivity accepts.  Its time and memory
@@ -166,7 +167,7 @@ def _slot_matches(packed: list[int], n: int, P: int) -> list[tuple[int, int, int
     next slot (Warren, Hacker's Delight, 6-1).  A pair whose n slots all
     set bit b shares no residue; only a pair with a zero slot is unpacked."""
     b = _FOLDS[P][0]
-    ones = _ONES >> 64 * (CONJECTURE_F_CAP + 1 - n)
+    ones = _ONES >> _W * (CONJECTURE_F_CAP + 1 - n)
     bias, tops = ((1 << b) - 1) * ones, ones << b
     return [
         (i, j, k)
@@ -184,24 +185,27 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
 
     The check is a staged filter over candidates (i, j, k), pairs i < j
     in enumeration order.  Every group is fingerprinted once, by its
-    packed psi_1..psi_m mod P1 (:func:`psi_packed_mod`), and the
-    candidates are the (i, j, k) where the two packed values agree in
-    slot k - 1, found pair by pair by one zero-slot test on their XOR
-    (:func:`_slot_matches`).  Each later stage, psi_all_mod at P2 and
-    then the exact psi_all, computes values only for the groups still in
-    some candidate and keeps the candidates whose values match at k.  Two
-    values with different residues mod either prime are different, so no
-    stage drops an exact equality, and only exact equalities are
-    reported: pairs (i, j), then k ascending."""
+    packed psi_1..psi_m mod P1, read from its Sylow tables with no record
+    built (:func:`symmetric.order_fingerprints`), and the candidates are
+    the (i, j, k) where the two packed values agree in slot k - 1, found
+    pair by pair by one zero-slot test on their XOR
+    (:func:`_slot_matches`).  Only an order with a candidate builds its
+    groups.  Each later stage, psi_all_mod at P2 and then the exact
+    psi_all, computes values only for the groups still in some candidate
+    and keeps the candidates whose values match at k.  Two values with
+    different residues mod either prime are different, so no stage drops
+    an exact equality, and only exact equalities are reported: pairs
+    (i, j), then k ascending."""
     require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    groups = enumerate_abelian_groups(m)
-    g = len(groups)
+    # p(v_p(m)) types of Sylow p-subgroup for each p
+    g = prod(len(partitions_of(e)) for e in factorize(m).values())
     if g < 2:
         return ConjectureFReport(m=m, pair_count=0, coincidences=())
     p1, p2 = FINGERPRINT_PRIMES
-    candidates = _slot_matches([psi_packed_mod(G, p1) for G in groups], m, p1)
-    # P1 matches are rare (one order below 4096 has any), so the later
-    # stages run for few groups
+    candidates = _slot_matches(order_fingerprints(m, p1), m, p1)
+    # P1 matches are rare (19 pairs in 18 orders up to 4096), so few orders
+    # build their groups and run the later stages
+    groups = enumerate_abelian_groups(m) if candidates else []
     for stage in (lambda G: psi_all_mod(G, p2), lambda G: psi_all(G, cap=CONJECTURE_F_CAP)):
         live = sorted({x for i, j, _ in candidates for x in (i, j)})
         values = {x: stage(groups[x]) for x in live}

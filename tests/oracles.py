@@ -15,7 +15,6 @@ references for the ones that replaced them.
 from __future__ import annotations
 
 import itertools
-import sys
 from array import array
 from bisect import bisect_right
 from functools import cache, lru_cache
@@ -225,16 +224,19 @@ def inverse_table(P: int) -> array:
     return inv
 
 
-def pack(coeffs: list[int]) -> int:
-    """One integer with coeffs[i] in its 64-bit slot i."""
-    return int.from_bytes(array("Q", coeffs).tobytes(), sys.byteorder)
+def pack(coeffs: list[int], width: int) -> int:
+    """One integer with coeffs[i] in its width-bit slot i, for a width
+    that is a whole number of bytes."""
+    w = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
 
-def slots(q: int, n: int) -> list[int]:
-    """The n 64-bit slots of q, lowest first, read with ``to_bytes``
+def slots(q: int, n: int, width: int) -> list[int]:
+    """The n width-bit slots of q, lowest first, read with ``to_bytes``
     alone, which refuses a q with a bit past slot n - 1."""
-    raw = q.to_bytes(8 * n, "little")
-    return [int.from_bytes(raw[i : i + 8], "little") for i in range(0, 8 * n, 8)]
+    w = width // 8
+    raw = q.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w)]
 
 
 def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[int]:
@@ -251,10 +253,7 @@ def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[
         for j in range(1, m + 1):
             c = c * ((m - j + 1) * d % P) % P * inv[j] % P
             factor[j] = c
-        product = array("Q")
-        product.frombytes(
-            (pack(acc) * pack(factor)).to_bytes(8 * (len(acc) + m), sys.byteorder)
-        )
+        product = slots(pack(acc, 64) * pack(factor, 64), len(acc) + m, 64)
         acc = [x % P for x in product]
     return acc
 

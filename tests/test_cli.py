@@ -214,10 +214,10 @@ def test_conjecture_f_exits_3_on_a_fingerprint_longer_than_its_slots(monkeypatch
     from psiprime import symmetric
 
     expand = symmetric._expand_mod
-    monkeypatch.setattr(symmetric, "_expand_mod", lambda entries, P: expand(entries, P) << 64)
+    monkeypatch.setattr(symmetric, "_expand_mod", lambda e, P: expand(e, P) << symmetric._W)
     code, out, err = run(capsys, "verify", "conjecture-f", "--max-order", "8", "--jobs", "1")
     assert (code, out) == (3, "")
-    assert err == f"error: 260 bits do not fill 4 slots of psi_k mod {2**26 - 5}\n"
+    assert err == "error: 228 bits do not fill 4 slots of psi_k mod 4194301\n"
 
 
 def test_the_fingerprint_length_check_holds_under_python_o():
@@ -232,7 +232,7 @@ def test_the_fingerprint_length_check_holds_under_python_o():
         "import sys\n"
         "from psiprime import cli, symmetric\n"
         "expand = symmetric._expand_mod\n"
-        "symmetric._expand_mod = lambda entries, P: expand(entries, P) << 64\n"
+        "symmetric._expand_mod = lambda entries, P: expand(entries, P) << symmetric._W\n"
         "print(sys.flags.optimize)\n"
         "sys.exit(cli.main(['verify', 'conjecture-f', '--max-order', '8', '--jobs', '1']))\n"
     )
@@ -244,7 +244,7 @@ def test_the_fingerprint_length_check_holds_under_python_o():
         timeout=120,
     )
     assert (done.returncode, done.stdout) == (3, "1\n")
-    assert done.stderr == f"error: 260 bits do not fill 4 slots of psi_k mod {2**26 - 5}\n"
+    assert done.stderr == "error: 228 bits do not fill 4 slots of psi_k mod 4194301\n"
 
 
 def _inexact_theorem_c(monkeypatch, capsys, argv, wrong):

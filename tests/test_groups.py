@@ -231,6 +231,16 @@ def test_enumerated_groups_and_spectra_equal_the_checked_records_up_to_2000():
             assert spectrum == checked and spectrum.total == checked.total, G
 
 
+def test_sylow_spectra_are_the_order_spectra_in_enumeration_order_up_to_2000():
+    # the conjecture-f fingerprints read these unsorted entries instead of
+    # building each group and its spectrum
+    from psiprime.groups import sylow_spectra
+
+    for m in range(1, 2001):
+        spectra = [order_spectrum(G).entries for G in enumerate_abelian_groups(m)]
+        assert [tuple(sorted(e)) for e in sylow_spectra(m)] == spectra, m
+
+
 def test_spectrum_multiplicative_convolution():
     # coprime direct factors convolve multiplicatively
     for m1 in range(2, 23):

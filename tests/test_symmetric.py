@@ -109,7 +109,8 @@ def test_psi_all_mod_at_order_1024_with_two_equal_halves():
 
 def _expanded(entries, P):
     # the kernel's packed value as ascending coefficients from the constant 1
-    return [1] + slots(symmetric._expand_mod(entries, P), sum(m for _, m in entries))
+    n = sum(m for _, m in entries)
+    return [1] + slots(symmetric._expand_mod(entries, P), n, symmetric._W)
 
 
 def test_expand_mod_equals_the_per_factor_kernel_up_to_300():
@@ -133,10 +134,11 @@ def test_expand_mod_equals_the_per_factor_kernel_at_the_cap():
 
 
 def test_expand_mod_subtracts_p_from_a_slot_folded_to_p_or_above():
-    # two folds leave a slot of Z1373 at P2 + 24 and one of Z8xZ17^2 at
-    # P2 + 24 (slots 651 and 1364), which only the final subtraction reduces
+    # two folds leave a slot of Z3xZ73 at P2 + 9 and one of Z2xZ9xZ47 at
+    # exactly P2 (psi_70 and psi_643), which only the final subtraction
+    # reduces; a scan of every group up to order 1200 found none at P1
     P = FINGERPRINT_PRIMES[1]
-    for notation in ("Z1373", "Z8xZ17^2"):
+    for notation in ("Z3xZ73", "Z2xZ9xZ47"):
         entries = order_spectrum(parse_group(notation)).entries
         assert _expanded(entries, P) == per_factor_expand_mod(entries, P)
 
@@ -146,7 +148,7 @@ def _fold_bound(P):
     # from b and c as the kernel reads them
     b, c = symmetric._FOLDS[P][:2]
     assert P == 2**b - c
-    return c * (c * 2 ** (64 - 2 * b) + 1) + 2**b
+    return c * (c * 2 ** (symmetric._W - 2 * b) + 1) + 2**b
 
 
 def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
@@ -155,17 +157,17 @@ def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
     for P in FINGERPRINT_PRIMES:
         B = _fold_bound(P)
         assert B <= 2 * P
-        assert (CONJECTURE_F_CAP + 3) // 2 * B**2 < 2**64
+        assert (CONJECTURE_F_CAP + 3) // 2 * B**2 < 2**symmetric._W
 
 
-def test_three_factors_of_l_k_fit_between_two_folds():
+def test_two_factors_of_l_k_fit_between_two_folds():
     # a factor (1 + dX), d <= CAP, multiplies a slot by at most 1 + d, so
-    # three take a slot from below B to below B * 4097^3, and an L_k of at
-    # most two factors, which starts at 1, is below 4097^2 < B unfolded
+    # two take a slot from below B to below B * 4097^2, and an L_k of one
+    # factor, which starts at 1, is below 4097 < B unfolded
     for P in FINGERPRINT_PRIMES:
         B = _fold_bound(P)
-        assert B * (CONJECTURE_F_CAP + 1) ** 3 < 2**64
-        assert (CONJECTURE_F_CAP + 1) ** 2 < B
+        assert B * (CONJECTURE_F_CAP + 1) ** 2 < 2**symmetric._W
+        assert CONJECTURE_F_CAP + 1 < B
 
 
 @pytest.mark.parametrize(
@@ -190,29 +192,45 @@ def test_fingerprint_primes_are_usable_up_to_the_cap():
     # each P is prime and above the cap, so no element order is 0 mod P and
     # the top slot, psi_n mod P, is never 0 (psi_packed_mod's length check);
     # a product of canonical coefficients sums at most ceil((n + 2) / 2)
-    # terms of at most (P - 1)^2 in a slot, below 2^64 as the live bound
+    # terms of at most (P - 1)^2 in a slot, below 2^W as the live bound
     # on B (test_two_folds_keep_every_slot_below_2p_up_to_the_cap) implies
     for P in FINGERPRINT_PRIMES:
         assert is_prime(P) and P > CONJECTURE_F_CAP
-        assert (CONJECTURE_F_CAP + 3) // 2 * (P - 1) ** 2 < 2**64
+        assert (CONJECTURE_F_CAP + 3) // 2 * (P - 1) ** 2 < 2**symmetric._W
 
 
 def test_packed_slots_are_canonical():
     # verify._slot_matches reads two residues as equal iff their slots are
     # bit for bit equal, so a slot left at z + P would hide a match with z.
-    # Two folds leave Z1373 and Z8xZ17^2 at P2 + 24 in one slot each
+    # Two folds leave Z3xZ73 at P2 + 9 and Z2xZ9xZ47 at P2 in one slot each
     groups = [G for m in range(1, 301) for G in enumerate_abelian_groups(m)]
     cases = [(G, P) for G in groups for P in FINGERPRINT_PRIMES]
-    cases += [(parse_group(notation), FINGERPRINT_PRIMES[1]) for notation in ("Z1373", "Z8xZ17^2")]
+    cases += [(parse_group("Z2xZ9xZ47"), FINGERPRINT_PRIMES[1])]
     for G, P in cases:
-        assert max(slots(psi_packed_mod(G, P), G.order)) < P
+        assert max(slots(psi_packed_mod(G, P), G.order, symmetric._W)) < P
+
+
+def test_order_fingerprints_equal_psi_packed_mod_in_enumeration_order():
+    # the fingerprints read from the Sylow tables, with unsorted entries,
+    # against each enumerated group's own, up to 300 and on the groups of
+    # the cap cases (test_expand_mod_equals_the_per_factor_kernel_at_the_cap)
+    p1 = FINGERPRINT_PRIMES[0]
+    for m in range(1, 301):
+        expected = [psi_packed_mod(G, p1) for G in enumerate_abelian_groups(m)]
+        assert symmetric.order_fingerprints(m, p1) == expected
+    for m, notations in [(4096, ("Z2^12", "Z4096", "Z4xZ2^10", "Z64^2")), (4095, ("Z3^2xZ5xZ7xZ13",))]:
+        groups = enumerate_abelian_groups(m)
+        fingerprints = symmetric.order_fingerprints(m, p1)
+        assert len(fingerprints) == len(groups)
+        for G in map(parse_group, notations):
+            assert fingerprints[groups.index(G)] == psi_packed_mod(G, p1)
 
 
 def test_psi_packed_mod_refuses_a_q_longer_than_n_slots(monkeypatch):
     # a carry out of the top slot would lengthen Q by a slot; the check
     # raises, so it holds under python -O too (test_cli covers that run)
     expand = symmetric._expand_mod
-    monkeypatch.setattr(symmetric, "_expand_mod", lambda entries, P: expand(entries, P) << 64)
+    monkeypatch.setattr(symmetric, "_expand_mod", lambda e, P: expand(e, P) << symmetric._W)
     for P in FINGERPRINT_PRIMES:
         with pytest.raises(ConsistencyError, match="bits do not fill 4 slots"):
             psi_packed_mod(canonicalize([4]), P)
@@ -233,21 +251,29 @@ def test_psi_all_mod_refuses_order_past_the_cap():
         for P in FINGERPRINT_PRIMES:
             with pytest.raises(SizeLimitError, match=re.escape(message)):
                 entry(G, P)
+            with pytest.raises(SizeLimitError, match=re.escape(message.replace("|G|", "m"))):
+                symmetric.order_fingerprints(G.order, P)
 
 
 # the slot bound is proved only for the two fingerprint primes: a composite,
-# the first prime past 2^26, a prime below the cap and a float are refused
+# the first prime past 2^22, a prime below the cap and a float are refused,
+# and so are the 26-bit primes of 64-bit slots, whose products overflow 2^W
 @pytest.mark.parametrize(
-    "P", [FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1], 2**26 + 15, 4093, float(2**26 - 5)]
+    "P",
+    [FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1], 2**22 + 15, 4093, float(2**22 - 3)]
+    + [(2**26 - 5) * (2**26 - 27), 2**26 + 15, float(2**26 - 5), 2**26 - 27],
 )
 def test_psi_all_mod_refuses_a_modulus_that_is_not_a_fingerprint_prime(monkeypatch, P):
-    def never(G):
-        raise AssertionError(f"order_spectrum({G}) ran")
+    def never(arg):
+        raise AssertionError(f"a spectrum of {arg} was read")
 
     monkeypatch.setattr(symmetric, "order_spectrum", never)
+    monkeypatch.setattr(symmetric, "sylow_spectra", never)
     for entry in (psi_all_mod, psi_packed_mod):
         with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
             entry(canonicalize([4, 2]), P)
+    with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
+        symmetric.order_fingerprints(8, P)
 
 
 def test_order_polynomial_z2():

@@ -390,10 +390,11 @@ _A, _B, _K = 3, 1, 5
 def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,), k=_K):
     """Copy group _A's psi_k onto each group of order 16 indexed in
     ``targets``: its residues mod the primes in ``residues``, in the list
-    and in the packed values, and its exact value if ``exact``.  The P1
-    stage's (i, j, k) must equal the column oracle's on the planted
-    residues.  Returns the (group, prime) of every psi_all_mod or
-    psi_packed_mod call and the groups whose exact psi_all ran."""
+    and in the packed P1 fingerprints, and its exact value if ``exact``.
+    The P1 stage's (i, j, k) must equal the column oracle's on the
+    planted residues.  Returns the (group, prime) of every residue list
+    made, a P1 fingerprint's included, and the groups whose exact
+    psi_all ran."""
     from psiprime import symmetric, verify
 
     groups = enumerate_abelian_groups(16)
@@ -408,12 +409,12 @@ def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,), k=_K):
             values[k - 1] = symmetric.psi_all_mod(source, P)[k - 1]
         return values
 
-    def fake_packed(G, P):
-        return pack(fake_mod(G, P))
+    def fake_fingerprints(m, P):
+        return [pack(fake_mod(G, P), symmetric._W) for G in enumerate_abelian_groups(m)]
 
     def checked_matches(packed, n, P):
         found = slot_matches(packed, n, P)
-        assert found == column_candidates([slots(q, n) for q in packed])
+        assert found == column_candidates([slots(q, n, symmetric._W) for q in packed])
         return found
 
     def fake_exact(G, *, cap):
@@ -425,7 +426,7 @@ def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,), k=_K):
 
     slot_matches = verify._slot_matches
     monkeypatch.setattr(verify, "psi_all_mod", fake_mod)
-    monkeypatch.setattr(verify, "psi_packed_mod", fake_packed)
+    monkeypatch.setattr(verify, "order_fingerprints", fake_fingerprints)
     monkeypatch.setattr(verify, "_slot_matches", checked_matches)
     monkeypatch.setattr(verify, "psi_all", fake_exact)
     return mod_ran, exact_ran
@@ -482,13 +483,14 @@ def test_conjecture_f_cascade_expands_mod_p2_only_for_p1_matches(
     assert report == _reference_check_conjecture_f(16)
 
 
-def test_conjecture_f_real_p1_match_at_2187_is_refuted_mod_p2(monkeypatch):
-    # the one order below 4096 with a P1 match: groups 3 and 6 of order
-    # 3^7 share psi_394 mod P1 but not mod P2, so no exact value is needed
+def test_conjecture_f_real_p1_match_at_324_is_refuted_mod_p2(monkeypatch):
+    # the smallest order with a P1 match: groups 5 and 8 of order 324,
+    # Z4xZ3^4 and Z4xZ27xZ3, share psi_116 mod P1 but not mod P2, so no
+    # exact value is needed
     from psiprime import symmetric, verify
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
-    groups = enumerate_abelian_groups(2187)
+    groups = enumerate_abelian_groups(324)
     p2_ran = []
 
     def spy(G, P):
@@ -501,11 +503,11 @@ def test_conjecture_f_real_p1_match_at_2187_is_refuted_mod_p2(monkeypatch):
 
     monkeypatch.setattr(verify, "psi_all_mod", spy)
     monkeypatch.setattr(verify, "psi_all", never)
-    report = check_conjecture_f(2187)
-    assert p2_ran == [3, 6]
-    first = [symmetric.psi_all_mod(groups[x], FINGERPRINT_PRIMES[0]) for x in (3, 6)]
-    assert [k for k, (a, b) in enumerate(zip(*first), start=1) if a == b] == [394]
-    assert report.coincidences == () and report.pair_count == 105
+    report = check_conjecture_f(324)
+    assert p2_ran == [5, 8]
+    first = [symmetric.psi_all_mod(groups[x], FINGERPRINT_PRIMES[0]) for x in (5, 8)]
+    assert [k for k, (a, b) in enumerate(zip(*first), start=1) if a == b] == [116]
+    assert report.coincidences == () and report.pair_count == 45
 
 
 def test_conjecture_f_reports_a_planted_coincidence_like_the_reference(monkeypatch):
@@ -554,7 +556,7 @@ def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
         raise AssertionError(f"a fingerprint of {G} mod {P} ran")
 
     monkeypatch.setattr(verify, "psi_all_mod", never)
-    monkeypatch.setattr(verify, "psi_packed_mod", never)
+    monkeypatch.setattr(verify, "order_fingerprints", never)
     for m in (1, 2, 97, 15, 30):
         assert check_conjecture_f(m).pair_count == 0
 
@@ -591,6 +593,20 @@ def test_conjecture_f_unpacks_no_pair_without_a_p1_match(monkeypatch):
     assert sweep.holds and sweep.pairs_checked == 911
 
 
+def test_conjecture_f_builds_no_group_for_an_order_without_a_p1_match(monkeypatch):
+    # no order up to 256 has a P1 match, so the sweep reads every spectrum
+    # from the Sylow tables and builds no group or spectrum record
+    from psiprime import symmetric, verify
+
+    def never(arg):
+        raise AssertionError(f"a record for {arg} was built")
+
+    monkeypatch.setattr(verify, "enumerate_abelian_groups", never)
+    monkeypatch.setattr(symmetric, "order_spectrum", never)
+    sweep = sweep_conjecture_f(256)
+    assert sweep.holds and sweep.pairs_checked == 911
+
+
 def test_slot_matches_equal_the_column_oracle_up_to_300():
     from psiprime import verify
     from psiprime.symmetric import FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
@@ -603,21 +619,21 @@ def test_slot_matches_equal_the_column_oracle_up_to_300():
         assert verify._slot_matches(packed, m, p1) == expected
 
 
-def test_slot_matches_equal_the_column_oracle_at_the_real_p1_match_at_2187():
+def test_slot_matches_equal_the_column_oracle_at_the_real_p1_match_at_324():
     from psiprime import verify
     from psiprime.symmetric import FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
 
     p1 = FINGERPRINT_PRIMES[0]
-    groups = enumerate_abelian_groups(2187)
+    groups = enumerate_abelian_groups(324)
     packed = [psi_packed_mod(G, p1) for G in groups]
     expected = column_candidates([psi_all_mod(G, p1) for G in groups])
-    assert verify._slot_matches(packed, 2187, p1) == expected == [(3, 6, 394)]
+    assert verify._slot_matches(packed, 324, p1) == expected == [(5, 8, 116)]
 
 
-# residues mod P1 = 2^26 - 5 drawn from its edges: 0, 1, the top bit below
-# 2^26 and P1 - 1, so that many pairs agree in some slot and the XORs of
+# residues mod P1 = 2^22 - 3 drawn from its edges: 0, 1, the top bit below
+# 2^22 and P1 - 1, so that many pairs agree in some slot and the XORs of
 # the rest run up to P1 = 1 ^ (P1 - 1)
-_EDGE_RESIDUES = st.sampled_from([0, 1, 2**25, 2**26 - 6])
+_EDGE_RESIDUES = st.sampled_from([0, 1, 2**21, 2**22 - 4])
 
 
 @given(
@@ -627,10 +643,10 @@ _EDGE_RESIDUES = st.sampled_from([0, 1, 2**25, 2**26 - 6])
 )
 @settings(max_examples=200, deadline=None)
 def test_slot_matches_equal_the_column_oracle_on_edge_residues(residues):
-    from psiprime import verify
+    from psiprime import symmetric, verify
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
-    packed = [pack(r) for r in residues]
+    packed = [pack(r, symmetric._W) for r in residues]
     p1 = FINGERPRINT_PRIMES[0]
     assert verify._slot_matches(packed, len(residues[0]), p1) == column_candidates(residues)
 
