@@ -8,28 +8,27 @@ other way, by literally multiplying the linear factors (X - d), so the
 sign relation between the two is a genuine cross-check and not an
 identity of one code path with itself.
 
-psi_packed_mod expands the same product modulo one of the primes
-P = 2^b - c in FINGERPRINT_PRIMES (b = 22; c = 3 and 17) by Kronecker
-substitution: a coefficient list is packed into one integer with one
-W-bit slot per coefficient, W = _W = 56 (7 bytes), so a polynomial
-product is a single integer product.  The cost of that product grows
-with the packing width (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009), so W
-is as narrow as the bound below allows.  The product is built by one
-left-to-right binary powering over the bits of all the multiplicities at
-once (Knuth, TAOCP vol. 2, 4.6.3).  For k from the top bit of max m_d
-down to 0, Q <- Q^2 and then Q <- Q * L_k, each skipped for a factor of
-1, where L_k = prod (1 + dX) over the d whose m_d has bit k set, built
-packed: L <- L + (L << W) * d.  Every slot z of a product is folded
-twice, z -> (z >> b) * c + z mod 2^b, which keeps z mod P since
-2^b = c (mod P) (Crandall and Pomerance, Prime Numbers, 9.2.3); one
-shift, two masks and one small product fold all slots at once.
-psi_packed_mod hands out Q, its constant term shifted out: slot k - 1
-holds psi_k mod P, canonical (below P); psi_all_mod is its list view.
-order_fingerprints gives psi_packed_mod's Q for each group of one order
-from spectrum entries read off the Sylow tables, unsorted: the product
-does not depend on the order of its factors, and the result is
-canonical, so Q does not either.
+order_fingerprints expands the same product modulo one of the primes
+P = 2^b - c in FINGERPRINT_PRIMES (b = 22; c = 3 and 17), for the groups
+of one order it is given, by Kronecker substitution: a coefficient list
+is packed into one integer with one W-bit slot per coefficient, W = _W =
+56 (7 bytes), so a polynomial product is a single integer product.  The
+cost of that product grows with the packing width (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 44, 2009), so W is as narrow as the bound below allows.
+The product is built by one left-to-right binary powering over the bits
+of all the multiplicities at once (Knuth, TAOCP vol. 2, 4.6.3).  For k
+from the top bit of max m_d down to 0, Q <- Q^2 and then Q <- Q * L_k,
+each skipped for a factor of 1, where L_k = prod (1 + dX) over the d
+whose m_d has bit k set, built packed: L <- L + (L << W) * d.  Every
+slot z of a product is folded twice, z -> (z >> b) * c + z mod 2^b,
+which keeps z mod P since 2^b = c (mod P) (Crandall and Pomerance, Prime
+Numbers, 9.2.3); one shift, two masks and one small product fold all
+slots at once.  A group's fingerprint is Q, its constant term shifted
+out: slot k - 1 holds psi_k mod P, canonical (below P).  The spectrum
+entries are read off the Sylow tables, unsorted: the product does not
+depend on the order of its factors, and the result is canonical, so Q
+does not either.
 
 No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
 - a slot below 2^W folds to below c * 2^(W - b) + 2^b, and that folds
@@ -47,19 +46,22 @@ No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
 The bound is checked for these two primes only; a prime whose B is not
 below 2P, or whose 2049 * B^2 reaches 2^W, would need a third fold.
 
-verify.check_conjecture_f compares every pair of groups mod P1 by one
-zero-slot test on Q_i XOR Q_j, exact as the slots are canonical, and
-expands only the groups in a match mod P2, then exactly.  A P1 of 22
-bits matches by chance about once in 2^22 (pair, k) tests: up to the
+slot_matches compares every pair of fingerprints of one order by one
+zero-slot test on Q_i XOR Q_j, exact as the slots are canonical; no
+other module reads the slot layout.  verify.check_conjecture_f runs the
+two at P1 over every group of an order, then at P2 over the groups still
+in a P1 match, and expands exactly only what matches at both.  A P1 of
+22 bits matches by chance about once in 2^22 (pair, k) tests: up to the
 cap, 19 pairs in 18 orders match mod P1 in 68,149,528 tests (about 16
-expected), the smallest at order 324; P2 refutes every one, so no exact
-expansion runs.
+expected), the smallest at order 324; P2 refutes every one, so no group
+record is built and no exact expansion runs.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError, frozen, require_int
 from .groups import AbelianGroup, order_spectrum, sylow_spectra
@@ -69,7 +71,7 @@ from .groups import AbelianGroup, order_spectrum, sylow_spectra
 # its cap argument, as check_conjecture_f does for its exact confirmations.
 SYMMETRIC_CAP = 512
 
-# Largest |G| whose residues psi_packed_mod packs soundly into _W-bit slots
+# Largest |G| whose residues order_fingerprints packs soundly into _W-bit slots
 # (module docstring); it is fixed by that bound, not a tunable default.
 CONJECTURE_F_CAP = 4096
 
@@ -144,13 +146,6 @@ def psi_all(G: AbelianGroup, *, cap: int = SYMMETRIC_CAP) -> list[int]:
     return acc[1:]
 
 
-def _unpack(q: int, n: int) -> list[int]:
-    # the n _W-bit slots of q, lowest first
-    w = _W // 8
-    raw = q.to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w)]
-
-
 def _expand_mod(entries: Sequence[tuple[int, int]], P: int) -> int:
     # prod_d (1 + dX)^(m_d) mod P by one left-to-right binary powering over
     # the bits of every m_d at once; packed, canonical, constant term shifted
@@ -196,29 +191,47 @@ def _checked(q: int, n: int, P: int) -> int:
     return q
 
 
-def psi_packed_mod(G: AbelianGroup, P: int) -> int:
-    """psi_1..psi_n mod P for P in FINGERPRINT_PRIMES, packed into one
-    integer Q by Kronecker substitution (module docstring): bits
-    _W(k - 1) to _Wk - 1 hold psi_k mod P, below P."""
-    _require_fingerprint_prime(P)
-    n = require_int(G.order, "|G|", None, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    return _checked(_expand_mod(order_spectrum(G).entries, P), n, P)
-
-
-def order_fingerprints(m: int, P: int) -> list[int]:
-    """[psi_packed_mod(G, P) for G in enumerate_abelian_groups(m)], with
-    no group or spectrum record built: each group's spectrum entries are
-    read from its Sylow tables (groups.sylow_spectra), unsorted, as the
-    packed product does not depend on their order."""
+def order_fingerprints(m: int, P: int, live: Iterable[int]) -> list[int]:
+    """The fingerprint at P in FINGERPRINT_PRIMES of each group of order m
+    whose index in enumerate_abelian_groups(m) is in ``live``, in
+    enumeration order: psi_1..psi_m mod P packed into one integer Q by
+    Kronecker substitution (module docstring), bits _W(k - 1) to _Wk - 1
+    holding psi_k mod P, below P.  No group or spectrum record is built:
+    each group's spectrum entries are read from its Sylow tables
+    (groups.sylow_spectra), unsorted, as the packed product does not
+    depend on their order."""
     _require_fingerprint_prime(P)
     require_int(m, "m", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
-    return [_checked(_expand_mod(entries, P), m, P) for entries in sylow_spectra(m)]
+    spectra = itertools.compress(sylow_spectra(m), map(set(live).__contains__, itertools.count()))
+    return [_checked(_expand_mod(entries, P), m, P) for entries in spectra]
 
 
-def psi_all_mod(G: AbelianGroup, P: int) -> list[int]:
-    """[psi_1 mod P, ..., psi_n mod P], the list view of
-    :func:`psi_packed_mod`; equal to [v % P for v in psi_all(G)]."""
-    return _unpack(psi_packed_mod(G, P), G.order)
+def _unpack(q: int, n: int) -> list[int]:
+    # the n _W-bit slots of q, lowest first
+    w = _W // 8
+    raw = q.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w)]
+
+
+def slot_matches(packed: Sequence[int], n: int, P: int) -> list[tuple[int, int, int]]:
+    """Every (i, j, k), i < j and then k ascending, where the fingerprints
+    packed[i] and packed[j] of :func:`order_fingerprints` at order n and
+    prime P hold the same residue in slot k - 1.
+
+    Canonical slots are equal iff their XOR z is 0, and z < 2^b, so
+    z + 2^b - 1 sets bit b of its slot iff z != 0, with no carry into the
+    next slot (Warren, Hacker's Delight, 6-1).  A pair whose n slots all
+    set bit b shares no residue; only a pair with a zero slot is unpacked."""
+    b = _FOLDS[P][0]
+    ones = _ONES >> _W * (CONJECTURE_F_CAP + 1 - n)
+    bias, tops = ((1 << b) - 1) * ones, ones << b
+    return [
+        (i, j, k)
+        for (i, x), (j, y) in itertools.combinations(enumerate(packed), 2)
+        if ((x ^ y) + bias) & tops != tops
+        for k, z in enumerate(_unpack(x ^ y, n), start=1)
+        if not z
+    ]
 
 
 def psi_k(G: AbelianGroup, k: int) -> int:

@@ -8,7 +8,7 @@ conjecture counterexample candidates: they are reported as findings, never
 asserted away.  The checks that class groups by a shared exact value
 (injectivity, the census and the prime-power failures) build the classes
 with one helper, :func:`_shared`; the psi_k check compares packed
-residues pair by pair instead (:func:`_slot_matches`).
+residues pair by pair instead (:func:`symmetric.slot_matches`).
 """
 
 from __future__ import annotations
@@ -26,17 +26,7 @@ from .errors import frozen, require_int
 from .groups import ENUMERATION_CAP, AbelianGroup, enumerate_abelian_groups
 from .partitions import PARTITION_CAP, iter_partitions, partitions_of
 from .psi import FactoredInteger, pgroup_exponents, psi_prime
-from .symmetric import (
-    _FOLDS,
-    _ONES,
-    _W,
-    CONJECTURE_F_CAP,
-    FINGERPRINT_PRIMES,
-    _unpack,
-    order_fingerprints,
-    psi_all,
-    psi_all_mod,
-)
+from .symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, order_fingerprints, psi_all, slot_matches
 
 # Largest max_order that sweep_injectivity accepts.  Its time and memory
 # grow with the square root of the bound, not with the bound.
@@ -157,42 +147,21 @@ def find_cross_order_collisions(max_order: int) -> CollisionReport:
     return CollisionReport(scope=max_order, pairs=tuple(pairs))
 
 
-def _slot_matches(packed: list[int], n: int, P: int) -> list[tuple[int, int, int]]:
-    """Every (i, j, k), i < j and then k ascending, where packed[i] and
-    packed[j] hold the same residue in slot k - 1 of n, for packed values
-    of :func:`psi_packed_mod` at P.
-
-    Canonical slots are equal iff their XOR z is 0, and z < 2^b, so
-    z + 2^b - 1 sets bit b of its slot iff z != 0, with no carry into the
-    next slot (Warren, Hacker's Delight, 6-1).  A pair whose n slots all
-    set bit b shares no residue; only a pair with a zero slot is unpacked."""
-    b = _FOLDS[P][0]
-    ones = _ONES >> _W * (CONJECTURE_F_CAP + 1 - n)
-    bias, tops = ((1 << b) - 1) * ones, ones << b
-    return [
-        (i, j, k)
-        for (i, x), (j, y) in itertools.combinations(enumerate(packed), 2)
-        if ((x ^ y) + bias) & tops != tops
-        for k, z in enumerate(_unpack(x ^ y, n), start=1)
-        if not z
-    ]
-
-
 def check_conjecture_f(m: int) -> ConjectureFReport:
     """Test whether each single psi_k separates all abelian groups of
     order m.  A coincidence is reported, not raised: it would be a
     counterexample candidate, not an implementation error.
 
     The check is a staged filter over candidates (i, j, k), pairs i < j
-    in enumeration order.  Every group is fingerprinted once, by its
-    packed psi_1..psi_m mod P1, read from its Sylow tables with no record
-    built (:func:`symmetric.order_fingerprints`), and the candidates are
-    the (i, j, k) where the two packed values agree in slot k - 1, found
-    pair by pair by one zero-slot test on their XOR
-    (:func:`_slot_matches`).  Only an order with a candidate builds its
-    groups.  Each later stage, psi_all_mod at P2 and then the exact
-    psi_all, computes values only for the groups still in some candidate
-    and keeps the candidates whose values match at k.  Two values with
+    in enumeration order.  One stage runs at P1 and then at P2: it
+    fingerprints the live groups, every group at P1, by their packed
+    psi_1..psi_m mod P, read from the Sylow tables with no record built
+    (:func:`symmetric.order_fingerprints`), finds the (i, j, k) where two
+    fingerprints agree in slot k - 1 by one zero-slot test per pair
+    (:func:`symmetric.slot_matches`), and keeps the candidates that every
+    prime so far has matched; the groups in some candidate are live at
+    the next prime.  Only an order with a candidate left after P2 builds
+    its groups, for the exact psi_all of the live ones.  Two values with
     different residues mod either prime are different, so no stage drops
     an exact equality, and only exact equalities are reported: pairs
     (i, j), then k ascending."""
@@ -201,17 +170,25 @@ def check_conjecture_f(m: int) -> ConjectureFReport:
     g = prod(len(partitions_of(e)) for e in factorize(m).values())
     if g < 2:
         return ConjectureFReport(m=m, pair_count=0, coincidences=())
-    p1, p2 = FINGERPRINT_PRIMES
-    candidates = _slot_matches(order_fingerprints(m, p1), m, p1)
-    # P1 matches are rare (19 pairs in 18 orders up to 4096), so few orders
-    # build their groups and run the later stages
-    groups = enumerate_abelian_groups(m) if candidates else []
-    for stage in (lambda G: psi_all_mod(G, p2), lambda G: psi_all(G, cap=CONJECTURE_F_CAP)):
+    pair_count = g * (g - 1) // 2
+    live, candidates = range(g), None
+    for P in FINGERPRINT_PRIMES:
+        found = slot_matches(order_fingerprints(m, P, live), m, P)
+        matched = {(live[i], live[j], k) for i, j, k in found}
+        candidates = matched if candidates is None else candidates & matched
+        if not candidates:
+            # P1 matches are rare (19 pairs in 18 orders up to 4096) and P2
+            # refutes every one, so no order builds its groups
+            return ConjectureFReport(m=m, pair_count=pair_count, coincidences=())
         live = sorted({x for i, j, _ in candidates for x in (i, j)})
-        values = {x: stage(groups[x]) for x in live}
-        candidates = [(i, j, k) for i, j, k in candidates if values[i][k - 1] == values[j][k - 1]]
-    coincidences = tuple((groups[i], groups[j], k, values[i][k - 1]) for i, j, k in candidates)
-    return ConjectureFReport(m=m, pair_count=g * (g - 1) // 2, coincidences=coincidences)
+    groups = enumerate_abelian_groups(m)
+    values = {x: psi_all(groups[x], cap=CONJECTURE_F_CAP) for x in live}
+    coincidences = tuple(
+        (groups[i], groups[j], k, values[i][k - 1])
+        for i, j, k in sorted(candidates)
+        if values[i][k - 1] == values[j][k - 1]
+    )
+    return ConjectureFReport(m=m, pair_count=pair_count, coincidences=coincidences)
 
 
 @frozen

@@ -7,9 +7,9 @@ validation tests can expect the same exception from oracle and fast path.
 The exceptions are :func:`counts_list_injectivity_sweep`,
 :func:`record_violations`, :func:`successor_partitions`,
 :func:`format_group_loop`, :func:`per_factor_expand_mod` (with
-:func:`inverse_table`), :func:`column_candidates` and
-:func:`recursive_count_groups`, former package paths kept whole as the
-references for the ones that replaced them.
+:func:`inverse_table`), :func:`psi_packed_mod`, :func:`column_candidates`
+and :func:`recursive_count_groups`, former package paths kept whole as
+the references for the ones that replaced them.
 """
 
 from __future__ import annotations
@@ -256,6 +256,18 @@ def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[
         product = slots(pack(acc, 64) * pack(factor, 64), len(acc) + m, 64)
         acc = [x % P for x in product]
     return acc
+
+
+def psi_packed_mod(G, P: int) -> int:
+    """psi_1..psi_n mod P of the group record G, packed one per slot of
+    ``symmetric._W`` bits, as the package fingerprinted each group before
+    it read the Sylow tables: the packed kernel over the entries of G's
+    own sorted ``order_spectrum``.  The fingerprint tests compare
+    ``order_fingerprints`` with it, and it with [v % P for v in psi_all(G)]."""
+    from psiprime.groups import order_spectrum
+    from psiprime.symmetric import _expand_mod
+
+    return _expand_mod(order_spectrum(G).entries, P)
 
 
 def column_candidates(residues: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:

@@ -25,8 +25,8 @@ from psiprime import (
 from psiprime import symmetric
 from psiprime.arith import is_prime
 from psiprime.errors import trusted
-from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
-from oracles import per_factor_expand_mod, slots, spectrum_orders, subset_esp
+from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES
+from oracles import per_factor_expand_mod, psi_packed_mod, slots, spectrum_orders, subset_esp
 
 
 def test_psi_all_z3():
@@ -91,12 +91,17 @@ _GROUPS_UP_TO_512 = st.integers(min_value=1, max_value=512).flatmap(
 )
 
 
+def _residues(G, P):
+    # [psi_1 mod P, ..., psi_n mod P] read from the packed kernel's slots
+    return slots(psi_packed_mod(G, P), G.order, symmetric._W)
+
+
 @given(_GROUPS_UP_TO_512)
 @settings(max_examples=60, deadline=None)
 def test_psi_all_mod_is_psi_all_reduced(G):
     values = psi_all(G)
     for P in FINGERPRINT_PRIMES:
-        assert psi_all_mod(G, P) == [v % P for v in values]
+        assert _residues(G, P) == [v % P for v in values]
 
 
 def test_psi_all_mod_at_order_1024_with_two_equal_halves():
@@ -104,7 +109,7 @@ def test_psi_all_mod_at_order_1024_with_two_equal_halves():
     G = canonicalize([4] + [2] * 8)
     values = psi_all(G, cap=1024)
     for P in FINGERPRINT_PRIMES:
-        assert psi_all_mod(G, P) == [v % P for v in values]
+        assert _residues(G, P) == [v % P for v in values]
 
 
 def _expanded(entries, P):
@@ -190,7 +195,7 @@ def test_expand_mod_equals_the_per_factor_kernel_on_the_largest_factors(entries)
 
 def test_fingerprint_primes_are_usable_up_to_the_cap():
     # each P is prime and above the cap, so no element order is 0 mod P and
-    # the top slot, psi_n mod P, is never 0 (psi_packed_mod's length check);
+    # the top slot, psi_n mod P, is never 0 (order_fingerprints' length check);
     # a product of canonical coefficients sums at most ceil((n + 2) / 2)
     # terms of at most (P - 1)^2 in a slot, below 2^W as the live bound
     # on B (test_two_folds_keep_every_slot_below_2p_up_to_the_cap) implies
@@ -200,30 +205,33 @@ def test_fingerprint_primes_are_usable_up_to_the_cap():
 
 
 def test_packed_slots_are_canonical():
-    # verify._slot_matches reads two residues as equal iff their slots are
+    # symmetric.slot_matches reads two residues as equal iff their slots are
     # bit for bit equal, so a slot left at z + P would hide a match with z.
     # Two folds leave Z3xZ73 at P2 + 9 and Z2xZ9xZ47 at P2 in one slot each
     groups = [G for m in range(1, 301) for G in enumerate_abelian_groups(m)]
     cases = [(G, P) for G in groups for P in FINGERPRINT_PRIMES]
     cases += [(parse_group("Z2xZ9xZ47"), FINGERPRINT_PRIMES[1])]
     for G, P in cases:
-        assert max(slots(psi_packed_mod(G, P), G.order, symmetric._W)) < P
+        assert max(_residues(G, P)) < P
 
 
 def test_order_fingerprints_equal_psi_packed_mod_in_enumeration_order():
     # the fingerprints read from the Sylow tables, with unsorted entries,
-    # against each enumerated group's own, up to 300 and on the groups of
-    # the cap cases (test_expand_mod_equals_the_per_factor_kernel_at_the_cap)
-    p1 = FINGERPRINT_PRIMES[0]
+    # against each enumerated group's own: every group up to 300 at P1, and
+    # every other one at P2, as the P2 stage fingerprints only its live
+    # groups; then the groups of the cap cases
+    # (test_expand_mod_equals_the_per_factor_kernel_at_the_cap) alone
+    p1, p2 = FINGERPRINT_PRIMES
     for m in range(1, 301):
-        expected = [psi_packed_mod(G, p1) for G in enumerate_abelian_groups(m)]
-        assert symmetric.order_fingerprints(m, p1) == expected
+        groups = enumerate_abelian_groups(m)
+        for P, live in [(p1, range(len(groups))), (p2, range(1, len(groups), 2))]:
+            expected = [psi_packed_mod(groups[x], P) for x in live]
+            assert symmetric.order_fingerprints(m, P, live) == expected
     for m, notations in [(4096, ("Z2^12", "Z4096", "Z4xZ2^10", "Z64^2")), (4095, ("Z3^2xZ5xZ7xZ13",))]:
         groups = enumerate_abelian_groups(m)
-        fingerprints = symmetric.order_fingerprints(m, p1)
-        assert len(fingerprints) == len(groups)
-        for G in map(parse_group, notations):
-            assert fingerprints[groups.index(G)] == psi_packed_mod(G, p1)
+        live = sorted(groups.index(G) for G in map(parse_group, notations))
+        expected = [psi_packed_mod(groups[x], p1) for x in live]
+        assert symmetric.order_fingerprints(m, p1, live) == expected
 
 
 def test_psi_packed_mod_refuses_a_q_longer_than_n_slots(monkeypatch):
@@ -233,7 +241,7 @@ def test_psi_packed_mod_refuses_a_q_longer_than_n_slots(monkeypatch):
     monkeypatch.setattr(symmetric, "_expand_mod", lambda e, P: expand(e, P) << symmetric._W)
     for P in FINGERPRINT_PRIMES:
         with pytest.raises(ConsistencyError, match="bits do not fill 4 slots"):
-            psi_packed_mod(canonicalize([4]), P)
+            symmetric.order_fingerprints(4, P, [1])
 
 
 def test_psi_all_refuses_a_product_of_the_wrong_degree(monkeypatch):
@@ -244,15 +252,15 @@ def test_psi_all_refuses_a_product_of_the_wrong_degree(monkeypatch):
         psi_all(canonicalize([3]))
 
 
-def test_psi_all_mod_refuses_order_past_the_cap():
-    G = canonicalize([CONJECTURE_F_CAP + 1])  # 4097 = 17 * 241
-    message = "|G| = 4097 exceeds the conjecture-f fingerprint cap 4096"
-    for entry in (psi_all_mod, psi_packed_mod):
-        for P in FINGERPRINT_PRIMES:
-            with pytest.raises(SizeLimitError, match=re.escape(message)):
-                entry(G, P)
-            with pytest.raises(SizeLimitError, match=re.escape(message.replace("|G|", "m"))):
-                symmetric.order_fingerprints(G.order, P)
+def test_psi_all_mod_refuses_order_past_the_cap(monkeypatch):
+    def never(arg):
+        raise AssertionError(f"the spectra of order {arg} were read")
+
+    monkeypatch.setattr(symmetric, "sylow_spectra", never)
+    message = "m = 4097 exceeds the conjecture-f fingerprint cap 4096"  # 4097 = 17 * 241
+    for P in FINGERPRINT_PRIMES:
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
+            symmetric.order_fingerprints(CONJECTURE_F_CAP + 1, P, [0])
 
 
 # the slot bound is proved only for the two fingerprint primes: a composite,
@@ -267,13 +275,9 @@ def test_psi_all_mod_refuses_a_modulus_that_is_not_a_fingerprint_prime(monkeypat
     def never(arg):
         raise AssertionError(f"a spectrum of {arg} was read")
 
-    monkeypatch.setattr(symmetric, "order_spectrum", never)
     monkeypatch.setattr(symmetric, "sylow_spectra", never)
-    for entry in (psi_all_mod, psi_packed_mod):
-        with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
-            entry(canonicalize([4, 2]), P)
     with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
-        symmetric.order_fingerprints(8, P)
+        symmetric.order_fingerprints(8, P, range(3))
 
 
 def test_order_polynomial_z2():

@@ -30,7 +30,7 @@ from psiprime import (
 )
 from psiprime.arith import factorize
 from psiprime.verify import check_injectivity, theorem_c_rows
-from oracles import column_candidates, pack, slots
+from oracles import column_candidates, pack, psi_packed_mod, slots
 
 
 def test_theorem_c_2_3():
@@ -389,47 +389,48 @@ _A, _B, _K = 3, 1, 5
 
 def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,), k=_K):
     """Copy group _A's psi_k onto each group of order 16 indexed in
-    ``targets``: its residues mod the primes in ``residues``, in the list
-    and in the packed P1 fingerprints, and its exact value if ``exact``.
-    The P1 stage's (i, j, k) must equal the column oracle's on the
-    planted residues.  Returns the (group, prime) of every residue list
-    made, a P1 fingerprint's included, and the groups whose exact
-    psi_all ran."""
+    ``targets``: its residue in slot k - 1 of the packed fingerprints at
+    the primes in ``residues``, and its exact value if ``exact``.  Each
+    stage's (i, j, k) must equal the column oracle's on the planted
+    residues.  Returns the (index, prime) of every fingerprint made and
+    the groups whose exact psi_all ran.  The patches wrap what verify
+    holds, so a second plant stacks on the first."""
     from psiprime import symmetric, verify
 
     groups = enumerate_abelian_groups(16)
-    source = groups[_A]
-    planted = [groups[t] for t in targets]
-    mod_ran, exact_ran = [], []
+    fingerprints, matches, exact_values = verify.order_fingerprints, verify.slot_matches, verify.psi_all
+    made, exact_ran = [], []
 
-    def fake_mod(G, P):
-        mod_ran.append((G, P))
-        values = symmetric.psi_all_mod(G, P)
-        if G in planted and P in residues:
-            values[k - 1] = symmetric.psi_all_mod(source, P)[k - 1]
-        return values
-
-    def fake_fingerprints(m, P):
-        return [pack(fake_mod(G, P), symmetric._W) for G in enumerate_abelian_groups(m)]
+    def fake_fingerprints(m, P, live):
+        live = list(live)
+        made.extend((x, P) for x in live)
+        packed = fingerprints(m, P, live)
+        if m != 16 or P not in residues:
+            return packed
+        planted = []
+        for x, q in zip(live, packed):
+            values = slots(q, m, symmetric._W)
+            if x in targets:
+                values[k - 1] = slots(psi_packed_mod(groups[_A], P), m, symmetric._W)[k - 1]
+            planted.append(pack(values, symmetric._W))
+        return planted
 
     def checked_matches(packed, n, P):
-        found = slot_matches(packed, n, P)
+        found = matches(packed, n, P)
         assert found == column_candidates([slots(q, n, symmetric._W) for q in packed])
         return found
 
     def fake_exact(G, *, cap):
         exact_ran.append(G)
-        values = symmetric.psi_all(G, cap=cap)
-        if G in planted and exact:
-            values[k - 1] = symmetric.psi_all(source, cap=cap)[k - 1]
+        values = exact_values(G, cap=cap)
+        if exact and G in [groups[t] for t in targets]:
+            values[k - 1] = exact_values(groups[_A], cap=cap)[k - 1]
         return values
 
-    slot_matches = verify._slot_matches
-    monkeypatch.setattr(verify, "psi_all_mod", fake_mod)
     monkeypatch.setattr(verify, "order_fingerprints", fake_fingerprints)
-    monkeypatch.setattr(verify, "_slot_matches", checked_matches)
+    monkeypatch.setattr(verify, "slot_matches", checked_matches)
     monkeypatch.setattr(verify, "psi_all", fake_exact)
-    return mod_ran, exact_ran
+    return made, exact_ran
 
 
 def test_conjecture_f_confirms_a_residue_collision_exactly(monkeypatch):
@@ -452,6 +453,20 @@ def test_conjecture_f_needs_no_exact_value_when_one_prime_differs(monkeypatch, p
     assert ran == []
 
 
+def test_conjecture_f_keeps_only_candidates_that_both_primes_match(monkeypatch):
+    # groups _B and _A match at k = 5 mod P1 and at k = 6 mod P2: each
+    # prime has a match, but no (i, j, k) has both, so no exact value runs
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    p1, p2 = FINGERPRINT_PRIMES
+    _plant(monkeypatch, residues=(p1,))
+    made, ran = _plant(monkeypatch, residues=(p2,), k=_K + 1)
+    report = check_conjecture_f(16)
+    assert sorted(x for x, P in made if P == p2) == [_B, _A]
+    assert ran == []
+    assert report == _reference_check_conjecture_f(16)
+
+
 @pytest.mark.parametrize(
     "planted, targets, p2_groups, exact_groups",
     [
@@ -467,18 +482,18 @@ def test_conjecture_f_needs_no_exact_value_when_one_prime_differs(monkeypatch, p
 def test_conjecture_f_cascade_expands_mod_p2_only_for_p1_matches(
     monkeypatch, planted, targets, p2_groups, exact_groups
 ):
-    # every group is fingerprinted mod P1; P2 runs only for the groups of a
-    # P1 match, and exact psi_all only for pairs that match at both primes
+    # every group is fingerprinted mod P1; P2 fingerprints only the groups
+    # of a P1 match, and exact psi_all runs only for pairs that match at both
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
     p1, p2 = FINGERPRINT_PRIMES
     residues = tuple(FINGERPRINT_PRIMES[i] for i in planted)
-    mod_ran, exact_ran = _plant(monkeypatch, residues=residues, targets=targets)
+    made, exact_ran = _plant(monkeypatch, residues=residues, targets=targets)
     groups = enumerate_abelian_groups(16)
     report = check_conjecture_f(16)
-    assert [G for G, P in mod_ran if P == p1] == groups
-    assert sorted(groups.index(G) for G, P in mod_ran if P == p2) == sorted(p2_groups)
-    assert len(mod_ran) == len(groups) + len(p2_groups)
+    assert [x for x, P in made if P == p1] == list(range(len(groups)))
+    assert sorted(x for x, P in made if P == p2) == sorted(p2_groups)
+    assert len(made) == len(groups) + len(p2_groups)
     assert sorted(groups.index(G) for G in exact_ran) == sorted(exact_groups)
     assert report == _reference_check_conjecture_f(16)
 
@@ -490,25 +505,79 @@ def test_conjecture_f_real_p1_match_at_324_is_refuted_mod_p2(monkeypatch):
     from psiprime import symmetric, verify
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
+    p1, p2 = FINGERPRINT_PRIMES
     groups = enumerate_abelian_groups(324)
-    p2_ran = []
+    fingerprinted = []
 
-    def spy(G, P):
-        if P == FINGERPRINT_PRIMES[1]:
-            p2_ran.append(groups.index(G))
-        return symmetric.psi_all_mod(G, P)
+    def spy(m, P, live):
+        fingerprinted.append((P, list(live)))
+        return symmetric.order_fingerprints(m, P, live)
 
     def never(G, *, cap):
         raise AssertionError(f"psi_all({G}) ran")
 
-    monkeypatch.setattr(verify, "psi_all_mod", spy)
+    monkeypatch.setattr(verify, "order_fingerprints", spy)
     monkeypatch.setattr(verify, "psi_all", never)
     report = check_conjecture_f(324)
-    assert p2_ran == [5, 8]
-    first = [symmetric.psi_all_mod(groups[x], FINGERPRINT_PRIMES[0]) for x in (5, 8)]
+    assert fingerprinted == [(p1, list(range(10))), (p2, [5, 8])]
+    first = [slots(psi_packed_mod(groups[x], p1), 324, symmetric._W) for x in (5, 8)]
     assert [k for k, (a, b) in enumerate(zip(*first), start=1) if a == b] == [116]
     assert report.coincidences == () and report.pair_count == 45
 
+
+# Every (m, i, j, k) up to the cap where groups i and j of order m share
+# psi_k mod P1, one k per pair: 19 pairs in 18 orders, each refuted mod P2.
+_REAL_P1_MATCHES = [
+    (324, 5, 8, 116), (1152, 12, 13, 374), (1712, 3, 4, 969), (1792, 9, 10, 658),
+    (2048, 12, 22, 1483), (2160, 6, 14, 900), (2304, 26, 39, 821), (2592, 1, 33, 239),
+    (2592, 24, 30, 1782), (2896, 1, 4, 951), (2916, 5, 21, 2571), (3000, 1, 5, 212),
+    (3008, 1, 6, 285), (3024, 9, 11, 1990), (3456, 35, 42, 304), (3648, 2, 4, 398),
+    (3888, 0, 23, 3047), (4000, 8, 18, 3961), (4096, 15, 41, 970),
+]
+
+
+def test_conjecture_f_refutes_every_real_p1_match_mod_p2_with_no_record_built(monkeypatch):
+    # the P1 stage's output at each order with a real P1 match, and the P2
+    # stage fingerprinting only the groups of those pairs; every report
+    # holds with no group, spectrum record or exact value made
+    from psiprime import symmetric, verify
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"a record or an exact value of {args} was made")
+
+    p1, p2 = FINGERPRINT_PRIMES
+    stages = []
+
+    def spy(packed, n, P):
+        found = symmetric.slot_matches(packed, n, P)
+        stages.append((n, P, len(packed), found))
+        return found
+
+    monkeypatch.setattr(verify, "enumerate_abelian_groups", never)
+    monkeypatch.setattr(symmetric, "order_spectrum", never)
+    monkeypatch.setattr(verify, "psi_all", never)
+    monkeypatch.setattr(verify, "slot_matches", spy)
+    orders = sorted({m for m, *_ in _REAL_P1_MATCHES})
+    assert len(orders) == 18
+    assert all(check_conjecture_f(m).holds for m in orders)
+    assert [(n, *c) for n, P, _, found in stages if P == p1 for c in found] == _REAL_P1_MATCHES
+    live = {m: {x for n, i, j, _ in _REAL_P1_MATCHES if n == m for x in (i, j)} for m in orders}
+    assert [(n, size) for n, P, size, _ in stages if P == p2] == [(m, len(live[m])) for m in orders]
+
+
+def test_the_record_oracle_matches_every_real_p1_match_mod_p1_and_refutes_it_mod_p2():
+    # the list-based stages the packed ones replaced, on each pair's group
+    # records: its residues agree at k mod P1 and differ there mod P2
+    from psiprime import symmetric
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    p1, p2 = FINGERPRINT_PRIMES
+    for m, i, j, k in _REAL_P1_MATCHES:
+        groups = enumerate_abelian_groups(m)
+        for P, agree in [(p1, True), (p2, False)]:
+            a, b = (slots(psi_packed_mod(groups[x], P), m, symmetric._W)[k - 1] for x in (i, j))
+            assert (a == b) == agree
 
 def test_conjecture_f_reports_a_planted_coincidence_like_the_reference(monkeypatch):
     from psiprime.symmetric import FINGERPRINT_PRIMES
@@ -552,10 +621,9 @@ def test_cli_conjecture_f_reports_a_planted_coincidence(monkeypatch, capsys):
 def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
     from psiprime import verify
 
-    def never(G, P):
-        raise AssertionError(f"a fingerprint of {G} mod {P} ran")
+    def never(m, P, live):
+        raise AssertionError(f"a fingerprint of order {m} mod {P} ran")
 
-    monkeypatch.setattr(verify, "psi_all_mod", never)
     monkeypatch.setattr(verify, "order_fingerprints", never)
     for m in (1, 2, 97, 15, 30):
         assert check_conjecture_f(m).pair_count == 0
@@ -564,31 +632,31 @@ def test_conjecture_f_order_with_one_group_needs_no_fingerprint(monkeypatch):
 @pytest.mark.parametrize("k", [1, 16])
 def test_conjecture_f_reports_a_coincidence_planted_in_an_edge_slot(monkeypatch, k):
     # the first and the last slot of order 16: a zero-slot mask one slot too
-    # narrow misses k = 16.  Only the planted pair is unpacked
-    from psiprime import verify
+    # narrow misses k = 16.  Only the planted pair is unpacked, at each prime
+    from psiprime import symmetric
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
     _plant(monkeypatch, residues=FINGERPRINT_PRIMES, exact=True, k=k)
     unpacked = []
-    unpack = verify._unpack
-    monkeypatch.setattr(verify, "_unpack", lambda x, n: unpacked.append(n) or unpack(x, n))
+    unpack = symmetric._unpack
+    monkeypatch.setattr(symmetric, "_unpack", lambda x, n: unpacked.append(n) or unpack(x, n))
     groups = enumerate_abelian_groups(16)
     report = check_conjecture_f(16)
     assert report == _reference_check_conjecture_f(16)
     assert [(a, b, j) for a, b, j, _ in report.coincidences] == [(groups[_B], groups[_A], k)]
-    assert unpacked == [16]
+    assert unpacked == [16, 16]
 
 
 def test_conjecture_f_unpacks_no_pair_without_a_p1_match(monkeypatch):
     # no order up to 256 has a P1 match, so no pair's XOR has a zero slot; a
     # zero-slot mask one slot too wide reads one in every pair and unpacks
     # all 911, for the same output
-    from psiprime import verify
+    from psiprime import symmetric
 
     def never(x, n):
         raise AssertionError(f"a pair of order {n} was unpacked")
 
-    monkeypatch.setattr(verify, "_unpack", never)
+    monkeypatch.setattr(symmetric, "_unpack", never)
     sweep = sweep_conjecture_f(256)
     assert sweep.holds and sweep.pairs_checked == 911
 
@@ -608,26 +676,24 @@ def test_conjecture_f_builds_no_group_for_an_order_without_a_p1_match(monkeypatc
 
 
 def test_slot_matches_equal_the_column_oracle_up_to_300():
-    from psiprime import verify
-    from psiprime.symmetric import FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
+    from psiprime import symmetric
+    from psiprime.symmetric import FINGERPRINT_PRIMES
 
     p1 = FINGERPRINT_PRIMES[0]
     for m in range(1, 301):
-        groups = enumerate_abelian_groups(m)
-        packed = [psi_packed_mod(G, p1) for G in groups]
-        expected = column_candidates([psi_all_mod(G, p1) for G in groups])
-        assert verify._slot_matches(packed, m, p1) == expected
+        packed = [psi_packed_mod(G, p1) for G in enumerate_abelian_groups(m)]
+        expected = column_candidates([slots(q, m, symmetric._W) for q in packed])
+        assert symmetric.slot_matches(packed, m, p1) == expected
 
 
 def test_slot_matches_equal_the_column_oracle_at_the_real_p1_match_at_324():
-    from psiprime import verify
-    from psiprime.symmetric import FINGERPRINT_PRIMES, psi_all_mod, psi_packed_mod
+    from psiprime import symmetric
+    from psiprime.symmetric import FINGERPRINT_PRIMES
 
     p1 = FINGERPRINT_PRIMES[0]
-    groups = enumerate_abelian_groups(324)
-    packed = [psi_packed_mod(G, p1) for G in groups]
-    expected = column_candidates([psi_all_mod(G, p1) for G in groups])
-    assert verify._slot_matches(packed, 324, p1) == expected == [(5, 8, 116)]
+    packed = [psi_packed_mod(G, p1) for G in enumerate_abelian_groups(324)]
+    expected = column_candidates([slots(q, 324, symmetric._W) for q in packed])
+    assert symmetric.slot_matches(packed, 324, p1) == expected == [(5, 8, 116)]
 
 
 # residues mod P1 = 2^22 - 3 drawn from its edges: 0, 1, the top bit below
@@ -643,12 +709,12 @@ _EDGE_RESIDUES = st.sampled_from([0, 1, 2**21, 2**22 - 4])
 )
 @settings(max_examples=200, deadline=None)
 def test_slot_matches_equal_the_column_oracle_on_edge_residues(residues):
-    from psiprime import symmetric, verify
+    from psiprime import symmetric
     from psiprime.symmetric import FINGERPRINT_PRIMES
 
     packed = [pack(r, symmetric._W) for r in residues]
     p1 = FINGERPRINT_PRIMES[0]
-    assert verify._slot_matches(packed, len(residues[0]), p1) == column_candidates(residues)
+    assert symmetric.slot_matches(packed, len(residues[0]), p1) == column_candidates(residues)
 
 
 def test_check_conjecture_f_refuses_an_order_past_the_cap_before_enumerating(monkeypatch):
