@@ -16,10 +16,10 @@ one is given (a bare scalar, a factored psi', a polynomial), else
 
 ``verify theorem-c`` has p(n) rows, over 1.7 million at the cap, so it
 writes them ``_CHUNK`` (1,024) at a time as they are made, scanning each
-chunk for exponent drops, and holds at most one chunk.  An exactness
-failure partway through leaves the whole chunks written so far on
-stdout, and exits 3.  Its table sizes the columns from the first chunk,
-so a failure inside that chunk leaves stdout empty.
+chunk for exponent drops, and holds at most one chunk.  Its exactness
+checks all run when the rows are asked for, before the first byte, so a
+failure exits 3 with stdout empty: stdout holds the whole report or
+nothing, unless the reader closes it early.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Rows per write: CSV rows, and verify theorem-c's rows in every format,
-# are written this many at a time.
+# Rows per write: verify theorem-c writes its rows, in every format, this
+# many at a time.
 _CHUNK = 1024
 
 
@@ -97,11 +97,12 @@ def _render(
         print(json.dumps(obj(), separators=(",", ":")))
         return
     if args.fmt == "csv":
-        _write_csv(headers, _chunks(rows))
+        import csv  # here, not at the top: only --csv needs it
+        csv.writer(sys.stdout).writerows(itertools.chain([headers], rows))
     elif text is not None:
         print(text)
     else:
-        _write_table(headers, [[list(map(str, row)) for row in rows]])
+        _write_table(headers, [list(rows)])
     for line in notes:
         print(line)
 
@@ -111,15 +112,6 @@ def _chunks(rows: Iterable[Sequence]) -> Iterator[list[Sequence]]:
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, _CHUNK)):
         yield chunk
-
-
-def _write_csv(headers: Sequence[str], chunks: Iterable[list[Sequence]]) -> None:
-    import csv  # here, not at the top: only --csv needs it
-    import io
-    for chunk in itertools.chain([[headers]], chunks):
-        buf = io.StringIO()
-        csv.writer(buf).writerows(chunk)
-        sys.stdout.write(buf.getvalue())
 
 
 def _write_table(headers: Sequence[str], chunks: Iterable[list[Sequence]]) -> None:

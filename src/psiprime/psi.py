@@ -49,11 +49,11 @@ every part before index i (0-based), raises part i and ends in 1s, so
 i = h - 1 and the pass never scans the parts.  T_1..T_(i-1) are
 unchanged and S_(i-1) is reused; only T_i and T_(i+1) are new, and the
 tail of 1s adds g(k, 1).  There n - P_i is part i plus the number of 1s
-and n - P_(i+1) is the number of 1s, so no part sum is needed.  Each
-g(t, d) is divided, checked exact, on first use and kept for the rest of
-the sweep in a list table runs[t][d], t * d <= n, read by index.  The
-partition's text is kept by prefix in the same way: the text of the parts
-before i is reused, and part i and a tabled run of ",1"s end it.
+and n - P_(i+1) is the number of 1s, so no part sum is needed.  Every
+g(t, d) with t * d <= n is divided, checked exact, before the first row
+and read by index from a list table runs[t][d].  The partition's text is
+kept by prefix in the same way: the text of the parts before i is
+reused, and part i and a tabled run of ",1"s end it.
 
 A run row has a closed form.  Its first h - 1 terms are the run start's,
 S = S_(h-1).  At t = h, l_h > 2 (a run start has no 2) meets the first 2,
@@ -67,7 +67,7 @@ either way, as h + j + r' = m - j is the row's number of parts.  So
 one subtraction per row, and the first run (h = 0, l_1 = 2) gives
 E_j = 2p^n - p^(n-j) - 1.  The row's text is the run start's text of its
 first h parts and ",2"*j + ",1"*r' + "]", from a table per number of 1s
-built on first use and shared by every pass.  Run rows write no entry of the sums S_t or the
+that every pass shares.  Run rows write no entry of the sums S_t or the
 prefix texts: the next run start raises an index of at most h, so it
 reads only S_t for t < h and prefixes of at most h parts, which this run
 start or an earlier one wrote.
@@ -203,41 +203,43 @@ psi_prime_exponent.cache_clear = _exponent.cache_clear
 def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
     """(text, psi_prime_exponent(p, parts)) for the parts of every
     partition of n >= 1, in ascending order, where text is "[l_1,...,l_k]",
-    the JSON array of the parts.  Lazy, unchecked, uncached, and with
-    constant work per partition: the prefix-sum pass of the module
-    docstring at each ZS2 run start, read from the ZS2 state, its g(t, d)
-    in the list table runs[t][d], and the run of 2s after it from one
-    closed form per row.  No tuple is made per partition.  The first
-    partition, all 1s, divides by p^n - 1 first, as psi_prime_exponent
-    does.
+    the JSON array of the parts.  p and n are not checked, and no row is
+    cached.
+
+    Every table is built when this is called, each g(t, d) with t * d <= n
+    divided once and checked exact, so an inexact division raises
+    ConsistencyError before any row; the first is by p^n - 1, as in
+    psi_prime_exponent.  The rows then come lazily, with constant work and
+    no tuple per partition: the prefix-sum pass of the module docstring at
+    each ZS2 run start, and the run of 2s after it from one closed form
+    per row.
     """
     power = [1]
     for _ in range(n):
         power.append(power[-1] * p)
-    top = power[n]
-    # runs[t][d] = g(t, d) for t * d <= n, 0 until its first use
-    runs = [[]] + [[0] * (n // t + 1) for t in range(1, n + 1)]
-
-    def run(t: int, d: int) -> int:
-        g = runs[t][d] = exact_div(power[t * d] - 1, power[t] - 1, "psi' exponent run")
-        return g
-
+    # runs[t][d] = g(t, d), with g(t, 0) = 0 for the empty run, from t = n
+    # down so that the first division is by p^n - 1
+    runs = [[0] for _ in range(n + 1)]
+    for t in range(n, 0, -1):
+        q = power[t] - 1
+        for d in range(1, n // t + 1):
+            runs[t].append(exact_div(power[t * d] - 1, q, "psi' exponent run"))
     # every part is at most n, and a row after the first ends in at most
-    # n - 2 ones; tail[k] closes a row that ends in k ones
+    # n - 2 ones; tail[k] closes a row that ends in k ones, and twos[k]
+    # ends the rows in the run of a run start that ends in k ones
     part_text = [str(x) for x in range(n + 1)]
     tail = [",1" * k + "]" for k in range(n)]
-    # twos[k] = _run_tails(k), the ends of the rows in the run of a run
-    # start that ends in k ones, None until its first use: the injectivity
-    # sweep makes many small passes, which share _run_tails
-    twos = [None] * (n + 1)
+    twos = [_run_tails(k) for k in range(n + 1)]
+    return _rows(n, power, runs, part_text, tail, twos)
 
-    def run_tails(k: int) -> tuple[str, ...]:
-        texts = twos[k] = _run_tails(k)
-        return texts
 
+def _rows(n, power, runs, part_text, tail, twos) -> Iterator[tuple[str, int]]:
+    # the rows of pgroup_exponents from its tables, which it passes in so
+    # that the loop reads them as locals
+    top = power[n]
     states = _zs2(n)
     next(states)
-    yield "[1" + tail[n - 1], top - run(n, 1)
+    yield "[1" + tail[n - 1], top - runs[n][1]
     # the first run, [2^j, 1^(n-2j)]: E_j = 2p^n - p^(n-j) - 1
     text = "[2"
     base = 2 * top - 1
@@ -261,17 +263,16 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
             s = sums[i - 1]
             d = x[i] - part
             if d:
-                s += power[h * part + ones] * (runs[i][d] or run(i, d))
+                s += power[h * part + ones] * runs[i][d]
             sums[i] = s
         else:
             s = 0
         # l_1 * p^n - S_(h-1), shared by the run start and its run
         lead = x[1] * top - s
         if ones:
-            e = lead - power[ones + h] * (runs[h][part - 1] or run(h, part - 1))
-            e -= runs[m][1] or run(m, 1)
+            e = lead - power[ones + h] * runs[h][part - 1] - runs[m][1]
         else:
-            e = lead - (runs[h][part] or run(h, part))
+            e = lead - runs[h][part]
         head = pre[i] + part_text[part]
         pre[h] = head + ","
         yield head + tail[ones], e
@@ -279,9 +280,8 @@ def pgroup_exponents(p: int, n: int) -> Iterator[tuple[str, int]]:
             # the run [l_1..l_h, 2^j, 1^(ones-2j)], j = 1, 2, ...: part > 2
             # meets the first 2, and the last 2 and last 1 add p^(m-j) + 1,
             # m - j being the row's number of parts
-            base = lead - power[2 * h + ones] * (runs[h][part - 2] or run(h, part - 2)) - 1
-            texts = twos[ones] or run_tails(ones)
-            for text in texts:
+            base = lead - power[2 * h + ones] * runs[h][part - 2] - 1
+            for text in twos[ones]:
                 m -= 1
                 yield head + text, base - power[m]
 

@@ -80,7 +80,9 @@ def theorem_c_rows(p: int, n: int) -> Iterator[tuple[str, int]]:
     array of the descending parts, such as "[2,1]".
 
     p, n and the partition cap (64) are checked when this is called,
-    before any row is made.  The rows come from one prefix-sum pass,
+    before any row is made, and so is every run division of the pass, so
+    an inexact one raises ConsistencyError here and not partway through
+    the rows.  The rows come from one prefix-sum pass,
     :func:`psi.pgroup_exponents`, which adds two new run terms per ZS2 run
     start, writes the run of 2s after it from one closed form, and keeps
     only the run sums and text prefixes of one partition, so memory stays

@@ -264,8 +264,8 @@ def _inexact_theorem_c(monkeypatch, capsys, argv, wrong):
 
 
 def test_consistency_error_in_json_exit_3_with_message(monkeypatch, capsys):
-    # the --json twin of the test above: JSON streams, so what was written
-    # before the failure stays on stdout, truncated
+    # the --json twin of the test above: the failure comes before the
+    # report's first byte, so no truncated JSON is left on stdout
     argv = ("verify", "theorem-c", "--prime", "3", "--n", "4", "--json")
     good, (code, out, err) = _inexact_theorem_c(monkeypatch, capsys, argv, lambda a, b: 1)
     assert good[0] == 0
@@ -275,39 +275,35 @@ def test_consistency_error_in_json_exit_3_with_message(monkeypatch, capsys):
     assert good[1].startswith(out) and out != good[1]
 
 
-def test_consistency_error_midway_leaves_the_rows_before_it(monkeypatch, capsys):
-    # at p = 3, n = 24 only the last row, (24), divides 3^24 - 1 by 2; the
-    # 1,574 rows before it are made first and 1,024 of them already written
+def _last_row_only(numerator, denominator):
+    # at p = 3, n = 24 only the last row, (24), reads g(1, 24), the
+    # division of 3^24 - 1 by 2; the 1,574 rows before it read other runs
+    return int((numerator, denominator) == (3**24 - 1, 2))
+
+
+def test_consistency_error_at_the_last_row_leaves_stdout_empty(monkeypatch, capsys):
+    # every run division is made before the first row is written, so a
+    # failure that only the last of 1,575 rows would meet leaves no row of
+    # the JSON report on stdout
     argv = ("verify", "theorem-c", "--prime", "3", "--n", "24", "--json")
-    good, (code, out, err) = _inexact_theorem_c(
-        monkeypatch, capsys, argv, lambda a, b: int((a, b) == (3**24 - 1, 2))
-    )
-    assert code == 3
+    good, (code, out, err) = _inexact_theorem_c(monkeypatch, capsys, argv, _last_row_only)
+    assert good[0] == 0 and good[1].count('"partition"') == 1575
+    assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and "not divisible" in err
-    assert good[1].startswith(out) and out.endswith("}")
-    assert out.count('"partition"') == 1024 < good[1].count('"partition"') == 1575
 
 
-def test_consistency_error_midway_in_csv_leaves_whole_chunks(monkeypatch, capsys):
+def test_consistency_error_at_the_last_row_in_csv_and_table_leaves_stdout_empty(
+    monkeypatch, capsys
+):
     # the --csv and table twins of the test above: both are written 1,024
-    # rows at a time, so the header and the first chunk are out when row
-    # 1,575 fails
+    # rows at a time, and neither writes its header before the failure
     argv = ("verify", "theorem-c", "--prime", "3", "--n", "24")
-    good, (code, out, err) = _inexact_theorem_c(
-        monkeypatch, capsys, (*argv, "--csv"), lambda a, b: int((a, b) == (3**24 - 1, 2))
-    )
-    assert code == 3
-    assert len(err.splitlines()) == 1 and "not divisible" in err
-    assert good[1].startswith(out) and out.endswith("\r\n")
-    assert out.count("\r\n") == 1 + 1024 < good[1].count("\r\n") == 1 + 1575
-    monkeypatch.undo()
-    good, (code, out, err) = _inexact_theorem_c(
-        monkeypatch, capsys, argv, lambda a, b: int((a, b) == (3**24 - 1, 2))
-    )
-    assert code == 3
-    assert len(err.splitlines()) == 1 and "not divisible" in err
-    assert good[1].startswith(out) and out.endswith("\n")
-    assert out.count("\n") == 1 + 1024 < good[1].count("\n") == 1 + 1575 + 1
+    for fmt, lines in ((("--csv",), 1 + 1575), ((), 1 + 1575 + 1)):
+        good, (code, out, err) = _inexact_theorem_c(monkeypatch, capsys, argv + fmt, _last_row_only)
+        assert good[0] == 0 and good[1].count("\n") == lines, fmt
+        assert (code, out) == (3, ""), fmt
+        assert len(err.splitlines()) == 1 and "not divisible" in err, fmt
+        monkeypatch.undo()
 
 
 def _theorem_c_bytes(p, n, rows, violations, fmt):

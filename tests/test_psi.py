@@ -243,8 +243,9 @@ def test_pgroup_exponents_on_the_packed_base_2_to_16():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_pgroup_exponents_divide_each_run_sum_once(monkeypatch, p):
-    # each g(t, d) = (p^(t*d) - 1) / (p^t - 1) is divided, checked exact,
-    # at its first use and read from the table after that
+    # each g(t, d) = (p^(t*d) - 1) / (p^t - 1) with t * d <= n is divided,
+    # checked exact, once and when the pass is called, before its first
+    # row; the rows read the table and divide nothing
     from collections import Counter
 
     from psiprime import psi
@@ -258,9 +259,38 @@ def test_pgroup_exponents_divide_each_run_sum_once(monkeypatch, p):
     monkeypatch.setattr(psi, "exact_div", counting)
     for n in range(1, 31):
         calls.clear()
-        for _ in pgroup_exponents(p, n):
+        rows = pgroup_exponents(p, n)
+        made = Counter(calls)
+        for _ in rows:
             pass
+        assert calls == made, n
         assert calls and max(calls.values()) == 1, n
+        runs = {(t, d) for t in range(1, n + 1) for d in range(1, n // t + 1)}
+        assert set(calls) == {(p ** (t * d) - 1, p**t - 1) for t, d in runs}, n
+
+
+def test_an_inexact_run_division_fails_on_entry(monkeypatch):
+    # g(1, 24) at p = 3, the division of 3^24 - 1 by 2, is read only by the
+    # last of 1,575 rows; made inexact, it fails the pass, the rows and the
+    # check when they are called, before any row, and the injectivity sweep
+    # that reaches 3^24
+    from psiprime import psi
+    from psiprime.verify import theorem_c_rows
+
+    def inexact(numerator, denominator, what="division"):
+        wrong = (numerator, denominator) == (3**24 - 1, 2)
+        return exact_div(numerator + wrong, denominator, what)
+
+    states = []
+    zs2 = psi._zs2
+    monkeypatch.setattr(psi, "exact_div", inexact)
+    monkeypatch.setattr(psi, "_zs2", lambda n: states.append(n) or zs2(n))
+    for call in (psi.pgroup_exponents, theorem_c_rows, check_theorem_c):
+        with pytest.raises(ConsistencyError, match="not divisible by 2 "):
+            call(3, 24)
+    assert states == []
+    with pytest.raises(ConsistencyError, match="not divisible by 2 "):
+        sweep_injectivity(3**24)
 
 
 def test_sweeps_store_no_exponent_cache_entry():
