@@ -8,29 +8,27 @@ exactness check failed (``ConsistencyError``), 4 conjecture counterexample
 found.
 
 Every result that fits in memory goes through one renderer,
-``_render(args, headers, rows, obj, text=..., notes=...)``.  ``--json``
-prints ``obj()`` and nothing else.  ``--csv`` prints ``headers`` and
-``rows``, then the ``notes`` lines.  The default format prints ``text`` if
-one is given (a bare scalar, a factored psi', a polynomial), else
-``headers`` and ``rows`` as an aligned table; then the ``notes`` lines.
+``_render(args, headers, rows, obj, text=..., notes=...)``: ``--json``
+prints ``obj()`` alone; ``--csv`` prints ``headers`` and ``rows``; the
+default prints ``text`` if given (a bare scalar, a factored psi', a
+polynomial), else an aligned table; both then print the ``notes`` lines.
 
 ``verify theorem-c`` has p(n) rows, over 1.7 million at the cap, so it
 writes them ``_CHUNK`` (1,024) at a time as they are made, scanning each
 chunk for exponent drops, and holds at most one chunk.  Its exactness
-checks all run when the rows are asked for, before the first byte, so a
-failure exits 3 with stdout empty: stdout holds the whole report or
-nothing, unless the reader closes it early.
+checks all run before the first byte, so stdout holds the whole report
+or nothing (a failure exits 3), unless the reader closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
 import os
 import sys
-from collections.abc import Iterator
 from typing import Callable, Iterable, Sequence
 
 from .arith import FACTORIZATION_CAP
@@ -66,8 +64,7 @@ EXIT_SIZE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Rows per write: verify theorem-c writes its rows, in every format, this
-# many at a time.
+# rows per write of verify theorem-c, in every format
 _CHUNK = 1024
 
 
@@ -86,13 +83,8 @@ def _render(
     text: str | None = None,
     notes: Iterable[str] = (),
 ) -> None:
-    """Print one result in the format chosen by ``args.fmt``.
-
-    Only the chosen format is built: ``obj()`` is called for ``--json``
-    alone and printed as one compact ``json.dumps``, and ``rows`` (any
-    iterable, cells passed through ``str``) is consumed only for the
-    table or CSV, which then print the ``notes`` lines.
-    """
+    # only the chosen format is built: obj() for --json alone, rows (any
+    # iterable, cells passed through str) for the table or CSV alone
     if args.fmt == "json":
         print(json.dumps(obj(), separators=(",", ":")))
         return
@@ -107,21 +99,13 @@ def _render(
         print(line)
 
 
-def _chunks(rows: Iterable[Sequence]) -> Iterator[list[Sequence]]:
-    # the rows in lists of _CHUNK, the last one shorter
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CHUNK)):
-        yield chunk
-
-
 def _write_table(headers: Sequence[str], chunks: Iterable[list[Sequence]]) -> None:
-    # The column widths come from the header and the first chunk alone.
-    # That is exact for both callers.  _render passes all its rows as one
-    # chunk.  In verify theorem-c every line is rstripped, so the width of
-    # the last column, the exponent, never reaches the output; and row 0,
-    # the partition [1,...,1] of n, has the longest text, 2n + 1
-    # characters: k parts l_i take k + 1 + sum(digits(l_i)) <= 2n + 1,
-    # equal only for k = n.
+    # The column widths come from the header and the first chunk alone,
+    # exact for both callers: _render passes all its rows as one chunk.  In
+    # verify theorem-c every line is rstripped, so the exponent column's
+    # width never reaches the output; and row 0, the partition [1,...,1]
+    # of n, has the longest text, 2n + 1 characters: k parts l_i take
+    # k + 1 + sum(digits(l_i)) <= 2n + 1, equal only for k = n.
     chunks = iter(chunks)
     first = next(chunks, [])
     widths = [max(map(len, map(str, column))) for column in zip(headers, *first)]
@@ -145,21 +129,37 @@ def _jobs_arg(value: str) -> int | None:
     return jobs
 
 
+class _Sibling(functools.partial):
+    # the unbuilt parser of a command or check argv does not name: argparse
+    # reads only the name and help add_parser records.  False, so that only
+    # built parsers get arguments; if argparse dispatches here, it builds.
+    def __bool__(self) -> bool:
+        return False
+
+    def __getattr__(self, name: str):
+        return getattr(self(), name)
+
+
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser of argv.  Every command and check is registered with the
-    help that usage, help and error messages read, but only those named by
-    argv's first two non-option words get their arguments."""
+    help that usage, help and error messages read, but only the top level
+    and the command and check named by argv's first two non-option words
+    are built: 3 parsers for ``verify <check>``, 2 for another command."""
     words = [w for w in argv if not w.startswith("-")][:2]
+
+    def parser_class(*, prog: str, **kwargs):
+        # prog is "psiprime" and then the command path
+        path = prog.split()[1:]
+        if path == words[: len(path)]:
+            return argparse.ArgumentParser(prog=prog, **kwargs)
+        return _Sibling(argparse.ArgumentParser, prog=prog, **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="psiprime",
         description="Exact sums, products, and symmetric functions of "
         "element orders of finite abelian groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(under, path: tuple[str, ...], help: str, **kwargs):
-        p = under.add_parser(path[-1], help=help, **kwargs)
-        return p if tuple(words[: len(path)]) == path else None
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def finish_command(p: argparse.ArgumentParser, run) -> None:
         # every command takes the format flags and names its handler
@@ -174,7 +174,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     usage = ("\n" + " " * len("usage: psiprime compute ")).join([
         "%(prog)s [-h]", "(--psi | --psi-prime | --psi-k K | --psi-all | --spectrum | --poly)",
         "[--materialize] [--digit-limit D] [--json | --csv]", "group"])
-    if p := command(sub, ("compute",), "compute invariants of one group", usage=usage):
+    if p := sub.add_parser("compute", help="compute invariants of one group", usage=usage):
         p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
         which = p.add_mutually_exclusive_group(required=True).add_argument
         which("--psi", action="store_true", help="sum of element orders")
@@ -189,14 +189,14 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
                        help="refuse to materialize beyond D decimal digits")
         finish_command(p, _cmd_compute)
 
-    if p := command(sub, ("enumerate",), "list all abelian groups of one order"):
+    if p := sub.add_parser("enumerate", help="list all abelian groups of one order"):
         p.add_argument("m", type=int, help="group order")
         finish_command(p, _cmd_enumerate)
 
-    if v := command(sub, ("verify",), "run an empirical verification sweep"):
-        vsub = v.add_subparsers(dest="check", required=True)
-        if p := command(vsub, ("verify", "theorem-c"),
-                        "psi' strictly increases along the partition order"):
+    if v := sub.add_parser("verify", help="run an empirical verification sweep"):
+        vsub = v.add_subparsers(dest="check", required=True, parser_class=parser_class)
+        if p := vsub.add_parser("theorem-c",
+                                help="psi' strictly increases along the partition order"):
             p.add_argument("--prime", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
             finish_command(p, _cmd_theorem_c)
@@ -205,14 +205,14 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
             ("collisions", "census of cross-order psi' coincidences", _cmd_collisions),
             ("conjecture-f", "each single psi_k separates groups of one order", _cmd_conjecture_f),
         ):
-            if p := command(vsub, ("verify", check), help):
+            if p := vsub.add_parser(check, help=help):
                 p.add_argument("--max-order", type=int, required=True)
                 if check != "collisions":
                     p.add_argument("--jobs", type=_jobs_arg, default=1,
                                    help="worker processes or 'auto'")
                 finish_command(p, run)
 
-    if p := command(sub, ("oracle",), "cross-check formulas against brute enumeration"):
+    if p := sub.add_parser("oracle", help="cross-check formulas against brute enumeration"):
         p.add_argument("group", help="group notation: Z4xZ3^2 or [4,3,3]")
         finish_command(p, _cmd_oracle)
 
@@ -277,10 +277,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _scanned(rows: Iterable[tuple[str, int]], violations: list[tuple[int, int]]):
-    # the rows in _CHUNK chunks, each chunk's exponent drops appended to
+    # the rows in lists of _CHUNK, each chunk's exponent drops appended to
     # violations; a chunk is scanned after the last row of the one before
-    start, last = 0, []
-    for chunk in _chunks(rows):
+    rows, start, last = iter(rows), 0, []
+    while chunk := list(itertools.islice(rows, _CHUNK)):
         exponents = map(operator.itemgetter(1), last + chunk)
         violations.extend((i, i + 1) for i in drops(exponents, start - len(last)))
         start += len(chunk)
@@ -291,8 +291,7 @@ def _scanned(rows: Iterable[tuple[str, int]], violations: list[tuple[int, int]])
 def _cmd_theorem_c(args) -> int:
     headers = ["partition", "psi_prime_exponent"]
     violations: list[tuple[int, int]] = []
-    # theorem_c_rows checks p, n and the cap when called, before anything
-    # is written
+    # theorem_c_rows checks p, n and the cap when called, before any write
     chunks = _scanned(theorem_c_rows(args.prime, args.n), violations)
     if args.fmt == "json":
         write = sys.stdout.write

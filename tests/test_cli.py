@@ -381,14 +381,9 @@ def test_chunk_size_does_not_change_the_bytes(monkeypatch, capsys, p, fmt):
     from oracles import partition_count
     from psiprime import cli as cli_module
 
-    cases = [
-        (("verify", "theorem-c", "--prime", str(p), "--n", str(n), *fmt), partition_count(n))
-        for n in range(1, 15)
-    ]
-    argv = ("verify", "collisions", "--max-order", "200")
-    cases.append(((*argv, *fmt), run(capsys, *argv, "--csv")[1].count("\r\n") - 1))
-    for argv, rows in cases:
-        want = run(capsys, *argv)
+    for n in range(1, 15):
+        argv = ("verify", "theorem-c", "--prime", str(p), "--n", str(n), *fmt)
+        want, rows = run(capsys, *argv), partition_count(n)
         for size in sorted({1, 7, rows - 1, rows, rows + 1} - {0}):
             monkeypatch.setattr(cli_module, "_CHUNK", size)
             assert run(capsys, *argv) == want, (argv, size)
@@ -617,7 +612,9 @@ def _arguments(parser):
 
 def test_verify_injectivity_adds_arguments_to_no_other_subparser():
     # every command and check is registered for the help and usage
-    # messages, but only the invoked one is given its arguments
+    # messages, but only the parsers on argv's command path are built
+    import argparse
+
     from psiprime.cli import build_parser
 
     commands = _subcommands(build_parser(["verify", "injectivity", "--max-order", "5"]))
@@ -626,8 +623,58 @@ def test_verify_injectivity_adds_arguments_to_no_other_subparser():
     assert list(checks) == ["theorem-c", "injectivity", "collisions", "conjecture-f"]
     assert _arguments(checks["injectivity"]) == ["help", "max_order", "jobs", "fmt", "fmt"]
     for name, parser in [*commands.items(), *checks.items()]:
-        if name not in ("verify", "injectivity"):
-            assert _arguments(parser) == ["help"], name
+        built = isinstance(parser, argparse.ArgumentParser)
+        assert built == (name in ("verify", "injectivity")), name
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        pytest.param(["verify", "injectivity", "--max-order", "5"], 3, id="verify-injectivity"),
+        pytest.param(["verify", "theorem-c", "--prime", "2", "--n", "3"], 3, id="verify-theorem-c"),
+        pytest.param(["verify", "collisions", "--max-order", "5"], 3, id="verify-collisions"),
+        pytest.param(["--json", "verify", "conjecture-f", "--max-order", "5"], 3,
+                     id="json-verify-conjecture-f"),
+        pytest.param(["compute", "Z4", "--psi"], 2, id="compute"),
+        pytest.param(["enumerate", "5"], 2, id="enumerate"),
+        pytest.param(["oracle", "Z4"], 2, id="oracle"),
+        pytest.param(["verify"], 2, id="verify-alone"),
+        pytest.param([], 1, id="no-argv"),
+        pytest.param(["--help"], 1, id="help"),
+        pytest.param(["frobnicate"], 1, id="unknown-command"),
+    ],
+)
+def test_build_parser_makes_only_the_parsers_on_the_command_path(monkeypatch, argv, count):
+    import argparse
+
+    from psiprime.cli import build_parser
+
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser(argv)
+    assert len(made) == count, made
+
+
+def test_a_command_the_word_scan_missed_gets_the_bare_parser(monkeypatch, capsys):
+    # should argparse dispatch to a command whose parser was not built, it
+    # parses with the bare parser and fails as a usage error, not with an
+    # AttributeError
+    from psiprime import cli as cli_module
+
+    parser = cli_module.build_parser(["enumerate", "5"])
+    monkeypatch.setattr(cli_module, "build_parser", lambda argv: parser)
+    assert run(capsys, "oracle", "Z4") == (
+        1,
+        "",
+        "usage: psiprime [-h] {compute,enumerate,verify,oracle} ...\n"
+        "psiprime: error: unrecognized arguments: Z4\n",
+    )
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):

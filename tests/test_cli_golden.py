@@ -17,7 +17,6 @@ import contextlib
 import io
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -29,9 +28,7 @@ from psiprime.verify import (
     InjectivityReport,
     InjectivitySweep,
 )
-
-DATA = Path(__file__).with_name("cli_golden.json")
-COLUMNS = "80"
+from golden_cases import CASES, COLUMNS, DATA, replay_fresh
 
 
 def _theorem_c_violation(monkeypatch):
@@ -81,107 +78,6 @@ FAKES = {
     "inexact-division": _inexact_division,
 }
 
-FORMATS = (("table", ()), ("json", ("--json",)), ("csv", ("--csv",)))
-
-COMMANDS = (
-    ("psi", ["compute", "Z4xZ3^2", "--psi"]),
-    ("psi-prime", ["compute", "Z4xZ3^2", "--psi-prime"]),
-    ("psi-prime-trivial", ["compute", "1", "--psi-prime"]),
-    ("psi-prime-materialize",
-     ["compute", "Z6", "--psi-prime", "--materialize", "--digit-limit", "10"]),
-    ("psi-k", ["compute", "Z3", "--psi-k", "2"]),
-    ("psi-all", ["compute", "Z2xZ4", "--psi-all"]),
-    ("spectrum", ["compute", "[4,9]", "--spectrum"]),
-    ("poly", ["compute", "Z3", "--poly"]),
-    ("poly-trivial", ["compute", "1", "--poly"]),
-    ("enumerate", ["enumerate", "36"]),
-    ("enumerate-1", ["enumerate", "1"]),
-    ("theorem-c", ["verify", "theorem-c", "--prime", "3", "--n", "5"]),
-    ("injectivity", ["verify", "injectivity", "--max-order", "30"]),
-    ("collisions", ["verify", "collisions", "--max-order", "48"]),
-    ("collisions-none", ["verify", "collisions", "--max-order", "10"]),
-    ("conjecture-f", ["verify", "conjecture-f", "--max-order", "12"]),
-    ("oracle", ["oracle", "Z4xZ9"]),
-    ("oracle-cyclic", ["oracle", "Z8"]),
-    ("oracle-rank2", ["oracle", "Z4xZ2"]),
-    ("oracle-large", ["oracle", "Z2^17"]),
-)
-
-FAILURES = (
-    ("theorem-c-violation", ["verify", "theorem-c", "--prime", "2", "--n", "2"]),
-    ("injectivity-duplicate", ["verify", "injectivity", "--max-order", "12"]),
-    ("conjecture-f-coincidence", ["verify", "conjecture-f", "--max-order", "4"]),
-    ("oracle-failure", ["oracle", "Z4"]),
-)
-
-ERRORS = (
-    ("bad-notation", ["compute", "Z4xQ8", "--psi"]),
-    ("bad-list-notation", ["compute", "[4,x]", "--psi"]),
-    ("enumerate-size-cap", ["enumerate", "2000000"]),
-    ("enumerate-zero", ["enumerate", "0"]),
-    ("enumerate-not-int", ["enumerate", "x"]),
-    ("psi-k-out-of-range", ["compute", "Z4", "--psi-k", "99"]),
-    ("psi-all-size-cap", ["compute", "Z2^10", "--psi-all"]),
-    ("theorem-c-composite", ["verify", "theorem-c", "--prime", "4", "--n", "3"]),
-    ("theorem-c-n-zero", ["verify", "theorem-c", "--prime", "2", "--n", "0"]),
-    ("theorem-c-size-cap", ["verify", "theorem-c", "--prime", "2", "--n", "65"]),
-    ("theorem-c-missing-n", ["verify", "theorem-c", "--prime", "2"]),
-    ("json-and-csv", ["compute", "Z4", "--psi", "--json", "--csv"]),
-    ("no-command", []),
-    ("unknown-command", ["frobnicate"]),
-    ("verify-no-check", ["verify"]),
-    ("compute-no-selector", ["compute", "Z4"]),
-    ("compute-two-selectors", ["compute", "Z4", "--psi", "--psi-prime"]),
-    ("materialize-without-limit", ["compute", "Z6", "--psi-prime", "--materialize"]),
-    ("limit-without-materialize", ["compute", "Z6", "--psi-prime", "--digit-limit", "5"]),
-    ("materialize-not-psi-prime",
-     ["compute", "Z6", "--psi", "--materialize", "--digit-limit", "5"]),
-    ("materialize-digit-cap",
-     ["compute", "Z256", "--psi-prime", "--materialize", "--digit-limit", "3"]),
-    ("jobs-zero", ["verify", "injectivity", "--max-order", "10", "--jobs", "0"]),
-    ("jobs-not-int", ["verify", "conjecture-f", "--max-order", "10", "--jobs", "x"]),
-)
-
-# argv orders the parser's scan for the invoked command must read as
-# argparse does: options before, between and after the command words, a
-# second command word, "--", and commands given nothing
-ORDERS = (
-    ("help-before-verify", ["--help", "verify"]),
-    ("help-between-verify-and-check", ["verify", "--help", "injectivity"]),
-    ("option-before-group", ["compute", "--psi-k", "2", "Z3"]),
-    ("json-before-command", ["--json", "verify", "injectivity", "--max-order", "5"]),
-    ("negative-max-order", ["verify", "injectivity", "--max-order", "-5"]),
-    ("two-checks", ["verify", "injectivity", "theorem-c"]),
-    ("unknown-check", ["verify", "nope"]),
-    ("compute-alone", ["compute"]),
-    ("oracle-alone", ["oracle"]),
-    ("dashes-before-order", ["enumerate", "--", "5"]),
-    ("dashes-before-check", ["verify", "--", "injectivity", "--max-order", "5"]),
-)
-
-HELP = (
-    [],
-    ["compute"],
-    ["enumerate"],
-    ["verify"],
-    ["verify", "theorem-c"],
-    ["verify", "injectivity"],
-    ["verify", "collisions"],
-    ["verify", "conjecture-f"],
-    ["oracle"],
-)
-
-# (case id, fake name or None, argv)
-CASES = (
-    [(f"{name}-{fmt}", None, argv + list(flags)) for name, argv in COMMANDS for fmt, flags in FORMATS]
-    + [(f"{fake}-{fmt}", fake, argv + list(flags)) for fake, argv in FAILURES for fmt, flags in FORMATS]
-    + [("inexact-division", "inexact-division",
-        ["verify", "theorem-c", "--prime", "3", "--n", "4"])]
-    + [(f"error-{name}", None, argv) for name, argv in ERRORS]
-    + [(f"order-{name}", None, argv) for name, argv in ORDERS]
-    + [("help" + "".join(f"-{w}" for w in words), None, words + ["--help"]) for words in HELP]
-)
-
 
 def _replay(argv):
     out, err = io.StringIO(newline=""), io.StringIO(newline="")
@@ -217,6 +113,13 @@ def test_cli_output_matches_golden(case_id, fake, argv):
     expected = _load()[case_id]
     assert expected.pop("argv") == argv
     assert _record(fake, argv) == expected
+
+
+def test_a_fresh_interpreter_prints_the_golden_help_page():
+    # golden_cases.py replays every case without a fake this way; the help
+    # page is wrapped at the COLUMNS it passes to the new interpreter
+    expected = _load()["help"]
+    assert replay_fresh(expected.pop("argv")) == expected
 
 
 if __name__ == "__main__":
