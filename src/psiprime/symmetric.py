@@ -21,14 +21,16 @@ of all the multiplicities at once (Knuth, TAOCP vol. 2, 4.6.3).  For k
 from the top bit of max m_d down to 0, Q <- Q^2 and then Q <- Q * L_k,
 each skipped for a factor of 1, where L_k = prod (1 + dX) over the d
 whose m_d has bit k set, built packed: L <- L + (L << W) * d.  Every
-slot z of a product is folded twice, z -> (z >> b) * c + z mod 2^b,
-which keeps z mod P since 2^b = c (mod P) (Crandall and Pomerance, Prime
-Numbers, 9.2.3); one shift, two masks and one small product fold all
-slots at once.  A group's fingerprint is Q, its constant term shifted
-out: slot k - 1 holds psi_k mod P, canonical (below P).  The spectrum
-entries are read off the Sylow tables, unsorted: the product does not
-depend on the order of its factors, and the result is canonical, so Q
-does not either.
+slot z of a product is folded twice, z -> z - hi * P = hi * c + z mod
+2^b with hi = z >> b, which keeps z mod P since 2^b = c (mod P)
+(Crandall and Pomerance, Prime Numbers, 9.2.3).  One shift, one mask,
+one small product and one subtraction fold all slots at once, and the
+subtraction borrows across no slot: hi < 2^(W - b), so hi * P < 2^W, and
+hi * P <= hi * 2^b <= z.  A group's fingerprint is Q, its constant term
+shifted out: slot k - 1 holds psi_k mod P, canonical (below P).  The
+spectrum entries are read off the Sylow tables, unsorted: the product
+does not depend on the order of its factors, and the result is
+canonical, so Q does not either.
 
 No slot carries into the next, while n <= CONJECTURE_F_CAP = 4096:
 - a slot below 2^W folds to below c * 2^(W - b) + 2^b, and that folds
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError, frozen, require_int
@@ -85,14 +88,11 @@ FINGERPRINT_PRIMES = (2**22 - 3, 2**22 - 17)
 _W = 56
 
 # A 1 in each of the CONJECTURE_F_CAP + 1 slots.  An & of two non-negative
-# ints costs only the shorter one, so its multiples mask a slot's low b bits
-# (low) and its low _W - b bits (high) at every size.
+# ints costs only the shorter one, so high = (2^(_W - b) - 1) * _ONES takes
+# each slot's hi = z >> b at every size, and z - hi * P folds every slot
+# with no borrow from the next, as hi * P <= z (module docstring).
 _ONES = int.from_bytes((b"\1" + bytes(_W // 8 - 1)) * (CONJECTURE_F_CAP + 1), "little")
-_FOLDS = {
-    P: (b, (1 << b) - P, ((1 << b) - 1) * _ONES, ((1 << _W - b) - 1) * _ONES)
-    for P in FINGERPRINT_PRIMES
-    for b in [P.bit_length()]
-}
+_FOLDS = {P: (b, ((1 << _W - b) - 1) * _ONES) for P in FINGERPRINT_PRIMES for b in [P.bit_length()]}
 
 
 @frozen
@@ -150,10 +150,9 @@ def _expand_mod(entries: Sequence[tuple[int, int]], P: int) -> int:
     # prod_d (1 + dX)^(m_d) mod P by one left-to-right binary powering over
     # the bits of every m_d at once; packed, canonical, constant term shifted
     # out.  The result does not depend on the order of the entries
-    b, c, low, high = _FOLDS[P]
-    fold = lambda z: (z >> b & high) * c + (z & low)
+    b, high = _FOLDS[P]
     q = 1
-    for k in reversed(range(max(m for _, m in entries).bit_length())):
+    for k in reversed(range(max(map(itemgetter(1), entries)).bit_length())):
         # L_k, packed and folded below B (module docstring)
         factor, t = 1, 0
         for d, m in entries:
@@ -161,17 +160,18 @@ def _expand_mod(entries: Sequence[tuple[int, int]], P: int) -> int:
                 factor += (factor << _W) * d
                 t += 1
                 if not t & 1:
-                    factor = fold(fold(factor))
+                    factor -= (factor >> b & high) * P
+                    factor -= (factor >> b & high) * P
         if t > 1 and t & 1:
-            factor = fold(fold(factor))
-        # Q <- Q^2, then Q <- Q * L_k, skipping a factor of 1, each folded
-        # twice; written out, as calls to fold measured slower on Q
+            factor -= (factor >> b & high) * P
+            factor -= (factor >> b & high) * P
+        # Q <- Q^2, then Q <- Q * L_k, skipping a factor of 1, each folded twice
         for y in (q, factor):
             if y != 1:
                 q *= y
-                q = (q >> b & high) * c + (q & low)
-                q = (q >> b & high) * c + (q & low)
-    ones = _ONES >> _W * (CONJECTURE_F_CAP - sum(m for _, m in entries))
+                q -= (q >> b & high) * P
+                q -= (q >> b & high) * P
+    ones = _ONES >> _W * (CONJECTURE_F_CAP - sum(map(itemgetter(1), entries)))
     # every slot z is below 2P, and bit 32 of z + 2^32 - P is set iff z >= P
     q -= ((q + ((1 << 32) - P) * ones) >> 32 & ones) * P
     return q >> _W
@@ -221,7 +221,13 @@ def slot_matches(packed: Sequence[int], n: int, P: int) -> list[tuple[int, int, 
     Canonical slots are equal iff their XOR z is 0, and z < 2^b, so
     z + 2^b - 1 sets bit b of its slot iff z != 0, with no carry into the
     next slot (Warren, Hacker's Delight, 6-1).  A pair whose n slots all
-    set bit b shares no residue; only a pair with a zero slot is unpacked."""
+    set bit b shares no residue; only a pair with a zero slot is unpacked.
+    Every fingerprint must fill exactly n slots, its top one psi_n mod P
+    nonzero: a longer or shorter one would hide or invent matches."""
+    _require_fingerprint_prime(P)
+    require_int(n, "n", 1, CONJECTURE_F_CAP, "conjecture-f fingerprint cap")
+    if not all(type(q) is int and 0 < q >> _W * (n - 1) < 1 << _W for q in packed):
+        raise DomainError(f"a fingerprint does not fill exactly n = {n} slots of {_W} bits")
     b = _FOLDS[P][0]
     ones = _ONES >> _W * (CONJECTURE_F_CAP + 1 - n)
     bias, tops = ((1 << b) - 1) * ones, ones << b

@@ -7,9 +7,10 @@ validation tests can expect the same exception from oracle and fast path.
 The exceptions are :func:`counts_list_injectivity_sweep`,
 :func:`record_violations`, :func:`successor_partitions`,
 :func:`format_group_loop`, :func:`per_factor_expand_mod` (with
-:func:`inverse_table`), :func:`psi_packed_mod`, :func:`column_candidates`
-and :func:`recursive_count_groups`, former package paths kept whole as
-the references for the ones that replaced them.
+:func:`inverse_table`), :func:`two_mask_fold`, :func:`psi_packed_mod`,
+:func:`column_candidates` and :func:`recursive_count_groups`, former
+package paths kept whole as the references for the ones that replaced
+them.
 """
 
 from __future__ import annotations
@@ -256,6 +257,19 @@ def per_factor_expand_mod(entries: tuple[tuple[int, int], ...], P: int) -> list[
         product = slots(pack(acc, 64) * pack(factor, 64), len(acc) + m, 64)
         acc = [x % P for x in product]
     return acc
+
+
+def two_mask_fold(z: int, P: int, width: int, n: int) -> int:
+    """One fold of each of the n width-bit slots of z, as the package's
+    fingerprint kernel folded a product before its one-subtraction form:
+    a slot v becomes (v >> b) * c + v mod 2^b, with b = P.bit_length()
+    and c = 2^b - P, through one mask of every slot's low b bits and one
+    of its low width - b bits (Crandall and Pomerance, Prime Numbers,
+    9.2.3)."""
+    b = P.bit_length()
+    ones = sum(1 << width * i for i in range(n))
+    low, high = ((1 << b) - 1) * ones, ((1 << width - b) - 1) * ones
+    return (z >> b & high) * (2**b - P) + (z & low)
 
 
 def psi_packed_mod(G, P: int) -> int:

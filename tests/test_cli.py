@@ -18,6 +18,7 @@ from psiprime import (
     psi_sum,
 )
 from psiprime.cli import main
+from golden_cases import DATA, replay_fresh
 
 
 def run(capsys, *argv):
@@ -835,24 +836,6 @@ def test_int_digit_limit_is_restored(argv, capsys):
         sys.set_int_max_str_digits(saved)
 
 
-def _fresh_cli(*argv):
-    # the CLI in a new interpreter, which has imported neither the pool
-    # module nor csv, so an import deferred to its use is exercised there
-    import os
-    import subprocess
-
-    import psiprime
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(psiprime.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-m", "psiprime.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        timeout=120,
-    )
-    return done.returncode, done.stdout, done.stderr
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -863,19 +846,16 @@ def _fresh_cli(*argv):
     ids=["injectivity-json", "conjecture-f"],
 )
 def test_fresh_interpreter_prints_the_same_bytes_at_one_and_two_jobs(argv):
-    one = _fresh_cli(*argv, "--jobs", "1")
-    assert one[0] == 0 and one[1] and one[2] == b""
-    assert _fresh_cli(*argv, "--jobs", "2") == one
+    # a new interpreter has imported neither the pool module nor csv, so an
+    # import deferred to its use is exercised there
+    one = replay_fresh(argv + ["--jobs", "1"])
+    assert one["code"] == 0 and one["stdout"] and one["stderr"] == ""
+    assert replay_fresh(argv + ["--jobs", "2"]) == one
 
 
 def test_fresh_interpreter_csv_bytes_match_the_golden_case():
-    from pathlib import Path
-
-    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
-    case = golden["conjecture-f-csv"]
-    assert _fresh_cli(*case["argv"]) == (
-        case["code"], case["stdout"].encode(), case["stderr"].encode()
-    )
+    case = json.loads(DATA.read_text(encoding="utf-8"))["conjecture-f-csv"]
+    assert replay_fresh(case.pop("argv")) == case
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psiprime import (
@@ -26,7 +26,15 @@ from psiprime import symmetric
 from psiprime.arith import is_prime
 from psiprime.errors import trusted
 from psiprime.symmetric import CONJECTURE_F_CAP, FINGERPRINT_PRIMES
-from oracles import per_factor_expand_mod, psi_packed_mod, slots, spectrum_orders, subset_esp
+from oracles import (
+    pack,
+    per_factor_expand_mod,
+    psi_packed_mod,
+    slots,
+    spectrum_orders,
+    subset_esp,
+    two_mask_fold,
+)
 
 
 def test_psi_all_z3():
@@ -150,10 +158,38 @@ def test_expand_mod_subtracts_p_from_a_slot_folded_to_p_or_above():
 
 def _fold_bound(P):
     # B, the bound on a slot after two folds (symmetric's module docstring),
-    # from b and c as the kernel reads them
-    b, c = symmetric._FOLDS[P][:2]
-    assert P == 2**b - c
+    # with c = 2^b - P for the b the kernel reads
+    b = P.bit_length()
+    assert symmetric._FOLDS[P][0] == b
+    c = 2**b - P
     return c * (c * 2 ** (symmetric._W - 2 * b) + 1) + 2**b
+
+
+# slot values below 2^W: 0, multiples of 2^b up to the largest, 2^W - 1,
+# P and its neighbours, and any value at all
+_W, _B = symmetric._W, FINGERPRINT_PRIMES[0].bit_length()
+_SLOT_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2**_B, 2**_W - 2**_B, 2**_W - 1]),
+    st.sampled_from([P + e for P in FINGERPRINT_PRIMES for e in (-1, 0, 1)]),
+    st.integers(min_value=0, max_value=2 ** (_W - _B) - 1).map(lambda hi: hi << _B),
+    st.integers(min_value=0, max_value=2**_W - 1),
+)
+
+
+@given(st.sampled_from(FINGERPRINT_PRIMES), st.lists(_SLOT_VALUES, min_size=1, max_size=40))
+@example(FINGERPRINT_PRIMES[0], [2**_W - 1] * (CONJECTURE_F_CAP + 1))
+@example(FINGERPRINT_PRIMES[1], [2**_W - 1] * (CONJECTURE_F_CAP + 1))
+@settings(max_examples=300, deadline=None)
+def test_one_subtraction_fold_equals_the_two_mask_fold_slot_by_slot(P, values):
+    # the kernel's fold z - (z >> b & high) * P borrows across no slot, so
+    # it leaves each slot where the two-mask fold does, at every slot count
+    # up to the cap's CONJECTURE_F_CAP + 1
+    b, high = symmetric._FOLDS[P]
+    assert b == _B == FINGERPRINT_PRIMES[1].bit_length()
+    n, z = len(values), pack(values, _W)
+    folded = slots(z - (z >> b & high) * P, n, _W)
+    assert folded == slots(two_mask_fold(z, P, _W, n), n, _W)
+    assert [v % P for v in folded] == [v % P for v in values]
 
 
 def test_two_folds_keep_every_slot_below_2p_up_to_the_cap():
@@ -265,10 +301,11 @@ def test_psi_all_mod_refuses_order_past_the_cap(monkeypatch):
 
 # the slot bound is proved only for the two fingerprint primes: a composite,
 # the first prime past 2^22, a prime below the cap and a float are refused,
-# and so are the 26-bit primes of 64-bit slots, whose products overflow 2^W
+# and so are the 26-bit primes of 64-bit slots, whose products overflow 2^W;
+# slot_matches refuses them too (7 raised a bare KeyError there)
 @pytest.mark.parametrize(
     "P",
-    [FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1], 2**22 + 15, 4093, float(2**22 - 3)]
+    [FINGERPRINT_PRIMES[0] * FINGERPRINT_PRIMES[1], 2**22 + 15, 4093, float(2**22 - 3), 7]
     + [(2**26 - 5) * (2**26 - 27), 2**26 + 15, float(2**26 - 5), 2**26 - 27],
 )
 def test_psi_all_mod_refuses_a_modulus_that_is_not_a_fingerprint_prime(monkeypatch, P):
@@ -276,8 +313,11 @@ def test_psi_all_mod_refuses_a_modulus_that_is_not_a_fingerprint_prime(monkeypat
         raise AssertionError(f"a spectrum of {arg} was read")
 
     monkeypatch.setattr(symmetric, "sylow_spectra", never)
-    with pytest.raises(DomainError, match=f"P = {P} is not one of the fingerprint primes"):
+    message = f"P = {P} is not one of the fingerprint primes"
+    with pytest.raises(DomainError, match=message):
         symmetric.order_fingerprints(8, P, range(3))
+    with pytest.raises(DomainError, match=message):
+        symmetric.slot_matches([2**56 + 1, 2**56 + 2], 2, P)
 
 
 def test_order_polynomial_z2():

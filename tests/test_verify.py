@@ -390,11 +390,12 @@ _A, _B, _K = 3, 1, 5
 def _plant(monkeypatch, *, residues=(), exact=False, targets=(_B,), k=_K):
     """Copy group _A's psi_k onto each group of order 16 indexed in
     ``targets``: its residue in slot k - 1 of the packed fingerprints at
-    the primes in ``residues``, and its exact value if ``exact``.  Each
-    stage's (i, j, k) must equal the column oracle's on the planted
-    residues.  Returns the (index, prime) of every fingerprint made and
-    the groups whose exact psi_all ran.  The patches wrap what verify
-    holds, so a second plant stacks on the first."""
+    the primes in ``residues``, and its exact value if ``exact``.  The
+    planted fingerprints pass slot_matches' entry check, and each stage's
+    (i, j, k) must equal the column oracle's on the planted residues.
+    Returns the (index, prime) of every fingerprint made and the groups
+    whose exact psi_all ran.  The patches wrap what verify holds, so a
+    second plant stacks on the first."""
     from psiprime import symmetric, verify
 
     groups = enumerate_abelian_groups(16)
@@ -698,15 +699,18 @@ def test_slot_matches_equal_the_column_oracle_at_the_real_p1_match_at_324():
 
 # residues mod P1 = 2^22 - 3 drawn from its edges: 0, 1, the top bit below
 # 2^22 and P1 - 1, so that many pairs agree in some slot and the XORs of
-# the rest run up to P1 = 1 ^ (P1 - 1)
+# the rest run up to P1 = 1 ^ (P1 - 1); the top slot, psi_n mod P1, is
+# never 0 in a fingerprint, and slot_matches refuses one where it is
 _EDGE_RESIDUES = st.sampled_from([0, 1, 2**21, 2**22 - 4])
 
 
-@given(
-    st.integers(min_value=1, max_value=70).flatmap(
-        lambda n: st.lists(st.lists(_EDGE_RESIDUES, min_size=n, max_size=n), min_size=2, max_size=6)
-    )
-)
+def _edge_fingerprints(n):
+    below = st.lists(_EDGE_RESIDUES, min_size=n - 1, max_size=n - 1)
+    row = st.builds(lambda low, top: low + [top], below, _EDGE_RESIDUES.filter(bool))
+    return st.lists(row, min_size=2, max_size=6)
+
+
+@given(st.integers(min_value=1, max_value=70).flatmap(_edge_fingerprints))
 @settings(max_examples=200, deadline=None)
 def test_slot_matches_equal_the_column_oracle_on_edge_residues(residues):
     from psiprime import symmetric
@@ -715,6 +719,61 @@ def test_slot_matches_equal_the_column_oracle_on_edge_residues(residues):
     packed = [pack(r, symmetric._W) for r in residues]
     p1 = FINGERPRINT_PRIMES[0]
     assert symmetric.slot_matches(packed, len(residues[0]), p1) == column_candidates(residues)
+
+
+def _fingerprints_of_324():
+    # the 10 fingerprints of order 324 at P1, which match at (5, 8, 116)
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    return [psi_packed_mod(G, FINGERPRINT_PRIMES[0]) for G in enumerate_abelian_groups(324)]
+
+
+@pytest.mark.parametrize(
+    "n, error, message",
+    [
+        (0, "DomainError", "n = 0 must be >= 1"),
+        (-3, "DomainError", "n = -3 must be >= 1"),
+        (324.0, "DomainError", "n = 324.0 must be an int"),
+        (True, "DomainError", "n = True must be an int"),
+        (4097, "SizeLimitError", "n = 4097 exceeds the conjecture-f fingerprint cap 4096"),
+        (5000, "SizeLimitError", "n = 5000 exceeds the conjecture-f fingerprint cap 4096"),
+    ],
+)
+def test_slot_matches_refuses_n_outside_1_to_the_cap(n, error, message):
+    # n = 0 and -3 returned [], and 5000 raised "negative shift count"
+    import psiprime
+    from psiprime import symmetric
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    with pytest.raises(getattr(psiprime, error), match=message):
+        symmetric.slot_matches(_fingerprints_of_324(), n, FINGERPRINT_PRIMES[0])
+
+
+@pytest.mark.parametrize("n", [1, 100, 323, 325, 400, 4096])
+def test_slot_matches_refuses_fingerprints_that_do_not_fill_n_slots(n):
+    # at n = 100 the real match (5, 8, 116) was missed, a false negative,
+    # and at n = 400 matches were reported at k = 325 and above
+    from psiprime import DomainError, symmetric
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    message = f"a fingerprint does not fill exactly n = {n} slots of 56 bits"
+    with pytest.raises(DomainError, match=message):
+        symmetric.slot_matches(_fingerprints_of_324(), n, FINGERPRINT_PRIMES[0])
+
+
+def test_slot_matches_refuses_one_fingerprint_that_does_not_fill_n_slots():
+    # among nine real fingerprints of order 324: one with its top slot,
+    # psi_324 mod P1, cleared; one a slot longer; a negative one; a float
+    from psiprime import DomainError, symmetric
+    from psiprime.symmetric import FINGERPRINT_PRIMES
+
+    p1, w = FINGERPRINT_PRIMES[0], symmetric._W
+    packed = _fingerprints_of_324()
+    assert symmetric.slot_matches(packed, 324, p1) == [(5, 8, 116)]
+    top = packed[9] >> w * 323 << w * 323
+    for bad in (packed[9] - top, packed[9] + (top << w), -packed[9], float(packed[0] & 0xFFFF)):
+        with pytest.raises(DomainError, match="does not fill exactly n = 324 slots"):
+            symmetric.slot_matches(packed[:9] + [bad], 324, p1)
 
 
 def test_check_conjecture_f_refuses_an_order_past_the_cap_before_enumerating(monkeypatch):
